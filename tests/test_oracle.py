@@ -211,3 +211,14 @@ def test_ledger_appends_with_single_header(tmp_path):
     assert lines[0] == "query\tz\tnodes\twitness"
     assert lines[1].split("\t") == ["z(2,2;2,2)", "3", str(first.nodes), "w1.zng"]
     assert len(lines) == 3
+
+
+def test_ledger_bytes_are_pinned(tmp_path):
+    path = tmp_path / "oracle.tsv"
+    append_ledger(path, exact_z(ZQuery((2, 2), (2, 2))), "w1.zng")
+    append_ledger(path, exact_z(ZQuery((3, 3), (2, 2))), "w2.zng")
+    assert path.read_bytes() == (
+        b"query\tz\tnodes\twitness\n"
+        b"z(2,2;2,2)\t3\t8\tw1.zng\n"
+        b"z(3,3;2,2)\t6\t74\tw2.zng\n"
+    )
