@@ -6,7 +6,9 @@ polynomial of bounded total degree; the tuple is joined to the graph points
 chosen greedily in lexicographic tuple order: a candidate is kept only if
 every complete pattern it completes has an agreement set of fewer than t
 points, so the forbidden complete pattern with t last-part vertices can
-never appear.  A final exhaustive verification pass certifies the result
+never appear.  That size is the popcount of the AND of the tuples'
+last-part neighbour masks (mpoly.graph_mask), which also make up the emitted
+graph.  A final exhaustive verification pass certifies the result
 independently of how the family was chosen.
 
 Derived quantities (polynomial degree, tuple capacity) use exact integer
@@ -16,6 +18,7 @@ that decides acceptance.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import math
@@ -27,14 +30,12 @@ from typing import Iterator
 
 from zng.errors import BudgetError, ZngError
 from zng.gf import Field, factor_prime_power, make_field
-from zng.hypergraph import RPartiteHypergraph
+from zng.hypergraph import Pattern, RPartiteHypergraph
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
     MonomialBasis,
     MultiPoly,
-    agreement_set,
-    domain,
-    evaluate,
+    graph_mask,
     monomial_basis,
     random_poly,
 )
@@ -44,8 +45,6 @@ DEFAULT_POSITION_RETRY_CAP = 64
 DEFAULT_RESTART_CAP = 16
 DEFAULT_PATTERN_BUDGET = 1_000_000
 DEFAULT_TABLE_CAP = 2048
-
-Pattern = tuple[tuple[int, ...], ...]
 
 
 class CapacityWarning(UserWarning):
@@ -255,12 +254,13 @@ def _range_ok(params: ConstructionParams) -> bool | None:
 
 @dataclass(frozen=True)
 class PolyFamily:
-    """One polynomial per tuple of first-part indices, plus selection stats."""
+    """One polynomial per tuple of first-part indices, its graph_mask, and stats."""
 
     m_list: tuple[int, ...]
     field: Field
     basis: MonomialBasis
     polys: dict[tuple[int, ...], MultiPoly]
+    masks: dict[tuple[int, ...], int]
     resamples: int = 0
     restarts: int = 0
 
@@ -299,23 +299,14 @@ def _patterns_closing_at(
     yield from itertools.product(*per_part)
 
 
-def _pattern_violation(
-    chosen: dict[tuple[int, ...], MultiPoly],
-    position: tuple[int, ...],
-    candidate: MultiPoly,
-    params: ConstructionParams,
-    point_budget: int,
-) -> tuple[Pattern, int] | None:
-    """First complete pattern whose agreement set reaches t points, if any."""
-    for pattern in _patterns_closing_at(position, params.s_list):
-        fs = [
-            candidate if tup == position else chosen[tup]
-            for tup in itertools.product(*pattern)
-        ]
-        size = len(agreement_set(fs, point_budget))
-        if size > params.t - 1:
-            return pattern, size
-    return None
+def _check_point_budget(params: ConstructionParams, point_budget: int) -> None:
+    points = params.q ** (params.s_total - 1)
+    if points > point_budget:
+        raise BudgetError(
+            f"evaluation domain has {points} points, above the budget {point_budget}",
+            required=points,
+            budget=point_budget,
+        )
 
 
 def sequential_select(
@@ -332,25 +323,39 @@ def sequential_select(
     more points.  Rejection resamples the same position, up to
     position_retry_cap draws.
 
+    Each closing pattern's AND of already-chosen masks is taken once per
+    position, so a candidate costs one graph_mask plus one AND and popcount
+    per pattern; the popcount is the pattern's agreement-set size.
+
     Raises:
+        BudgetError: the evaluation domain has more than point_budget points.
         ConstructionError: some position exhausted its retries; the message
             names the position and the violating pattern.
     """
     if params.m_list is None:
         raise ValueError("sequential_select needs params with m_list")
+    _check_point_budget(params, point_budget)
     rng = random.Random(seed)
     basis = monomial_basis(params.s_total - 1, params.degree)
     chosen: dict[tuple[int, ...], MultiPoly] = {}
+    masks: dict[tuple[int, ...], int] = {}
     resamples = 0
     for position in itertools.product(*(range(m) for m in params.m_list)):
+        closing: list[tuple[Pattern, int]] = []
+        for pattern in _patterns_closing_at(position, params.s_list):
+            common = -1
+            for tup in itertools.product(*pattern):
+                common &= masks.get(tup, -1)  # position itself is not chosen yet
+            closing.append((pattern, common))
         last_violation: tuple[Pattern, int] | None = None
         for _ in range(position_retry_cap):
             candidate = random_poly(basis, params.field, rng)
-            last_violation = _pattern_violation(
-                chosen, position, candidate, params, point_budget
-            )
+            mask = graph_mask(candidate)
+            sizes = ((pattern, (common & mask).bit_count()) for pattern, common in closing)
+            last_violation = next((v for v in sizes if v[1] >= params.t), None)
             if last_violation is None:
                 chosen[position] = candidate
+                masks[position] = mask
                 break
             resamples += 1
         else:
@@ -365,6 +370,7 @@ def sequential_select(
         field=params.field,
         basis=basis,
         polys=chosen,
+        masks=masks,
         resamples=resamples,
     )
 
@@ -420,6 +426,17 @@ class FreenessCertificate:
         }
 
 
+def _checked_pattern_count(sizes: tuple[int, ...], s_list: tuple[int, ...], budget: int) -> int:
+    pattern_count = math.prod(math.comb(m, s) for m, s in zip(sizes, s_list))
+    if pattern_count > budget:
+        raise BudgetError(
+            f"{pattern_count} patterns exceed the budget {budget}",
+            required=pattern_count,
+            budget=budget,
+        )
+    return pattern_count
+
+
 def format_certificate(cert: FreenessCertificate) -> str:
     return json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -451,33 +468,15 @@ def verify_freeness(
         raise ValueError(f"side sizes must be >= 1, got {s_list}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    pattern_count = math.prod(
-        math.comb(m, s) for m, s in zip(H.part_sizes[:-1], s_list)
-    )
-    if pattern_count > pattern_budget:
-        raise BudgetError(
-            f"{pattern_count} patterns exceed the budget {pattern_budget}",
-            required=pattern_count,
-            budget=pattern_budget,
-        )
-    full = (1 << H.part_sizes[-1]) - 1
+    pattern_count = _checked_pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
     max_size = 0
     argmax: Pattern | None = None
     table: list[tuple[Pattern, int]] | None = [] if pattern_count <= table_cap else None
-    for pattern in itertools.product(
-        *(itertools.combinations(range(m), s) for m, s in zip(H.part_sizes[:-1], s_list))
-    ):
-        common = full
-        for prefix in itertools.product(*pattern):
-            common &= H.neighbor_mask(prefix)
-            if not common:
-                break
-        size = common.bit_count()
+    for pattern, size in H.common_neighborhoods(s_list):
         if table is not None:
             table.append((pattern, size))
         if size > max_size or argmax is None:
-            max_size = size
-            argmax = pattern
+            max_size, argmax = size, pattern
     return FreenessCertificate(
         part_sizes=H.part_sizes,
         s_list=tuple(s_list),
@@ -501,29 +500,19 @@ class BuildResult:
     certificate: FreenessCertificate
 
 
-def _point_index(point: tuple, fld: Field, q: int) -> int:
-    idx = 0
-    for coord in point:
-        idx = idx * q + fld.index(coord)
-    return idx
-
-
 def family_graph(params: ConstructionParams, family: PolyFamily) -> RPartiteHypergraph:
     """The r-graph joining every tuple to the graph points of its polynomial.
 
     Last-part vertices are the points of F_q^s_total numbered
-    lexicographically by coordinate in the field's element order.
+    lexicographically by coordinate in the field's element order; a tuple's
+    edges are the set bits of its neighbour mask (mpoly.graph_mask).
     """
-    fld = params.field
-    num_vars = params.s_total - 1
-    arguments = list(domain(fld, num_vars))
     edges = []
-    for position in family.positions():
-        f = family.polys[position]
-        for x in arguments:
-            value = evaluate(f, x)
-            vertex = _point_index((*x, value), fld, params.q)
-            edges.append((*position, vertex))
+    for position, mask in family.masks.items():
+        while mask:
+            low = mask & -mask
+            edges.append((*position, low.bit_length() - 1))
+            mask ^= low
     return RPartiteHypergraph((*family.m_list, params.n), edges)
 
 
@@ -550,22 +539,8 @@ def build(
     """
     if params.m_list is None:
         raise ValueError("build needs params with m_list")
-    points = params.q ** (params.s_total - 1)
-    if points > point_budget:
-        raise BudgetError(
-            f"evaluation domain has {points} points, above the budget {point_budget}",
-            required=points,
-            budget=point_budget,
-        )
-    pattern_count = math.prod(
-        math.comb(m, s) for m, s in zip(params.m_list, params.s_list)
-    )
-    if pattern_count > pattern_budget:
-        raise BudgetError(
-            f"{pattern_count} patterns exceed the budget {pattern_budget}",
-            required=pattern_count,
-            budget=pattern_budget,
-        )
+    _check_point_budget(params, point_budget)
+    _checked_pattern_count(params.m_list, params.s_list, pattern_budget)
     attempts: list[tuple] = []
     family: PolyFamily | None = None
     for restart in range(restart_cap):
@@ -577,14 +552,7 @@ def build(
         except ConstructionError as err:
             attempts.extend(err.attempts)
             continue
-        family = PolyFamily(
-            m_list=selected.m_list,
-            field=selected.field,
-            basis=selected.basis,
-            polys=selected.polys,
-            resamples=selected.resamples,
-            restarts=restart,
-        )
+        family = dataclasses.replace(selected, restarts=restart)
         break
     if family is None:
         attempts.sort(key=lambda rec: -rec[1])

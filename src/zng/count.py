@@ -11,7 +11,6 @@ rational arithmetic uses fractions.Fraction; nothing here touches floats.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,19 +80,9 @@ def count_ordered(
             required=prefix_patterns,
             budget=pattern_budget,
         )
-    s_last = s_list[-1]
-    full = (1 << H.part_sizes[-1]) - 1
-    total = 0
-    for subsets in itertools.product(
-        *(itertools.combinations(range(m), s) for m, s in zip(H.part_sizes[:-1], s_list[:-1]))
-    ):
-        common = full
-        for prefix in itertools.product(*subsets):
-            common &= H.neighbor_mask(prefix)
-            if not common:
-                break
-        total += math.comb(common.bit_count(), s_last)
-    return total
+    return sum(
+        math.comb(size, s_list[-1]) for _, size in H.common_neighborhoods(s_list[:-1])
+    )
 
 
 def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction:
@@ -123,9 +112,13 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
             return Fraction(0)
         t_a = m2 * gen_binom(Fraction(H.num_edges, m2), s_list[0])
     else:
+        links: list[list[tuple[int, ...]]] = [[] for _ in range(H.part_sizes[-1])]
+        for e in H.edges:  # one pass: the link of v is the edges ending at v
+            links[e[-1]].append(e[:-1])
         t_a = Fraction(0)
-        for v in range(H.part_sizes[-1]):
-            t_a += jensen_lower_bound(H.link(v), s_list[:-1])
+        for prefixes in links:
+            link = RPartiteHypergraph(H.part_sizes[:-1], prefixes)
+            t_a += jensen_lower_bound(link, s_list[:-1])
     return choices * gen_binom(t_a / choices, s_list[-1])
 
 

@@ -20,11 +20,12 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from zng.errors import ZngError
 
 Edge = tuple[int, ...]
+Pattern = tuple[tuple[int, ...], ...]  # one vertex subset per part
 
 
 class GraphFormatError(ZngError):
@@ -89,6 +90,23 @@ class RPartiteHypergraph:
     def neighbor_mask(self, prefix: Edge) -> int:
         """Bitmask of last-part vertices v with prefix + (v,) an edge."""
         return self._prefix_masks.get(tuple(prefix), 0)
+
+    def common_neighborhoods(self, s_list: Sequence[int]) -> Iterator[tuple[Pattern, int]]:
+        """(pattern, size) for every choice of s_i-subsets of parts i < r, in order.
+
+        size counts the last-part vertices completing every transversal
+        prefix of the pattern: the popcount of the AND of their masks.
+        """
+        full = (1 << self.part_sizes[-1]) - 1
+        for pattern in itertools.product(
+            *(itertools.combinations(range(m), s) for m, s in zip(self.part_sizes[:-1], s_list))
+        ):
+            common = full
+            for prefix in itertools.product(*pattern):
+                common &= self._prefix_masks.get(prefix, 0)
+                if not common:
+                    break
+            yield pattern, common.bit_count()
 
     def link(self, vertex: int) -> "RPartiteHypergraph":
         """The (r-1)-graph of edge prefixes through a last-part vertex.

@@ -3,9 +3,10 @@
 A polynomial lives on a fixed monomial basis: all exponent tuples of total
 degree at most max_degree, in graded order (degree first, lexicographically
 descending inside a degree), so coefficient tuples line up across the whole
-family and serialization is positional.  Everything here is exhaustive by
-design: agreement sets are computed by evaluating over the full domain
-F_q^num_vars, guarded by a point budget.
+family and serialization is positional.  graph_mask turns a polynomial into
+the bitmask of its graph points; several polynomials agree on as many points
+as the AND of their masks has bits.  agreement_set is the exhaustive
+reference for that count, evaluating over all of F_q^num_vars under a budget.
 """
 
 from __future__ import annotations
@@ -119,16 +120,21 @@ def _monomial_values(basis: MonomialBasis, point: Point, field: Field) -> list[F
     return values
 
 
+def _dot(f: MultiPoly, monos: list[FieldElement]) -> FieldElement:
+    """f's value at the point whose monomial values are monos."""
+    field = f.field
+    zero = acc = field.zero
+    for coeff, mono in zip(f.coeffs, monos):
+        if coeff != zero:
+            acc = field.add(acc, field.mul(coeff, mono))
+    return acc
+
+
 def evaluate(f: MultiPoly, point: Point) -> FieldElement:
     """Evaluate f at a point of F_q^num_vars."""
     if len(point) != f.basis.num_vars:
         raise ValueError(f"point has {len(point)} coordinates, expected {f.basis.num_vars}")
-    field = f.field
-    acc = field.zero
-    for coeff, mono in zip(f.coeffs, _monomial_values(f.basis, point, field)):
-        if coeff != field.zero:
-            acc = field.add(acc, field.mul(coeff, mono))
-    return acc
+    return _dot(f, _monomial_values(f.basis, point, f.field))
 
 
 def sub_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -144,14 +150,31 @@ def domain(field: Field, num_vars: int) -> Iterator[Point]:
     return itertools.product(field.elements(), repeat=num_vars)
 
 
+def graph_mask(f: MultiPoly) -> int:
+    """Bitmask of the graph points {(x, f(x))} of f inside F_q^(num_vars+1).
+
+    Bit i*q + index(f(x_i)) is set for the i-th point x_i of domain(): the
+    lexicographic point numbering that construct.family_graph uses for the
+    last part.  One evaluation per domain point; callers bound the domain.
+    """
+    field, basis = f.field, f.basis
+    q = field.q
+    bits = bytearray((q ** (basis.num_vars + 1) + 7) // 8)
+    for i, point in enumerate(domain(field, basis.num_vars)):
+        vertex = i * q + field.index(_dot(f, _monomial_values(basis, point, field)))
+        bits[vertex >> 3] |= 1 << (vertex & 7)
+    return int.from_bytes(bits, "little")
+
+
 def agreement_set(
     fs: Sequence[MultiPoly], point_budget: int = DEFAULT_POINT_BUDGET
 ) -> set[Point]:
     """Points where all polynomials in fs take one common value.
 
-    Computed by exhaustive evaluation over the whole domain.  Adding a
-    polynomial can only shrink the result; a single polynomial agrees with
-    itself everywhere.
+    Computed by exhaustive evaluation over the whole domain; the reference
+    for the popcount of the AND of graph_mask values.  Adding a polynomial
+    can only shrink the result; a single polynomial agrees with itself
+    everywhere.
 
     Raises:
         ValueError: empty input, or mismatched bases.
@@ -177,10 +200,7 @@ def agreement_set(
         value = None
         same = True
         for f in fs:
-            acc = field.zero
-            for coeff, mono in zip(f.coeffs, monos):
-                if coeff != field.zero:
-                    acc = field.add(acc, field.mul(coeff, mono))
+            acc = _dot(f, monos)
             if value is None:
                 value = acc
             elif acc != value:

@@ -283,10 +283,9 @@ LEDGER_HEADER = "query\tz\tnodes\twitness\n"
 
 
 def append_ledger(path: str | Path, result: ZResult, witness_path: str) -> None:
-    """Append one search outcome to the plain-text results ledger."""
+    """Append one outcome to the results ledger; a new file gets the header."""
     path = Path(path)
     line = f"{result.query.label()}\t{result.z}\t{result.nodes}\t{witness_path}\n"
-    if path.exists():
-        path.write_text(path.read_text(encoding="ascii") + line, encoding="ascii")
-    else:
-        path.write_text(LEDGER_HEADER + line, encoding="ascii")
+    header = "" if path.exists() else LEDGER_HEADER
+    with path.open("a", encoding="ascii") as handle:
+        handle.write(header + line)

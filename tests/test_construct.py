@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_graph, reference_select
 from zng.construct import (
     CapacityWarning,
     ConstructionError,
@@ -239,6 +240,56 @@ def test_build_requires_part_sizes():
         build(params, seed=0)
     with pytest.raises(ValueError):
         sequential_select(params, seed=0)
+
+
+def test_sequential_select_enforces_the_point_budget():
+    params = _params((2,), 4, 5, (10,))
+    with pytest.raises(BudgetError):
+        sequential_select(params, seed=0, point_budget=4)  # domain has 5 points
+    assert len(sequential_select(params, seed=0, point_budget=5).polys) == 10
+
+
+# (s_list, t, q, m_list, seeds): prime and extension fields, one to three
+# variables, r = 2 and r = 3, with and without resamples
+SELECT_SHAPES = [
+    ((2,), 4, 5, (6,), range(4)),
+    ((2,), 2, 5, (12,), range(4)),
+    ((2,), 3, 4, (14,), range(4)),
+    ((3,), 4, 4, (6,), range(4)),
+    ((2, 2), 4, 5, (4, 4), range(2)),
+    ((2, 2), 5, 5, (5, 5), range(1)),
+]
+
+
+def _select_outcome(select, params, seed):
+    try:
+        return select(params, seed)
+    except ConstructionError as err:
+        return str(err), err.attempts
+
+
+@pytest.mark.parametrize("shape", SELECT_SHAPES, ids=str)
+def test_select_matches_agreement_set_reference(shape):
+    s_list, t, q, m_list, seeds = shape
+    params = _params(s_list, t, q, m_list)
+    total_resamples = 0
+    for seed in seeds:
+        family = sequential_select(params, seed)
+        polys, resamples = reference_select(params, seed)
+        assert family.polys == polys
+        assert family.resamples == resamples
+        assert family_graph(params, family) == reference_graph(params, polys)
+        total_resamples += resamples
+    if t <= 3 or m_list == (5, 5):
+        assert total_resamples > 0  # the rejection path was exercised
+
+
+def test_select_failure_matches_reference():
+    params = _params((2,), 2, 2, (5,))
+    for seed in range(3):
+        fast = _select_outcome(lambda p, s: sequential_select(p, s, 8), params, seed)
+        slow = _select_outcome(lambda p, s: reference_select(p, s, 8), params, seed)
+        assert isinstance(fast, tuple) and fast == slow
 
 
 def test_family_graph_matches_build_and_is_reproducible():

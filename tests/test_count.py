@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_count, random_graph
+from helpers import naive_count, random_graph, reference_jensen
 from zng.count import (
     count_ordered,
     count_report,
@@ -241,3 +241,16 @@ def test_supersaturation_report_on_a_pattern_free_construction():
     assert report.ratio == 0
     p = Fraction(50, 250)
     assert report.copies_bound == math.comb(10, 2) * math.comb(25, 4) * p ** 8
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    parts=st.lists(st.integers(0, 4), min_size=3, max_size=4),
+    sides=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jensen_matches_link_based_reference(parts, sides, density, seed):
+    g = random_graph(random.Random(seed), tuple(parts), density)
+    s_list = tuple(sides[: len(parts)])
+    assert jensen_lower_bound(g, s_list) == reference_jensen(g, s_list)

@@ -15,6 +15,7 @@ from zng.mpoly import (
     agreement_set,
     domain,
     evaluate,
+    graph_mask,
     monomial_basis,
     random_poly,
     sub_poly,
@@ -231,3 +232,38 @@ def test_distinct_cubics_over_gf5_agree_on_at_most_three_points():
         if f.coeffs == g.coeffs:
             continue
         assert len(agreement_set([f, g])) <= 3
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    pk=st.sampled_from([(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]),
+    num_vars=st.integers(1, 3),
+    degree=st.integers(0, 2),
+    count=st.integers(1, 4),
+    keep=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_mask_and_popcount_is_the_agreement_set_size(pk, num_vars, degree, count, keep, seed):
+    field = make_field(*pk)
+    q = field.q
+    basis = monomial_basis(num_vars, degree)
+    rng = random.Random(seed)
+    # perturbations of one base polynomial, so agreement sets of every size occur
+    base = random_poly(basis, field, rng).coeffs
+    fs = [
+        MultiPoly(field, basis, tuple(
+            c if rng.random() < keep else field.elements()[rng.randrange(q)] for c in base
+        ))
+        for _ in range(count)
+    ]
+    common = -1
+    for f in fs:
+        mask = graph_mask(f)
+        assert mask.bit_count() == q**num_vars  # one graph point per domain point
+        common &= mask
+    agreeing = agreement_set(fs)
+    assert common.bit_count() == len(agreeing)
+    block = (1 << q) - 1
+    assert agreeing == {
+        x for i, x in enumerate(domain(field, num_vars)) if common >> (i * q) & block
+    }
