@@ -249,15 +249,16 @@ def test_sequential_select_enforces_the_point_budget():
     assert len(sequential_select(params, seed=0, point_budget=5).polys) == 10
 
 
-# (s_list, t, q, m_list, seeds): prime and extension fields, one to three
-# variables, r = 2 and r = 3, with and without resamples
+# (s_list, t, q, m_list, seeds, resamples): prime and extension fields, one
+# to three variables, r = 2 and r = 3; resamples says whether the seeds
+# reach the rejection path
 SELECT_SHAPES = [
-    ((2,), 4, 5, (6,), range(4)),
-    ((2,), 2, 5, (12,), range(4)),
-    ((2,), 3, 4, (14,), range(4)),
-    ((3,), 4, 4, (6,), range(4)),
-    ((2, 2), 4, 5, (4, 4), range(2)),
-    ((2, 2), 5, 5, (5, 5), range(1)),
+    ((2,), 4, 5, (6,), range(4), False),
+    ((2,), 2, 5, (12,), range(4), True),
+    ((2,), 3, 4, (14,), range(4), True),
+    ((3,), 4, 4, (6,), range(4), True),
+    ((2, 2), 4, 5, (4, 4), range(2), True),
+    ((2, 2), 5, 5, (5, 5), range(1), True),
 ]
 
 
@@ -270,7 +271,7 @@ def _select_outcome(select, params, seed):
 
 @pytest.mark.parametrize("shape", SELECT_SHAPES, ids=str)
 def test_select_matches_agreement_set_reference(shape):
-    s_list, t, q, m_list, seeds = shape
+    s_list, t, q, m_list, seeds, resamples_expected = shape
     params = _params(s_list, t, q, m_list)
     total_resamples = 0
     for seed in seeds:
@@ -280,8 +281,7 @@ def test_select_matches_agreement_set_reference(shape):
         assert family.resamples == resamples
         assert family_graph(params, family) == reference_graph(params, polys)
         total_resamples += resamples
-    if t <= 3 or m_list == (5, 5):
-        assert total_resamples > 0  # the rejection path was exercised
+    assert (total_resamples > 0) == resamples_expected
 
 
 def test_select_failure_matches_reference():
