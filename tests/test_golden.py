@@ -4,9 +4,10 @@ The acceptance gate checks that reruns are byte-identical; these digests
 check that artifacts stay identical from one version of the code to the
 next.  They cover the acceptance sweep (MASTER_SEED, q = 5..13), an r=3
 build and its pattern count, a three-variable build over GF(9), and two
-builds that exercise rejection: one with resamples only, one with restarts.
-A change that moves any digest changes what the pipeline selects, emits,
-certifies or counts.
+builds that exercise rejection: one with resamples only, one with restarts,
+and two exact_z runs (r=2 and r=3) with their search-node counts.  A change
+that moves any digest changes what the pipeline selects, emits, certifies,
+counts or searches.
 """
 
 import hashlib
@@ -68,6 +69,24 @@ BUILDS = {
     ),
 }
 
+# (m, s) -> (z, nodes, digests) for exact_z through the oracle mode
+ORACLES = {
+    "z-7x5": (
+        (7, 5), (2, 2), 15, 239_499,
+        {
+            "oracle.tsv": "b8e8726c2b1ee2e224d9859f39933fad74f11c3c6f72708bfd0cb2b8d5a6aac0",
+            "witness_7x5_2x2.zng": "1e18d98800cc3e8cf04a594cc44e1aa89b41dd17acb9384262a47da0e6a713a6",
+        },
+    ),
+    "z-5x3x2": (
+        (5, 3, 2), (2, 2, 2), 23, 67_234,
+        {
+            "oracle.tsv": "ee9ababe1b8bad0cfdac13d09ac1b90bd10762cb34b81d046ff9e68ad78ed303",
+            "witness_5x3x2_2x2x2.zng": "038d3c6a5ea7851ae3b70214a4f3252d49dbdc8139a8ea4dd8e413e2f90bbccb",
+        },
+    ),
+}
+
 
 def _digests(out: Path) -> dict[str, str]:
     return {
@@ -107,3 +126,11 @@ def test_r3_build_and_count_digests(tmp_path):
 def test_build_digests(tmp_path, name):
     fields, expected = BUILDS[name]
     assert _run(tmp_path, mode="construct", seed=MASTER_SEED, **fields) == expected
+
+
+@pytest.mark.parametrize("name", sorted(ORACLES))
+def test_oracle_digests(tmp_path, name):
+    m_list, s_list, z, nodes, expected = ORACLES[name]
+    assert _run(tmp_path, mode="oracle", m=m_list, s=s_list) == expected
+    row = (tmp_path / "oracle.tsv").read_text().splitlines()[1].split("\t")
+    assert row[1:3] == [str(z), str(nodes)]
