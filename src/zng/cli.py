@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from fractions import Fraction
+from dataclasses import fields
 from pathlib import Path
 
 from zng.config import ExperimentConfig, read_config
@@ -50,17 +51,19 @@ def _outdir(config: ExperimentConfig) -> Path:
     return out
 
 
+def _kwargs(**values) -> dict:
+    """The keyword arguments that are set; None leaves the library default."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _build_kwargs(config: ExperimentConfig) -> dict:
     """Translate the flat budget/retry knobs into build() keyword arguments."""
-    kwargs: dict = {}
-    if config.budget is not None:
-        kwargs["point_budget"] = config.budget
-        kwargs["pattern_budget"] = config.budget
-    if config.retries is not None:
-        kwargs["position_retry_cap"] = config.retries
-    if config.restarts is not None:
-        kwargs["restart_cap"] = config.restarts
-    return kwargs
+    return _kwargs(
+        point_budget=config.budget,
+        pattern_budget=config.budget,
+        position_retry_cap=config.retries,
+        restart_cap=config.restarts,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -91,10 +94,7 @@ def _run_construct(config: ExperimentConfig) -> int:
 def _run_verify(config: ExperimentConfig) -> int:
     out = _outdir(config)
     graph = read_graph(config.graph)
-    kwargs: dict = {}
-    if config.budget is not None:
-        kwargs["pattern_budget"] = config.budget
-    cert = verify_freeness(graph, config.s, config.t, **kwargs)
+    cert = verify_freeness(graph, config.s, config.t, **_kwargs(pattern_budget=config.budget))
     write_certificate(cert, out / "certificate.json")
     _status(
         {
@@ -115,10 +115,7 @@ def _run_verify(config: ExperimentConfig) -> int:
 def _run_count(config: ExperimentConfig) -> int:
     out = _outdir(config)
     graph = read_graph(config.graph)
-    kwargs: dict = {}
-    if config.budget is not None:
-        kwargs["pattern_budget"] = config.budget
-    report = count_report(graph, config.s, **kwargs)
+    report = count_report(graph, config.s, **_kwargs(pattern_budget=config.budget))
     payload = report.to_dict()
     (out / "count.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
@@ -130,10 +127,7 @@ def _run_count(config: ExperimentConfig) -> int:
 def _run_oracle(config: ExperimentConfig) -> int:
     out = _outdir(config)
     query = ZQuery(config.m, config.s)
-    kwargs: dict = {}
-    if config.budget is not None:
-        kwargs["edge_cap"] = config.budget
-    result = exact_z(query, **kwargs)
+    result = exact_z(query, **_kwargs(edge_cap=config.budget))
     name = "witness_{}_{}.zng".format(
         "x".join(map(str, config.m)), "x".join(map(str, config.s))
     )
@@ -209,8 +203,6 @@ _RUNNERS = {
 def run(config: ExperimentConfig) -> int:
     """Validate and dispatch; returns the process exit code."""
     config.validate()
-    if config.jobs != 1:
-        log.info("jobs=%d requested; runs execute sequentially", config.jobs)
     started = time.perf_counter()
     code = _RUNNERS[config.mode](config)
     log.info("mode %s finished in %.3fs", config.mode, time.perf_counter() - started)
@@ -225,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None, help="64-bit master seed")
     common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--jobs", type=int, default=None, help="worker bound")
     common.add_argument("--budget", type=int, default=None, help="enumeration cap")
     common.add_argument("--config", default=None, help="key=value config file")
     parser = argparse.ArgumentParser(
@@ -271,13 +262,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(
                 f"config file mode {base.mode!r} does not match subcommand {args.mode!r}"
             )
-        values.update(
-            (key, getattr(base, key))
-            for key in (
-                "s", "m", "q", "t", "seed", "out", "jobs",
-                "budget", "graph", "retries", "restarts",
-            )
-        )
+        values.update((f.name, getattr(base, f.name)) for f in fields(base))
     list_keys = ("s", "m") if args.mode == "construct" else ("s", "m", "q")
     for key in list_keys:
         flag = getattr(args, key, None)
@@ -285,7 +270,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             values[key] = tuple(flag)
     if args.mode == "construct" and getattr(args, "q", None) is not None:
         values["q"] = (args.q,)
-    for key in ("t", "seed", "out", "jobs", "budget", "graph", "retries", "restarts"):
+    for key in ("t", "seed", "out", "budget", "graph", "retries", "restarts"):
         flag = getattr(args, key, None)
         if flag is not None:
             values[key] = flag

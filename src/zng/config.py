@@ -14,7 +14,7 @@ from pathlib import Path
 MODES = ("construct", "verify", "count", "oracle", "sweep")
 
 _LIST_KEYS = frozenset({"s", "m", "q"})
-_INT_KEYS = frozenset({"t", "seed", "jobs", "budget", "retries", "restarts"})
+_INT_KEYS = frozenset({"t", "seed", "budget", "retries", "restarts"})
 _STR_KEYS = frozenset({"mode", "out", "graph"})
 
 
@@ -29,7 +29,6 @@ class ExperimentConfig:
     t: int | None = None
     seed: int = 0
     out: str = "."
-    jobs: int = 1
     budget: int | None = None
     graph: str | None = None
     retries: int | None = None
@@ -39,8 +38,6 @@ class ExperimentConfig:
         """Check mode-specific required fields; raises ValueError on gaps."""
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
         for name in ("budget", "retries", "restarts"):
             value = getattr(self, name)
             if value is not None and value < 1:

@@ -30,7 +30,14 @@ from typing import Iterator
 
 from zng.errors import BudgetError, ZngError
 from zng.gf import Field, factor_prime_power, make_field
-from zng.hypergraph import Pattern, RPartiteHypergraph
+from zng.hypergraph import (
+    DEFAULT_PATTERN_BUDGET,
+    Pattern,
+    RPartiteHypergraph,
+    closing_patterns,
+    common_mask,
+    pattern_count,
+)
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
     MonomialBasis,
@@ -43,7 +50,6 @@ from zng.seeds import derive_seed
 
 DEFAULT_POSITION_RETRY_CAP = 64
 DEFAULT_RESTART_CAP = 16
-DEFAULT_PATTERN_BUDGET = 1_000_000
 DEFAULT_TABLE_CAP = 2048
 
 
@@ -280,26 +286,11 @@ class PolyFamily:
         }
 
 
-def _patterns_closing_at(
-    position: tuple[int, ...], s_list: tuple[int, ...]
-) -> Iterator[Pattern]:
-    """Complete patterns whose lexicographically largest tuple is position.
-
-    A complete pattern picks s_i indices from part i; it can be checked as
-    soon as its lex-max tuple (the per-part maxima) is being placed, at
-    which point all its other tuples are already fixed.
-    """
-    per_part = []
-    for p_i, s_i in zip(position, s_list):
-        if p_i < s_i - 1:
-            return
-        per_part.append(
-            [(*rest, p_i) for rest in itertools.combinations(range(p_i), s_i - 1)]
-        )
-    yield from itertools.product(*per_part)
-
-
-def _check_point_budget(params: ConstructionParams, point_budget: int) -> None:
+def _check_select_args(
+    params: ConstructionParams, position_retry_cap: int, point_budget: int
+) -> None:
+    if position_retry_cap < 1:
+        raise ValueError(f"position_retry_cap must be >= 1, got {position_retry_cap}")
     points = params.q ** (params.s_total - 1)
     if points > point_budget:
         raise BudgetError(
@@ -328,25 +319,25 @@ def sequential_select(
     per pattern; the popcount is the pattern's agreement-set size.
 
     Raises:
+        ValueError: position_retry_cap below 1.
         BudgetError: the evaluation domain has more than point_budget points.
         ConstructionError: some position exhausted its retries; the message
             names the position and the violating pattern.
     """
     if params.m_list is None:
         raise ValueError("sequential_select needs params with m_list")
-    _check_point_budget(params, point_budget)
+    _check_select_args(params, position_retry_cap, point_budget)
     rng = random.Random(seed)
     basis = monomial_basis(params.s_total - 1, params.degree)
     chosen: dict[tuple[int, ...], MultiPoly] = {}
     masks: dict[tuple[int, ...], int] = {}
     resamples = 0
     for position in itertools.product(*(range(m) for m in params.m_list)):
-        closing: list[tuple[Pattern, int]] = []
-        for pattern in _patterns_closing_at(position, params.s_list):
-            common = -1
-            for tup in itertools.product(*pattern):
-                common &= masks.get(tup, -1)  # position itself is not chosen yet
-            closing.append((pattern, common))
+        masks[position] = -1  # not chosen yet; every closing pattern contains it
+        closing = [
+            (pattern, common_mask(masks, pattern, -1))
+            for pattern in closing_patterns(position, params.s_list)
+        ]
         last_violation: tuple[Pattern, int] | None = None
         for _ in range(position_retry_cap):
             candidate = random_poly(basis, params.field, rng)
@@ -426,17 +417,6 @@ class FreenessCertificate:
         }
 
 
-def _checked_pattern_count(sizes: tuple[int, ...], s_list: tuple[int, ...], budget: int) -> int:
-    pattern_count = math.prod(math.comb(m, s) for m, s in zip(sizes, s_list))
-    if pattern_count > budget:
-        raise BudgetError(
-            f"{pattern_count} patterns exceed the budget {budget}",
-            required=pattern_count,
-            budget=budget,
-        )
-    return pattern_count
-
-
 def format_certificate(cert: FreenessCertificate) -> str:
     return json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
 
@@ -468,10 +448,10 @@ def verify_freeness(
         raise ValueError(f"side sizes must be >= 1, got {s_list}")
     if t < 1:
         raise ValueError(f"t must be >= 1, got {t}")
-    pattern_count = _checked_pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
+    patterns = pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
     max_size = 0
     argmax: Pattern | None = None
-    table: list[tuple[Pattern, int]] | None = [] if pattern_count <= table_cap else None
+    table: list[tuple[Pattern, int]] | None = [] if patterns <= table_cap else None
     for pattern, size in H.common_neighborhoods(s_list):
         if table is not None:
             table.append((pattern, size))
@@ -481,7 +461,7 @@ def verify_freeness(
         part_sizes=H.part_sizes,
         s_list=tuple(s_list),
         t=int(t),
-        pattern_count=pattern_count,
+        pattern_count=patterns,
         max_size=max_size,
         argmax_pattern=argmax,
         table=tuple(table) if table is not None else None,
@@ -532,6 +512,7 @@ def build(
     so outputs are bit-identical across reruns.
 
     Raises:
+        ValueError: position_retry_cap or restart_cap below 1.
         BudgetError: the evaluation domain or the certification pattern
             count exceeds its budget.
         ConstructionError: every restart exhausted its retries; the error
@@ -539,8 +520,10 @@ def build(
     """
     if params.m_list is None:
         raise ValueError("build needs params with m_list")
-    _check_point_budget(params, point_budget)
-    _checked_pattern_count(params.m_list, params.s_list, pattern_budget)
+    if restart_cap < 1:
+        raise ValueError(f"restart_cap must be >= 1, got {restart_cap}")
+    _check_select_args(params, position_retry_cap, point_budget)
+    pattern_count(params.m_list, params.s_list, pattern_budget)
     attempts: list[tuple] = []
     family: PolyFamily | None = None
     for restart in range(restart_cap):
@@ -568,15 +551,8 @@ def build(
     cert = verify_freeness(
         graph, params.s_list, params.t, pattern_budget, table_cap
     )
-    cert = FreenessCertificate(
-        part_sizes=cert.part_sizes,
-        s_list=cert.s_list,
-        t=cert.t,
-        pattern_count=cert.pattern_count,
-        max_size=cert.max_size,
-        argmax_pattern=cert.argmax_pattern,
-        table=cert.table,
-        passed=cert.passed,
+    cert = dataclasses.replace(
+        cert,
         seed=seed,
         params=params.to_dict(),
         family=family.to_dict(),

@@ -15,10 +15,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zng.errors import BudgetError
-from zng.hypergraph import RPartiteHypergraph
-
-DEFAULT_PATTERN_BUDGET = 1_000_000
+from zng.hypergraph import DEFAULT_PATTERN_BUDGET, RPartiteHypergraph, pattern_count
 
 Rational = int | Fraction
 
@@ -38,13 +35,6 @@ def gen_binom(x: Rational, s: int) -> Fraction:
     for i in range(s):
         prod *= x - i
     return prod / math.factorial(s)
-
-
-def _pattern_count(part_sizes: tuple[int, ...], s_list: tuple[int, ...]) -> int:
-    total = 1
-    for m, s in zip(part_sizes, s_list):
-        total *= math.comb(m, s)
-    return total
 
 
 def count_ordered(
@@ -73,13 +63,7 @@ def count_ordered(
         raise ValueError(f"pattern sizes must be >= 1, got {s_list}")
     if any(s > m for s, m in zip(s_list, H.part_sizes)):
         return 0
-    prefix_patterns = _pattern_count(H.part_sizes[:-1], s_list[:-1])
-    if prefix_patterns > pattern_budget:
-        raise BudgetError(
-            f"{prefix_patterns} subset choices exceed the budget {pattern_budget}",
-            required=prefix_patterns,
-            budget=pattern_budget,
-        )
+    pattern_count(H.part_sizes[:-1], s_list[:-1], pattern_budget)
     return sum(
         math.comb(size, s_list[-1]) for _, size in H.common_neighborhoods(s_list[:-1])
     )
@@ -103,7 +87,7 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
     if H.r == 1:
         # every edge is a vertex of the single part; the count is a binomial
         return gen_binom(H.num_edges, s_list[0])
-    choices = _pattern_count(H.part_sizes[:-1], s_list[:-1])
+    choices = pattern_count(H.part_sizes[:-1], s_list[:-1])
     if choices == 0:
         return Fraction(0)
     if H.r == 2:
@@ -153,9 +137,7 @@ def count_report(
     exact = count_ordered(H, s_list, pattern_budget)
     intermediate = count_ordered(H, s_list[:-1] + (1,), pattern_budget)
     lower = jensen_lower_bound(H, s_list)
-    cells = 1
-    for m in H.part_sizes:
-        cells *= m
+    cells = math.prod(H.part_sizes)
     density = Fraction(H.num_edges, cells) if cells else Fraction(0)
     return CountReport(
         s_list=tuple(s_list),
@@ -209,12 +191,8 @@ def supersaturation_check(
     c2 = Fraction(c2_probe)
     if c1 <= 0 or c2 <= 0:
         raise ValueError("probe constants must be positive")
-    sigma = 1
-    for s in s_list[:-1]:
-        sigma *= s
-    left_cells = 1
-    for m in H.part_sizes[:-1]:
-        left_cells *= m
+    sigma = math.prod(s_list[:-1])
+    left_cells = math.prod(H.part_sizes[:-1])
     m_last = H.part_sizes[-1]
     edges = H.num_edges
     # |E| >= c1 * left_cells * m_last^((sigma-1)/sigma), compared via sigma-th powers
@@ -223,10 +201,8 @@ def supersaturation_check(
     edge_premise = lhs >= rhs
     cells = left_cells * m_last
     density = Fraction(edges, cells) if cells else Fraction(0)
-    s_all = 1
-    for s in s_list:
-        s_all *= s
-    choices = _pattern_count(H.part_sizes, tuple(s_list))
+    s_all = math.prod(s_list)
+    choices = pattern_count(H.part_sizes, s_list)
     copies_bound = c2 * choices * density**s_all
     exact = count_ordered(H, s_list, pattern_budget)
     ratio = Fraction(exact) / (copies_bound / c2) if copies_bound else None

@@ -5,6 +5,12 @@ part i.  The container is immutable by convention and keeps one derived
 index: for every (r-1)-prefix, the set of last-part vertices completing it,
 stored as an int bitmask so common neighborhoods are AND + popcount.
 
+The pattern kernel lives here too.  A pattern picks s_i vertices in each of
+the first r-1 parts; common_mask ANDs the neighbour masks of its transversal
+prefixes, closing_patterns lists the patterns whose lex-max prefix is a
+given one, and pattern_count sizes an enumeration against its budget.
+Selection, verification, counting and the oracle all ask through these.
+
 Graphs serialize to a small line format:
 
     zng <r> <m_1> ... <m_r>
@@ -17,12 +23,15 @@ lexicographic order so equal graphs produce byte-identical files.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from zng.errors import ZngError
+from zng.errors import BudgetError, ZngError
+
+DEFAULT_PATTERN_BUDGET = 1_000_000
 
 Edge = tuple[int, ...]
 Pattern = tuple[tuple[int, ...], ...]  # one vertex subset per part
@@ -101,12 +110,7 @@ class RPartiteHypergraph:
         for pattern in itertools.product(
             *(itertools.combinations(range(m), s) for m, s in zip(self.part_sizes[:-1], s_list))
         ):
-            common = full
-            for prefix in itertools.product(*pattern):
-                common &= self._prefix_masks.get(prefix, 0)
-                if not common:
-                    break
-            yield pattern, common.bit_count()
+            yield pattern, common_mask(self._prefix_masks, pattern, full).bit_count()
 
     def link(self, vertex: int) -> "RPartiteHypergraph":
         """The (r-1)-graph of edge prefixes through a last-part vertex.
@@ -152,11 +156,6 @@ class RPartiteHypergraph:
         return f"RPartiteHypergraph(parts={self.part_sizes}, edges={self.num_edges})"
 
 
-# The link of a last-part vertex is itself an RPartiteHypergraph, one part
-# shorter; no separate class is needed.
-LinkHypergraph = RPartiteHypergraph
-
-
 @dataclass(frozen=True)
 class PruneResult:
     """Outcome of prune_low_degree: the kept graph plus what was removed."""
@@ -170,6 +169,56 @@ def complete_graph(part_sizes: Sequence[int]) -> RPartiteHypergraph:
     """The complete r-partite r-graph: every transversal tuple is an edge."""
     edges = itertools.product(*(range(m) for m in part_sizes))
     return RPartiteHypergraph(part_sizes, edges)
+
+
+# ----------------------------------------------------------------------
+# the pattern kernel
+# ----------------------------------------------------------------------
+
+def common_mask(masks: dict[Edge, int], pattern: Pattern, common: int) -> int:
+    """common AND the neighbour mask of every transversal prefix of pattern.
+
+    A prefix missing from masks has no neighbours.  The AND stops early once
+    it reaches 0.
+    """
+    for prefix in itertools.product(*pattern):
+        common &= masks.get(prefix, 0)
+        if not common:
+            break
+    return common
+
+
+def closing_patterns(position: Edge, s_list: Sequence[int]) -> Iterator[Pattern]:
+    """Patterns whose lexicographically largest prefix is position.
+
+    A pattern picks s_i indices from part i; its lex-max prefix is the tuple
+    of per-part maxima.  When prefixes are filled in lexicographic order,
+    these are the patterns that become complete at position.
+    """
+    per_part = []
+    for p_i, s_i in zip(position, s_list):
+        if p_i < s_i - 1:
+            return
+        per_part.append(
+            [(*rest, p_i) for rest in itertools.combinations(range(p_i), s_i - 1)]
+        )
+    yield from itertools.product(*per_part)
+
+
+def pattern_count(
+    part_sizes: Sequence[int], s_list: Sequence[int], budget: int | None = None
+) -> int:
+    """prod C(m_i, s_i): the number of patterns to enumerate.
+
+    Raises:
+        BudgetError: the count is above budget (no check when budget is None).
+    """
+    count = math.prod(math.comb(m, s) for m, s in zip(part_sizes, s_list))
+    if budget is not None and count > budget:
+        raise BudgetError(
+            f"{count} patterns exceed the budget {budget}", required=count, budget=budget
+        )
+    return count
 
 
 # ----------------------------------------------------------------------

@@ -137,14 +137,6 @@ def evaluate(f: MultiPoly, point: Point) -> FieldElement:
     return _dot(f, _monomial_values(f.basis, point, f.field))
 
 
-def sub_poly(f: MultiPoly, g: MultiPoly) -> MultiPoly:
-    """Coefficientwise difference f - g on the shared basis."""
-    if f.basis != g.basis or f.field != g.field:
-        raise ValueError("polynomials live on different bases or fields")
-    field = f.field
-    return MultiPoly(field, f.basis, tuple(field.sub(a, b) for a, b in zip(f.coeffs, g.coeffs)))
-
-
 def domain(field: Field, num_vars: int) -> Iterator[Point]:
     """All points of F_q^num_vars, lexicographic in the field's element order."""
     return itertools.product(field.elements(), repeat=num_vars)

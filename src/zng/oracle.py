@@ -9,6 +9,12 @@ prefix-neighborhood bitmasks, and a canonical-form restriction (first-part
 blocks non-increasing) that quotients out first-part relabelings.  Both
 return a witness; exact_z's is the lexicographically least optimum, which
 the include-first search order finds first by construction.
+
+When exact_z adds an edge, it checks only the patterns that close at the
+edge's prefix (hypergraph.closing_patterns: those whose per-part maxima are
+that prefix).  Edges are assigned in lexicographic order, so no prefix above
+the current one has an edge yet.  Any other pattern through the new edge has
+such a prefix, so its common neighbourhood is empty and it cannot complete.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Sequence
 
 from zng.count import count_ordered
 from zng.errors import BudgetError
-from zng.hypergraph import Edge, RPartiteHypergraph
+from zng.hypergraph import Edge, RPartiteHypergraph, closing_patterns, common_mask
 
 DEFAULT_EXHAUSTIVE_EDGE_CAP = 30
 DEFAULT_SEARCH_EDGE_CAP = 36
@@ -122,27 +128,11 @@ class _Search:
 
     def _completes_pattern(self, edge: Edge) -> bool:
         """Whether adding edge closes an ordered pattern; masks already updated."""
-        query = self.query
-        r = len(edge)
-        s_last = query.s_list[-1]
-        choices = []
-        for i in range(r - 1):
-            s_i = query.s_list[i]
-            if s_i > query.m_list[i]:
-                return False
-            others = [v for v in range(query.m_list[i]) if v != edge[i]]
-            choices.append(
-                [(*rest, edge[i]) for rest in itertools.combinations(others, s_i - 1)]
-            )
-        for subsets in itertools.product(*choices):
-            common = -1
-            for prefix in itertools.product(*(sorted(s) for s in subsets)):
-                common &= self.masks.get(prefix, 0)
-                if not common:
-                    break
-            if common.bit_count() >= s_last:
-                return True
-        return False
+        s_list = self.query.s_list
+        return any(
+            common_mask(self.masks, pattern, -1).bit_count() >= s_list[-1]
+            for pattern in closing_patterns(edge[:-1], s_list[:-1])
+        )
 
     def run(self) -> tuple[int, list[int], int]:
         self._dfs(0, True)

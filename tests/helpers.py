@@ -11,13 +11,9 @@ import itertools
 import random
 from fractions import Fraction
 
-from zng.construct import (
-    DEFAULT_POSITION_RETRY_CAP,
-    ConstructionError,
-    _patterns_closing_at,
-)
-from zng.count import _pattern_count, gen_binom
-from zng.hypergraph import RPartiteHypergraph
+from zng.construct import DEFAULT_POSITION_RETRY_CAP, ConstructionError
+from zng.count import gen_binom
+from zng.hypergraph import RPartiteHypergraph, closing_patterns, pattern_count
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
     agreement_set,
@@ -41,6 +37,24 @@ def naive_count(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> int:
         if all(e in edge_set for e in itertools.product(*subsets)):
             total += 1
     return total
+
+
+def reference_closing_patterns(position, s_list, part_sizes):
+    """Every pattern on parts of the given sizes whose per-part maxima are position."""
+    return [
+        pattern
+        for pattern in itertools.product(
+            *(itertools.combinations(range(m), s) for m, s in zip(part_sizes, s_list))
+        )
+        if tuple(max(side) for side in pattern) == tuple(position)
+    ]
+
+
+def reference_common_mask(masks, pattern, common: int) -> int:
+    """The AND over every transversal prefix, with no early exit."""
+    for prefix in itertools.product(*pattern):
+        common &= masks.get(prefix, 0)
+    return common
 
 
 def random_graph(
@@ -119,7 +133,7 @@ def reference_select(
         for _ in range(position_retry_cap):
             candidate = random_poly(basis, params.field, rng)
             last_violation = None
-            for pattern in _patterns_closing_at(position, params.s_list):
+            for pattern in closing_patterns(position, params.s_list):
                 fs = [
                     candidate if tup == position else chosen[tup]
                     for tup in itertools.product(*pattern)
@@ -159,7 +173,7 @@ def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction
     """The convexity bound with one H.link(v) call per last-part vertex."""
     if H.r == 1:
         return gen_binom(H.num_edges, s_list[0])
-    choices = _pattern_count(H.part_sizes[:-1], s_list[:-1])
+    choices = pattern_count(H.part_sizes[:-1], s_list[:-1])
     if choices == 0:
         return Fraction(0)
     if H.r == 2:

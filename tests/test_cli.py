@@ -240,9 +240,13 @@ def test_infeasible_construct_is_verdict_failure(tmp_path, capsys):
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    path.write_text("mode=construct\nwat=1\n")
-    code, status = run_cli(["construct", "--config", str(path)], capsys)
-    assert code == 2 and "wat" in status["reason"]
+    for key in ("wat", "jobs"):
+        path.write_text(f"mode=construct\n{key}=1\n")
+        code, status = run_cli(["construct", "--config", str(path)], capsys)
+        assert code == 2 and key in status["reason"]
+    with pytest.raises(SystemExit) as err:  # argparse: unrecognized argument
+        main(["construct", "--jobs", "2"])
+    assert err.value.code == 2
 
 
 def test_module_entry_point_usage():

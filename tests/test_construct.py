@@ -249,6 +249,21 @@ def test_sequential_select_enforces_the_point_budget():
     assert len(sequential_select(params, seed=0, point_budget=5).polys) == 10
 
 
+@pytest.mark.parametrize(
+    "select, cap",
+    [
+        (sequential_select, "position_retry_cap"),
+        (build, "position_retry_cap"),
+        (build, "restart_cap"),
+    ],
+)
+@pytest.mark.parametrize("value", [0, -1])
+def test_caps_below_one_are_rejected(select, cap, value):
+    params = _params((2,), 4, 5, (10,))
+    with pytest.raises(ValueError, match=cap):
+        select(params, seed=0, **{cap: value})
+
+
 # (s_list, t, q, m_list, seeds, resamples): prime and extension fields, one
 # to three variables, r = 2 and r = 3; resamples says whether the seeds
 # reach the rejection path

@@ -1,4 +1,4 @@
-"""Graph model, text format round-tripping, links, and degree pruning."""
+"""Graph model, text format round-tripping, links, degree pruning, pattern kernel."""
 
 import itertools
 from fractions import Fraction
@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_closing_patterns, reference_common_mask
 from zng.hypergraph import (
     GraphFormatError,
     RPartiteHypergraph,
+    closing_patterns,
+    common_mask,
     complete_graph,
     format_graph,
     parse_graph,
@@ -218,3 +221,36 @@ def test_parse_complete_three_part_graph_text():
     lines = ["zng 3 2 2 2"]
     lines += [f"{a} {b} {c}" for a in range(2) for b in range(2) for c in range(2)]
     assert parse_graph("\n".join(lines) + "\n") == complete_graph((2, 2, 2))
+
+
+# ----------------------------------------------------------------------
+# the pattern kernel
+# ----------------------------------------------------------------------
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 5), min_size=0, max_size=3), st.data())
+def test_closing_patterns_are_the_patterns_with_these_maxima(part_sizes, data):
+    s_list = [data.draw(st.integers(1, m + 1), label=f"s{i}") for i, m in enumerate(part_sizes)]
+    position = tuple(
+        data.draw(st.integers(0, m - 1), label=f"p{i}") for i, m in enumerate(part_sizes)
+    )
+    assert list(closing_patterns(position, s_list)) == reference_closing_patterns(
+        position, s_list, part_sizes
+    )
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 4), min_size=0, max_size=3), st.integers(1, 6), st.data())
+def test_common_mask_is_the_plain_and(part_sizes, width, data):
+    cells = list(itertools.product(*(range(m) for m in part_sizes)))
+    masks = {
+        cell: data.draw(st.integers(0, (1 << width) - 1), label=str(cell))
+        for cell in cells
+        if data.draw(st.booleans(), label=f"has {cell}")
+    }
+    pattern = tuple(
+        tuple(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label=f"S{i}")))
+        for i, m in enumerate(part_sizes)
+    )
+    common = data.draw(st.sampled_from([-1, (1 << width) - 1, 0b101]), label="common")
+    assert common_mask(masks, pattern, common) == reference_common_mask(masks, pattern, common)

@@ -18,7 +18,6 @@ from zng.mpoly import (
     graph_mask,
     monomial_basis,
     random_poly,
-    sub_poly,
 )
 
 
@@ -90,17 +89,6 @@ def test_coefficient_length_is_checked():
     basis = monomial_basis(1, 2)
     with pytest.raises(ValueError):
         MultiPoly(field=field, basis=basis, coeffs=((1,), (2,)))
-
-
-def test_sub_poly_is_pointwise_subtraction():
-    field = make_field(7, 1)
-    basis = monomial_basis(2, 2)
-    rng = random.Random(3)
-    f = random_poly(basis, field, rng)
-    g = random_poly(basis, field, rng)
-    h = sub_poly(f, g)
-    for point in domain(field, 2):
-        assert evaluate(h, point) == field.sub(evaluate(f, point), evaluate(g, point))
 
 
 def test_random_poly_is_deterministic_per_seed():
@@ -204,14 +192,6 @@ def test_evaluate_small_examples():
         assert evaluate(zero, point) == gf5.zero
     x1_plus_x2 = MultiPoly(gf5, basis, ((0,), (1,), (1,)))
     assert evaluate(x1_plus_x2, ((2,), (4,))) == (1,)  # 6 mod 5
-
-
-def test_sub_poly_of_consecutive_lines_is_the_constant_one():
-    gf3 = make_field(3, 1)
-    basis = monomial_basis(1, 1)
-    x_plus_1 = MultiPoly(gf3, basis, ((1,), (1,)))
-    x = MultiPoly(gf3, basis, ((0,), (1,)))
-    assert sub_poly(x_plus_1, x).coeffs == ((1,), (0,))
 
 
 def test_agreement_of_parallel_lines_is_empty():

@@ -151,6 +151,32 @@ def test_search_equals_exhaustion_on_random_small_queries(m_list, data):
     assert exact_z(query).z == exhaustive_z(query).z
 
 
+def _search_matches_exhaustion_on_every_shape(max_edges: int) -> int:
+    """exact_z against exhaustive_z on every r <= 3 shape with s_i <= m_i."""
+    shapes = 0
+    for r in (1, 2, 3):
+        for m_list in itertools.product(range(1, max_edges + 1), repeat=r):
+            if math.prod(m_list) > max_edges:
+                continue
+            for s_list in itertools.product(*(range(1, m + 1) for m in m_list)):
+                query = ZQuery(m_list, s_list)
+                searched = exact_z(query)
+                assert searched.z == exhaustive_z(query).z, query.label()
+                assert searched.witness.num_edges == searched.z
+                assert naive_count(searched.witness, s_list) == 0, query.label()
+                shapes += 1
+    return shapes
+
+
+def test_search_equals_exhaustion_on_every_shape_up_to_10_edges():
+    assert _search_matches_exhaustion_on_every_shape(10) == 579
+
+
+@pytest.mark.slow
+def test_search_equals_exhaustion_on_every_shape_up_to_12_edges():
+    assert _search_matches_exhaustion_on_every_shape(12) == 945
+
+
 # ----------------------------------------------------------------------
 # bound comparisons and the ledger
 # ----------------------------------------------------------------------
