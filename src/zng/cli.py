@@ -15,8 +15,8 @@ import logging
 import math
 import sys
 import time
-from fractions import Fraction
 from dataclasses import fields
+from fractions import Fraction
 from pathlib import Path
 
 from zng.config import ExperimentConfig, read_config
