@@ -8,6 +8,7 @@ wrong.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -55,6 +56,16 @@ def reference_common_mask(masks, pattern, common: int) -> int:
     for prefix in itertools.product(*pattern):
         common &= masks.get(prefix, 0)
     return common
+
+
+def small_shapes(max_edges: int):
+    """Every (m_list, s_list) with r <= 3, s_i <= m_i and prod(m_i) <= max_edges."""
+    for r in (1, 2, 3):
+        for m_list in itertools.product(range(1, max_edges + 1), repeat=r):
+            if math.prod(m_list) > max_edges:
+                continue
+            for s_list in itertools.product(*(range(1, m + 1) for m in m_list)):
+                yield m_list, s_list
 
 
 def random_graph(

@@ -5,9 +5,10 @@ check that artifacts stay identical from one version of the code to the
 next.  They cover the acceptance sweep (MASTER_SEED, q = 5..13), an r=3
 build and its pattern count, a three-variable build over GF(9), and two
 builds that exercise rejection: one with resamples only, one with restarts,
-and two exact_z runs (r=2 and r=3) with their search-node counts.  A change
-that moves any digest changes what the pipeline selects, emits, certifies,
-counts or searches.
+two exact_z runs (r=2 and r=3) with their search-node counts, and exact_z's
+value, node count and witness on every small shape.  A change that moves
+any digest changes what the pipeline selects, emits, certifies, counts or
+searches.
 """
 
 import hashlib
@@ -16,8 +17,10 @@ from pathlib import Path
 
 import pytest
 
+from helpers import small_shapes
 from zng.cli import run
 from zng.config import ExperimentConfig
+from zng.oracle import ZQuery, exact_z
 
 MASTER_SEED = 20260819
 
@@ -134,3 +137,22 @@ def test_oracle_digests(tmp_path, name):
     assert _run(tmp_path, mode="oracle", m=m_list, s=s_list) == expected
     row = (tmp_path / "oracle.tsv").read_text().splitlines()[1].split("\t")
     assert row[1:3] == [str(z), str(nodes)]
+
+
+# sha256 of one line per shape: label, z, nodes and the witness edges
+SEARCH_TREE_SHAPES = 579
+SEARCH_TREE_DIGEST = "de459b011b1d6e5bf7bbdfb8bbd3001ee6081068485170e2e9035e109a344589"
+
+
+def test_search_tree_digest_on_every_shape_up_to_10_edges():
+    """The search visits the same tree: equal nodes and witness on 579 shapes."""
+    digest = hashlib.sha256()
+    shapes = 0
+    for m_list, s_list in small_shapes(10):
+        result = exact_z(ZQuery(m_list, s_list))
+        edges = ";".join(",".join(map(str, edge)) for edge in result.witness.edges)
+        line = f"{result.query.label()}\t{result.z}\t{result.nodes}\t{edges}\n"
+        digest.update(line.encode("ascii"))
+        shapes += 1
+    assert shapes == SEARCH_TREE_SHAPES
+    assert digest.hexdigest() == SEARCH_TREE_DIGEST

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_count
+from helpers import naive_count, small_shapes
 from zng.count import count_ordered
 from zng.errors import BudgetError
 from zng.hypergraph import RPartiteHypergraph
@@ -154,17 +154,13 @@ def test_search_equals_exhaustion_on_random_small_queries(m_list, data):
 def _search_matches_exhaustion_on_every_shape(max_edges: int) -> int:
     """exact_z against exhaustive_z on every r <= 3 shape with s_i <= m_i."""
     shapes = 0
-    for r in (1, 2, 3):
-        for m_list in itertools.product(range(1, max_edges + 1), repeat=r):
-            if math.prod(m_list) > max_edges:
-                continue
-            for s_list in itertools.product(*(range(1, m + 1) for m in m_list)):
-                query = ZQuery(m_list, s_list)
-                searched = exact_z(query)
-                assert searched.z == exhaustive_z(query).z, query.label()
-                assert searched.witness.num_edges == searched.z
-                assert naive_count(searched.witness, s_list) == 0, query.label()
-                shapes += 1
+    for m_list, s_list in small_shapes(max_edges):
+        query = ZQuery(m_list, s_list)
+        searched = exact_z(query)
+        assert searched.z == exhaustive_z(query).z, query.label()
+        assert searched.witness.num_edges == searched.z
+        assert naive_count(searched.witness, s_list) == 0, query.label()
+        shapes += 1
     return shapes
 
 
