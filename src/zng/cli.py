@@ -29,7 +29,7 @@ from zng.construct import (
 )
 from zng.count import count_report
 from zng.errors import BudgetError
-from zng.hypergraph import GraphFormatError, read_graph, write_graph
+from zng.hypergraph import GraphFormatError, read_graph, write_atomic, write_graph
 from zng.oracle import ZQuery, append_ledger, exact_z
 from zng.seeds import derive_seed
 
@@ -117,9 +117,7 @@ def _run_count(config: ExperimentConfig) -> int:
     graph = read_graph(config.graph)
     report = count_report(graph, config.s, **_kwargs(pattern_budget=config.budget))
     payload = report.to_dict()
-    (out / "count.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii"
-    )
+    write_atomic(out / "count.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
     _status({"mode": "count", "graph": config.graph, "out": str(out), **payload})
     return EXIT_PASS if report.bound_holds else EXIT_VERDICT
 
@@ -179,7 +177,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
     for q, m_list, edges, bound, ratio, verdict in rows:
         m_text = ",".join(map(str, m_list))
         lines.append(f"{q}\t{m_text}\t{edges}\t{bound}\t{ratio}\t{verdict}")
-    (out / "sweep.tsv").write_text("\n".join(lines) + "\n", encoding="ascii")
+    write_atomic(out / "sweep.tsv", "\n".join(lines) + "\n")
     _status(
         {
             "mode": "sweep",

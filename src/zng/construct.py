@@ -37,6 +37,8 @@ from zng.hypergraph import (
     closing_patterns,
     common_mask,
     pattern_count,
+    prefix_ranks,
+    write_atomic,
 )
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
@@ -266,7 +268,7 @@ class PolyFamily:
     field: Field
     basis: MonomialBasis
     polys: dict[tuple[int, ...], MultiPoly]
-    masks: dict[tuple[int, ...], int]
+    masks: list[int]  # one per position, in positions() order
     resamples: int = 0
     restarts: int = 0
 
@@ -330,12 +332,12 @@ def sequential_select(
     rng = random.Random(seed)
     basis = monomial_basis(params.s_total - 1, params.degree)
     chosen: dict[tuple[int, ...], MultiPoly] = {}
-    masks: dict[tuple[int, ...], int] = {}
+    masks: list[int] = []  # indexed by position rank, as positions come in lex order
     resamples = 0
     for position in itertools.product(*(range(m) for m in params.m_list)):
-        masks[position] = -1  # not chosen yet; every closing pattern contains it
+        masks.append(-1)  # not chosen yet; every closing pattern contains it
         closing = [
-            (pattern, common_mask(masks, pattern, -1))
+            (pattern, common_mask(masks, prefix_ranks(pattern, params.m_list), -1))
             for pattern in closing_patterns(position, params.s_list)
         ]
         last_violation: tuple[Pattern, int] | None = None
@@ -346,7 +348,7 @@ def sequential_select(
             last_violation = next((v for v in sizes if v[1] >= params.t), None)
             if last_violation is None:
                 chosen[position] = candidate
-                masks[position] = mask
+                masks[-1] = mask
                 break
             resamples += 1
         else:
@@ -422,7 +424,7 @@ def format_certificate(cert: FreenessCertificate) -> str:
 
 
 def write_certificate(cert: FreenessCertificate, path: str | Path) -> None:
-    Path(path).write_text(format_certificate(cert), encoding="ascii")
+    write_atomic(path, format_certificate(cert))
 
 
 def verify_freeness(
@@ -488,7 +490,7 @@ def family_graph(params: ConstructionParams, family: PolyFamily) -> RPartiteHype
     edges are the set bits of its neighbour mask (mpoly.graph_mask).
     """
     edges = []
-    for position, mask in family.masks.items():
+    for position, mask in zip(family.positions(), family.masks):
         while mask:
             low = mask & -mask
             edges.append((*position, low.bit_length() - 1))

@@ -3,13 +3,20 @@
 An edge is an r-tuple of zero-based vertex indices, coordinate i indexing
 part i.  The container is immutable by convention and keeps one derived
 index: for every (r-1)-prefix, the set of last-part vertices completing it,
-stored as an int bitmask so common neighborhoods are AND + popcount.
+stored as an int bitmask so common neighborhoods are AND + popcount.  The
+prefixes are numbered by lexicographic rank, their index in
+itertools.product(range(m_1), ..., range(m_{r-1})), and the masks are a flat
+list indexed by that rank, built on the first query that needs it.  Degrees
+are not stored; degree and prune_low_degree count them when asked.
 
 The pattern kernel lives here too.  A pattern picks s_i vertices in each of
-the first r-1 parts; common_mask ANDs the neighbour masks of its transversal
-prefixes, closing_patterns lists the patterns whose lex-max prefix is a
-given one, and pattern_count sizes an enumeration against its budget.
-Selection, verification, counting and the oracle all ask through these.
+the first r-1 parts; prefix_ranks numbers its transversal prefixes (for
+r = 2 they are just its one side), common_mask ANDs the masks at those
+ranks, closing_patterns lists the patterns whose lex-max prefix is a given
+one, and pattern_count sizes an enumeration against its budget.
+Selection, verification, counting and the oracle all ask through these;
+selection and the oracle turn each closing pattern into its ranks once, not
+once per candidate or search node.
 
 Graphs serialize to a small line format:
 
@@ -24,6 +31,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -50,7 +58,7 @@ class RPartiteHypergraph:
         edges: edges in lexicographic order.
     """
 
-    __slots__ = ("part_sizes", "r", "edges", "_prefix_masks", "_degrees")
+    __slots__ = ("part_sizes", "r", "edges", "_prefix_masks")
 
     def __init__(self, part_sizes: Sequence[int], edges: Iterable[Edge]):
         sizes = tuple(int(m) for m in part_sizes)
@@ -72,15 +80,17 @@ class RPartiteHypergraph:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
         self.edges: tuple[Edge, ...] = tuple(sorted(seen))
-        masks: dict[Edge, int] = {}
-        for e in self.edges:
-            masks[e[:-1]] = masks.get(e[:-1], 0) | (1 << e[-1])
-        self._prefix_masks = masks
-        degs = [[0] * m for m in sizes]
-        for e in self.edges:
-            for i, v in enumerate(e):
-                degs[i][v] += 1
-        self._degrees = degs
+        self._prefix_masks: list[int] | None = None
+
+    def _masks(self) -> list[int]:
+        """Neighbour masks indexed by prefix rank, built on first use."""
+        if self._prefix_masks is None:
+            sizes = self.part_sizes[:-1]
+            masks = [0] * math.prod(sizes)
+            for e in self.edges:
+                masks[_prefix_rank(e, sizes)] |= 1 << e[-1]
+            self._prefix_masks = masks
+        return self._prefix_masks
 
     # -- queries ---------------------------------------------------------
 
@@ -94,11 +104,15 @@ class RPartiteHypergraph:
             raise ValueError(f"part {part} out of range")
         if not 0 <= vertex < self.part_sizes[part]:
             raise ValueError(f"vertex {vertex} out of range for part {part}")
-        return self._degrees[part][vertex]
+        return sum(e[part] == vertex for e in self.edges)
 
     def neighbor_mask(self, prefix: Edge) -> int:
         """Bitmask of last-part vertices v with prefix + (v,) an edge."""
-        return self._prefix_masks.get(tuple(prefix), 0)
+        prefix = tuple(prefix)
+        sizes = self.part_sizes[:-1]
+        if len(prefix) != len(sizes) or not all(0 <= v < m for v, m in zip(prefix, sizes)):
+            return 0
+        return self._masks()[_prefix_rank(prefix, sizes)]
 
     def common_neighborhoods(self, s_list: Sequence[int]) -> Iterator[tuple[Pattern, int]]:
         """(pattern, size) for every choice of s_i-subsets of parts i < r, in order.
@@ -106,11 +120,13 @@ class RPartiteHypergraph:
         size counts the last-part vertices completing every transversal
         prefix of the pattern: the popcount of the AND of their masks.
         """
+        sizes = self.part_sizes[:-1]
+        masks = self._masks()
         full = (1 << self.part_sizes[-1]) - 1
         for pattern in itertools.product(
-            *(itertools.combinations(range(m), s) for m, s in zip(self.part_sizes[:-1], s_list))
+            *(itertools.combinations(range(m), s) for m, s in zip(sizes, s_list))
         ):
-            yield pattern, common_mask(self._prefix_masks, pattern, full).bit_count()
+            yield pattern, common_mask(masks, prefix_ranks(pattern, sizes), full).bit_count()
 
     def link(self, vertex: int) -> "RPartiteHypergraph":
         """The (r-1)-graph of edge prefixes through a last-part vertex.
@@ -131,10 +147,10 @@ class RPartiteHypergraph:
         The threshold is compared exactly (int or Fraction), vertices stay in
         place as isolated vertices, and part sizes do not change.
         """
-        last = self.r - 1
-        removed_vertices = tuple(
-            v for v in range(self.part_sizes[last]) if self._degrees[last][v] < threshold
-        )
+        degrees = [0] * self.part_sizes[-1]
+        for e in self.edges:
+            degrees[e[-1]] += 1
+        removed_vertices = tuple(v for v, d in enumerate(degrees) if d < threshold)
         dropped = set(removed_vertices)
         kept = [e for e in self.edges if e[-1] not in dropped]
         graph = RPartiteHypergraph(self.part_sizes, kept)
@@ -175,14 +191,38 @@ def complete_graph(part_sizes: Sequence[int]) -> RPartiteHypergraph:
 # the pattern kernel
 # ----------------------------------------------------------------------
 
-def common_mask(masks: dict[Edge, int], pattern: Pattern, common: int) -> int:
-    """common AND the neighbour mask of every transversal prefix of pattern.
+def _prefix_rank(prefix: Sequence[int], part_sizes: Sequence[int]) -> int:
+    """The index of prefix in itertools.product(range(m_1), ..., range(m_k))."""
+    rank = 0
+    for v, m in zip(prefix, part_sizes):
+        rank = rank * m + v
+    return rank
 
-    A prefix missing from masks has no neighbours.  The AND stops early once
-    it reaches 0.
+
+def prefix_ranks(pattern: Pattern, part_sizes: Sequence[int]) -> Sequence[int]:
+    """Lexicographic ranks of pattern's transversal prefixes, in product order.
+
+    A prefix (p_1, ..., p_k) on parts of sizes m_1, ..., m_k has rank
+    (...(p_1 * m_2 + p_2) * m_3 ...) + p_k, its index in
+    itertools.product(range(m_1), ..., range(m_k)).  With one part the ranks
+    are the pattern's only side; with none there is one prefix, rank 0.
     """
-    for prefix in itertools.product(*pattern):
-        common &= masks.get(prefix, 0)
+    if len(pattern) == 1:
+        return pattern[0]
+    ranks = (0,)
+    for side, m in zip(pattern, part_sizes):
+        ranks = tuple(rank * m + v for rank in ranks for v in side)
+    return ranks
+
+
+def common_mask(masks: Sequence[int], ranks: Iterable[int], common: int) -> int:
+    """common AND masks[rank] for every rank; stops early once it reaches 0.
+
+    masks holds one neighbour mask per prefix, indexed by prefix rank, and
+    ranks are a pattern's prefix_ranks.
+    """
+    for rank in ranks:
+        common &= masks[rank]
         if not common:
             break
     return common
@@ -283,8 +323,26 @@ def parse_graph(text: str) -> RPartiteHypergraph:
     return RPartiteHypergraph(part_sizes, edges)
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write ASCII text to path through a temp file in the same directory.
+
+    os.replace then swaps the temp file in, so readers see the old file or
+    the whole new one.  A failure at any point leaves the target as it was
+    and removes the temp file.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="ascii", newline="") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_graph(graph: RPartiteHypergraph, path: str | Path) -> None:
-    Path(path).write_text(format_graph(graph), encoding="ascii")
+    write_atomic(path, format_graph(graph))
 
 
 def read_graph(path: str | Path) -> RPartiteHypergraph:

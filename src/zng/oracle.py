@@ -15,6 +15,14 @@ edge's prefix (hypergraph.closing_patterns: those whose per-part maxima are
 that prefix).  Edges are assigned in lexicographic order, so no prefix above
 the current one has an edge yet.  Any other pattern through the new edge has
 such a prefix, so its common neighbourhood is empty and it cannot complete.
+
+The search numbers the (r-1)-prefixes by lexicographic rank
+(hypergraph.prefix_ranks), so potential edge pos is prefix pos // m_r with
+last-part vertex pos % m_r, and the neighbour masks are a flat list indexed
+by rank.  Before the search starts, every prefix's closing patterns are
+turned into tuples of prefix ranks, once; each include step then runs
+hypergraph.common_mask over those tuples and needs no tuple slicing, dict
+lookup or pattern generation.
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from typing import Sequence
 
 from zng.count import count_ordered
 from zng.errors import BudgetError
-from zng.hypergraph import Edge, RPartiteHypergraph, closing_patterns, common_mask
+from zng.hypergraph import RPartiteHypergraph, closing_patterns, common_mask, prefix_ranks
 
 DEFAULT_EXHAUSTIVE_EDGE_CAP = 30
 DEFAULT_SEARCH_EDGE_CAP = 36
@@ -66,21 +74,15 @@ class ZResult:
     nodes: int
 
 
-def _contains_pattern(edges: set[Edge], query: ZQuery) -> bool:
-    """Direct all-subsets containment test; no neighborhood shortcuts."""
-    for subsets in itertools.product(
-        *(itertools.combinations(range(m), s) for m, s in zip(query.m_list, query.s_list))
-    ):
-        if all(tup in edges for tup in itertools.product(*subsets)):
-            return True
-    return False
-
-
 def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> ZResult:
     """Raw exhaustion over all 2^N edge subsets; the reference oracle.
 
+    Bit i of a subset is potential edge i in lexicographic order.  Each
+    ordered pattern becomes the bitmask of all its transversal tuples, once,
+    and a subset contains the pattern iff it contains that whole bitmask: a
+    direct all-subsets containment test with no neighborhood shortcuts.
     Subsets that cannot beat the running best are skipped by popcount, which
-    never changes the maximum. The witness is the first optimum in subset
+    never changes the maximum.  The witness is the first optimum in subset
     order.
 
     Raises:
@@ -94,82 +96,80 @@ def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> 
             required=n,
             budget=edge_cap,
         )
+    bit = {edge: 1 << i for i, edge in enumerate(pot)}
+    patterns = [
+        sum(bit[edge] for edge in itertools.product(*subsets))
+        for subsets in itertools.product(
+            *(itertools.combinations(range(m), s) for m, s in zip(query.m_list, query.s_list))
+        )
+    ]
     best = -1
-    best_edges: list[Edge] = []
+    best_mask = 0
     nodes = 0
     for mask in range(1 << n):
         nodes += 1
         if mask.bit_count() <= best:
             continue
-        edges = {pot[i] for i in range(n) if mask >> i & 1}
-        if not _contains_pattern(edges, query):
-            best = len(edges)
-            best_edges = sorted(edges)
+        if not any(mask & pattern == pattern for pattern in patterns):
+            best = mask.bit_count()
+            best_mask = mask
+    best_edges = [edge for i, edge in enumerate(pot) if best_mask >> i & 1]
     witness = RPartiteHypergraph(query.m_list, best_edges)
     return ZResult(query=query, z=best, witness=witness, nodes=nodes)
 
 
-class _Search:
-    """Depth-first state for exact_z over lexicographic potential edges."""
+def _search(query: ZQuery) -> tuple[int, list[int], int]:
+    """Depth-first branch and bound; returns (best, its edge bits, nodes).
 
-    def __init__(self, query: ZQuery):
-        self.query = query
-        self.pot: list[Edge] = list(
-            itertools.product(*(range(m) for m in query.m_list))
-        )
-        self.n = len(self.pot)
-        self.block = self.n // query.m_list[0]
-        self.bits = [0] * self.n
-        self.masks: dict[Edge, int] = {}
-        self.count = 0
-        self.best = -1
-        self.best_bits: list[int] = []
-        self.nodes = 0
+    Potential edge pos joins prefix rank pos // m_r to last-part vertex
+    pos % m_r.  masks[rank] is that prefix's neighbour mask so far, and
+    closing[rank] holds the prefix_ranks of every pattern closing at it,
+    built once per search.
+    """
+    sizes, s_list = query.m_list[:-1], query.s_list[:-1]
+    closing = [
+        tuple(prefix_ranks(pattern, sizes) for pattern in closing_patterns(prefix, s_list))
+        for prefix in itertools.product(*(range(m) for m in sizes))
+    ]
+    masks = [0] * len(closing)
+    n = query.potential_edges
+    block = n // query.m_list[0]
+    m_last, s_last = query.m_list[-1], query.s_list[-1]
+    bits = [0] * n
+    best, best_bits, nodes = -1, [], 0
 
-    def _completes_pattern(self, edge: Edge) -> bool:
-        """Whether adding edge closes an ordered pattern; masks already updated."""
-        s_list = self.query.s_list
-        return any(
-            common_mask(self.masks, pattern, -1).bit_count() >= s_list[-1]
-            for pattern in closing_patterns(edge[:-1], s_list[:-1])
-        )
-
-    def run(self) -> tuple[int, list[int], int]:
-        self._dfs(0, True)
-        return self.best, self.best_bits, self.nodes
-
-    def _dfs(self, pos: int, tight: bool) -> None:
-        self.nodes += 1
-        if pos == self.n:
-            if self.count > self.best:
-                self.best = self.count
-                self.best_bits = self.bits.copy()
+    def dfs(pos: int, count: int, tight: bool) -> None:
+        nonlocal best, best_bits, nodes
+        nodes += 1
+        if pos == n:
+            if count > best:
+                best, best_bits = count, bits.copy()
             return
-        if self.count + (self.n - pos) <= self.best:
+        if count + (n - pos) <= best:
             return
-        offset = pos % self.block
-        in_first_block = pos < self.block
-        if offset == 0:
-            tight = not in_first_block
-        prev_bit = self.bits[pos - self.block] if not in_first_block else 1
-        edge = self.pot[pos]
-        prefix = edge[:-1]
-        for bit in (1, 0):
-            if tight and bit > prev_bit:
-                continue
-            if bit:
-                self.masks[prefix] = self.masks.get(prefix, 0) | (1 << edge[-1])
-                if self._completes_pattern(edge):
-                    self.masks[prefix] &= ~(1 << edge[-1])
-                    continue
-                self.bits[pos] = 1
-                self.count += 1
-                self._dfs(pos + 1, tight and bit == prev_bit)
-                self.count -= 1
-                self.bits[pos] = 0
-                self.masks[prefix] &= ~(1 << edge[-1])
+        # tight: this first-part block equals the previous one so far, so it
+        # may not set a bit the previous block left clear
+        if pos < block:
+            prev_bit = 1
+        else:
+            prev_bit = bits[pos - block]
+            if pos % block == 0:
+                tight = True
+        if prev_bit or not tight:  # include first; it keeps tight
+            rank, v = divmod(pos, m_last)
+            masks[rank] |= 1 << v
+            for ranks in closing[rank]:
+                if common_mask(masks, ranks, -1).bit_count() >= s_last:
+                    break  # the edge completes a pattern
             else:
-                self._dfs(pos + 1, tight and bit == prev_bit)
+                bits[pos] = 1
+                dfs(pos + 1, count + 1, tight)
+                bits[pos] = 0
+            masks[rank] ^= 1 << v
+        dfs(pos + 1, count, tight and not prev_bit)
+
+    dfs(0, 0, False)
+    return best, best_bits, nodes
 
 
 def exact_z(query: ZQuery, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
@@ -191,9 +191,9 @@ def exact_z(query: ZQuery, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
             required=n,
             budget=edge_cap,
         )
-    search = _Search(query)
-    best, best_bits, nodes = search.run()
-    edges = [search.pot[i] for i in range(n) if best_bits[i]]
+    best, best_bits, nodes = _search(query)
+    pot = itertools.product(*(range(m) for m in query.m_list))
+    edges = [edge for edge, bit in zip(pot, best_bits) if bit]
     witness = RPartiteHypergraph(query.m_list, edges)
     return ZResult(query=query, z=best, witness=witness, nodes=nodes)
 

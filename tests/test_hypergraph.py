@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import reference_closing_patterns, reference_common_mask
+from zng import hypergraph
 from zng.hypergraph import (
     GraphFormatError,
     RPartiteHypergraph,
@@ -16,7 +17,9 @@ from zng.hypergraph import (
     complete_graph,
     format_graph,
     parse_graph,
+    prefix_ranks,
     read_graph,
+    write_atomic,
     write_graph,
 )
 
@@ -141,6 +144,34 @@ def test_file_round_trip(tmp_path):
     assert read_graph(path) == g
 
 
+def test_failed_writes_leave_the_old_file_and_no_temp(tmp_path, monkeypatch):
+    target = tmp_path / "graph.zng"
+    target.write_text("old\n")
+    with pytest.raises(UnicodeEncodeError):  # fails after the temp file is opened
+        write_atomic(target, "zng 1 2\n0\n# \u00e9\n")
+    assert target.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.zng"]
+
+    def fail_replace(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(hypergraph.os, "replace", fail_replace)
+    with pytest.raises(OSError, match="disk gone"):  # fails after the whole write
+        write_graph(complete_graph((2, 2)), target)
+    assert target.read_text() == "old\n"
+    with pytest.raises(OSError, match="disk gone"):  # no partial new file either
+        write_graph(complete_graph((2, 2)), tmp_path / "new.zng")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.zng"]
+
+
+def test_atomic_write_replaces_the_whole_file(tmp_path):
+    target = tmp_path / "graph.zng"
+    target.write_text("a longer old file\n" * 10)
+    write_graph(complete_graph((1, 2)), target)
+    assert target.read_bytes() == b"zng 2 1 2\n0 0\n0 1\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graph.zng"]
+
+
 part_sizes_st = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
 
 
@@ -253,4 +284,19 @@ def test_common_mask_is_the_plain_and(part_sizes, width, data):
         for i, m in enumerate(part_sizes)
     )
     common = data.draw(st.sampled_from([-1, (1 << width) - 1, 0b101]), label="common")
-    assert common_mask(masks, pattern, common) == reference_common_mask(masks, pattern, common)
+    flat = [masks.get(cell, 0) for cell in cells]  # indexed by lex rank
+    ranks = prefix_ranks(pattern, part_sizes)
+    assert common_mask(flat, ranks, common) == reference_common_mask(masks, pattern, common)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.integers(1, 4), min_size=0, max_size=3), st.data())
+def test_prefix_ranks_are_lexicographic_indices(part_sizes, data):
+    cells = list(itertools.product(*(range(m) for m in part_sizes)))
+    pattern = tuple(
+        tuple(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label=f"S{i}")))
+        for i, m in enumerate(part_sizes)
+    )
+    assert list(prefix_ranks(pattern, part_sizes)) == [
+        cells.index(prefix) for prefix in itertools.product(*pattern)
+    ]

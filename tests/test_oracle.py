@@ -173,6 +173,11 @@ def test_search_equals_exhaustion_on_every_shape_up_to_12_edges():
     assert _search_matches_exhaustion_on_every_shape(12) == 945
 
 
+@pytest.mark.slow
+def test_search_equals_exhaustion_on_every_shape_up_to_16_edges():
+    assert _search_matches_exhaustion_on_every_shape(16) == 1765
+
+
 # ----------------------------------------------------------------------
 # bound comparisons and the ledger
 # ----------------------------------------------------------------------
