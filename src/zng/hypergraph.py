@@ -192,7 +192,11 @@ def complete_graph(part_sizes: Sequence[int]) -> RPartiteHypergraph:
 # ----------------------------------------------------------------------
 
 def _prefix_rank(prefix: Sequence[int], part_sizes: Sequence[int]) -> int:
-    """The index of prefix in itertools.product(range(m_1), ..., range(m_k))."""
+    """The index of prefix in itertools.product(range(m_1), ..., range(m_k)).
+
+    Coordinates beyond part_sizes are ignored, so an edge gives the rank of
+    its (r-1)-prefix.
+    """
     rank = 0
     for v, m in zip(prefix, part_sizes):
         rank = rank * m + v
@@ -209,10 +213,7 @@ def prefix_ranks(pattern: Pattern, part_sizes: Sequence[int]) -> Sequence[int]:
     """
     if len(pattern) == 1:
         return pattern[0]
-    ranks = (0,)
-    for side, m in zip(pattern, part_sizes):
-        ranks = tuple(rank * m + v for rank in ranks for v in side)
-    return ranks
+    return tuple(_prefix_rank(prefix, part_sizes) for prefix in itertools.product(*pattern))
 
 
 def common_mask(masks: Sequence[int], ranks: Iterable[int], common: int) -> int:

@@ -35,7 +35,14 @@ from typing import Sequence
 
 from zng.count import count_ordered
 from zng.errors import BudgetError
-from zng.hypergraph import RPartiteHypergraph, closing_patterns, common_mask, prefix_ranks
+from zng.hypergraph import (
+    DEFAULT_PATTERN_BUDGET,
+    RPartiteHypergraph,
+    closing_patterns,
+    common_mask,
+    pattern_count,
+    prefix_ranks,
+)
 
 DEFAULT_EXHAUSTIVE_EDGE_CAP = 30
 DEFAULT_SEARCH_EDGE_CAP = 36
@@ -86,7 +93,8 @@ def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> 
     order.
 
     Raises:
-        BudgetError: more than edge_cap potential edges.
+        BudgetError: more than edge_cap potential edges, or more patterns
+            than DEFAULT_PATTERN_BUDGET bitmasks to hold.
     """
     pot = list(itertools.product(*(range(m) for m in query.m_list)))
     n = len(pot)
@@ -96,6 +104,7 @@ def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> 
             required=n,
             budget=edge_cap,
         )
+    pattern_count(query.m_list, query.s_list, DEFAULT_PATTERN_BUDGET)
     bit = {edge: 1 << i for i, edge in enumerate(pot)}
     patterns = [
         sum(bit[edge] for edge in itertools.product(*subsets))

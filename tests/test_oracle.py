@@ -133,6 +133,8 @@ def test_edge_caps_reject_large_queries():
     with pytest.raises(BudgetError):
         exact_z(ZQuery((8, 5), (2, 2)))  # 40 > 36
     exact_z(ZQuery((8, 4), (2, 2)), edge_cap=32)
+    with pytest.raises(BudgetError, match="patterns exceed"):
+        exhaustive_z(ZQuery((25,), (12,)))  # C(25, 12) pattern bitmasks
 
 
 @settings(max_examples=60, deadline=None)
