@@ -1,4 +1,4 @@
-"""Flat key=value experiment configuration with exact round-tripping.
+"""Flat key=value experiment configuration.
 
 One key per line, ``#`` starts a comment, repeated keys build up the list
 fields (s, m, q) in order.  The format is deliberately minimal so configs
@@ -8,7 +8,7 @@ a short integer list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 MODES = ("construct", "verify", "count", "oracle", "sweep")
@@ -62,20 +62,6 @@ class ExperimentConfig:
             )
 
 
-def format_config(config: ExperimentConfig) -> str:
-    """Serialize to the flat text form; parse_config inverts this exactly."""
-    lines = []
-    for field in fields(ExperimentConfig):
-        value = getattr(config, field.name)
-        if value is None:
-            continue
-        if field.name in _LIST_KEYS:
-            lines.extend(f"{field.name}={item}" for item in value)
-        else:
-            lines.append(f"{field.name}={value}")
-    return "\n".join(lines) + "\n"
-
-
 def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value form.
 
@@ -119,6 +105,3 @@ def _parse_int(key: str, item: str, lineno: int) -> int:
 def read_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="ascii"))
 
-
-def write_config(config: ExperimentConfig, path: str | Path) -> None:
-    Path(path).write_text(format_config(config), encoding="ascii")

@@ -52,7 +52,7 @@ from zng.seeds import derive_seed
 
 DEFAULT_POSITION_RETRY_CAP = 64
 DEFAULT_RESTART_CAP = 16
-DEFAULT_TABLE_CAP = 2048
+TABLE_CAP = 2048
 
 
 class CapacityWarning(UserWarning):
@@ -376,8 +376,9 @@ def sequential_select(
 class FreenessCertificate:
     """Exhaustive record of every pattern's common-neighborhood size.
 
-    The full per-pattern table is kept only up to table_cap entries; larger
-    runs keep the maximum and its pattern, which is all the verdict needs.
+    The full per-pattern table is kept only up to TABLE_CAP entries;
+    larger runs keep the maximum and its pattern, which is all the verdict
+    needs.
     """
 
     part_sizes: tuple[int, ...]
@@ -432,7 +433,6 @@ def verify_freeness(
     s_list: tuple[int, ...],
     t: int,
     pattern_budget: int = DEFAULT_PATTERN_BUDGET,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> FreenessCertificate:
     """Exhaustively check that no ordered complete pattern reaches t.
 
@@ -453,7 +453,7 @@ def verify_freeness(
     patterns = pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
     max_size = 0
     argmax: Pattern | None = None
-    table: list[tuple[Pattern, int]] | None = [] if patterns <= table_cap else None
+    table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
     for pattern, size in H.common_neighborhoods(s_list):
         if table is not None:
             table.append((pattern, size))
@@ -505,7 +505,6 @@ def build(
     restart_cap: int = DEFAULT_RESTART_CAP,
     point_budget: int = DEFAULT_POINT_BUDGET,
     pattern_budget: int = DEFAULT_PATTERN_BUDGET,
-    table_cap: int = DEFAULT_TABLE_CAP,
 ) -> BuildResult:
     """Select a family, emit the graph, and certify freeness end to end.
 
@@ -550,9 +549,7 @@ def build(
             attempts=attempts,
         )
     graph = family_graph(params, family)
-    cert = verify_freeness(
-        graph, params.s_list, params.t, pattern_budget, table_cap
-    )
+    cert = verify_freeness(graph, params.s_list, params.t, pattern_budget)
     cert = dataclasses.replace(
         cert,
         seed=seed,

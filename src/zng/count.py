@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from zng.hypergraph import DEFAULT_PATTERN_BUDGET, RPartiteHypergraph, pattern_count
 
@@ -87,22 +88,32 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
     if H.r == 1:
         # every edge is a vertex of the single part; the count is a binomial
         return gen_binom(H.num_edges, s_list[0])
-    choices = pattern_count(H.part_sizes[:-1], s_list[:-1])
+    return _jensen(H.part_sizes, H.edges, s_list)
+
+
+def _jensen(
+    part_sizes: tuple[int, ...], edges: Sequence[tuple[int, ...]], s_list: tuple[int, ...]
+) -> Fraction:
+    """jensen_lower_bound for r >= 2 parts, on the edge list alone.
+
+    The link of a last-part vertex v is the list of prefixes of the edges
+    ending at v; one pass groups them, and each link recurses as its list.
+    """
+    choices = pattern_count(part_sizes[:-1], s_list[:-1])
     if choices == 0:
         return Fraction(0)
-    if H.r == 2:
-        m2 = H.part_sizes[1]
+    if len(part_sizes) == 2:
+        m2 = part_sizes[1]
         if m2 == 0:
             return Fraction(0)
-        t_a = m2 * gen_binom(Fraction(H.num_edges, m2), s_list[0])
+        t_a = m2 * gen_binom(Fraction(len(edges), m2), s_list[0])
     else:
-        links: list[list[tuple[int, ...]]] = [[] for _ in range(H.part_sizes[-1])]
-        for e in H.edges:  # one pass: the link of v is the edges ending at v
+        links: list[list[tuple[int, ...]]] = [[] for _ in range(part_sizes[-1])]
+        for e in edges:
             links[e[-1]].append(e[:-1])
         t_a = Fraction(0)
         for prefixes in links:
-            link = RPartiteHypergraph(H.part_sizes[:-1], prefixes)
-            t_a += jensen_lower_bound(link, s_list[:-1])
+            t_a += _jensen(part_sizes[:-1], prefixes, s_list[:-1])
     return choices * gen_binom(t_a / choices, s_list[-1])
 
 
@@ -146,71 +157,4 @@ def count_report(
         lower_bound=lower,
         density=density,
         bound_holds=lower <= exact,
-    )
-
-
-@dataclass(frozen=True)
-class SupersaturationReport:
-    """Measured form of the density-forces-copies statement, probe constants in."""
-
-    edge_premise_holds: bool
-    copies_bound_holds: bool
-    copies_bound: Fraction
-    exact: int
-    ratio: Fraction | None
-    vacuous: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "edge_premise_holds": self.edge_premise_holds,
-            "copies_bound_holds": self.copies_bound_holds,
-            "copies_bound": str(self.copies_bound),
-            "exact": self.exact,
-            "ratio": str(self.ratio) if self.ratio is not None else None,
-            "vacuous": self.vacuous,
-        }
-
-
-def supersaturation_check(
-    H: RPartiteHypergraph,
-    s_list: tuple[int, ...],
-    c1_probe: Rational,
-    c2_probe: Rational,
-    pattern_budget: int = DEFAULT_PATTERN_BUDGET,
-) -> SupersaturationReport:
-    """Measure both halves of the density-to-copies implication.
-
-    Premise: |E| >= c1 * (m_1 ... m_{r-1}) * m_r^(1 - 1/(s_1...s_{r-1})).
-    Conclusion: count >= c2 * prod C(m_i, s_i) * p^(s_1...s_r), p = |E| / prod m_i.
-
-    Both comparisons are exact: the fractional power in the premise is
-    cleared by raising both sides to the integer exponent before comparing.
-    No verdict beyond the two booleans and the realized ratio.
-    """
-    c1 = Fraction(c1_probe)
-    c2 = Fraction(c2_probe)
-    if c1 <= 0 or c2 <= 0:
-        raise ValueError("probe constants must be positive")
-    sigma = math.prod(s_list[:-1])
-    left_cells = math.prod(H.part_sizes[:-1])
-    m_last = H.part_sizes[-1]
-    edges = H.num_edges
-    # |E| >= c1 * left_cells * m_last^((sigma-1)/sigma), compared via sigma-th powers
-    lhs = Fraction(edges) ** sigma
-    rhs = (c1 * left_cells) ** sigma * m_last ** (sigma - 1)
-    edge_premise = lhs >= rhs
-    cells = left_cells * m_last
-    density = Fraction(edges, cells) if cells else Fraction(0)
-    s_all = math.prod(s_list)
-    choices = pattern_count(H.part_sizes, s_list)
-    copies_bound = c2 * choices * density**s_all
-    exact = count_ordered(H, s_list, pattern_budget)
-    ratio = Fraction(exact) / (copies_bound / c2) if copies_bound else None
-    return SupersaturationReport(
-        edge_premise_holds=edge_premise,
-        copies_bound_holds=exact >= copies_bound,
-        copies_bound=copies_bound,
-        exact=exact,
-        ratio=ratio,
-        vacuous=edges == 0,
     )

@@ -123,10 +123,6 @@ class Field:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def sub(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
     def neg(self, a: FieldElement) -> FieldElement:
         p = self.p
         return tuple((-x) % p for x in a)
@@ -188,14 +184,6 @@ class Field:
             "k": self.k,
             "modulus": list(self.modulus) if self.modulus is not None else None,
         }
-
-    @staticmethod
-    def from_dict(data: dict) -> "Field":
-        field = make_field(int(data["p"]), int(data["k"]))
-        stored = data.get("modulus")
-        if stored is not None and tuple(stored) != field.modulus:
-            raise ValueError(f"stored modulus {stored} is not the canonical one")
-        return field
 
     def __eq__(self, other: object) -> bool:
         return (

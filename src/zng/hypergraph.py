@@ -6,14 +6,14 @@ index: for every (r-1)-prefix, the set of last-part vertices completing it,
 stored as an int bitmask so common neighborhoods are AND + popcount.  The
 prefixes are numbered by lexicographic rank, their index in
 itertools.product(range(m_1), ..., range(m_{r-1})), and the masks are a flat
-list indexed by that rank, built on the first query that needs it.  Degrees
-are not stored; degree and prune_low_degree count them when asked.
+list indexed by that rank, built on the first query that needs it.
 
 The pattern kernel lives here too.  A pattern picks s_i vertices in each of
 the first r-1 parts; prefix_ranks numbers its transversal prefixes (for
 r = 2 they are just its one side), common_mask ANDs the masks at those
 ranks, closing_patterns lists the patterns whose lex-max prefix is a given
-one, and pattern_count sizes an enumeration against its budget.
+one, and pattern_count sizes an enumeration and checks its mask lookups
+against a budget.
 Selection, verification, counting and the oracle all ask through these;
 selection and the oracle turn each closing pattern into its ranks once, not
 once per candidate or search node.
@@ -32,8 +32,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -98,63 +96,22 @@ class RPartiteHypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def degree(self, part: int, vertex: int) -> int:
-        """Number of edges through the given vertex of the given part (0-based)."""
-        if not 0 <= part < self.r:
-            raise ValueError(f"part {part} out of range")
-        if not 0 <= vertex < self.part_sizes[part]:
-            raise ValueError(f"vertex {vertex} out of range for part {part}")
-        return sum(e[part] == vertex for e in self.edges)
-
-    def neighbor_mask(self, prefix: Edge) -> int:
-        """Bitmask of last-part vertices v with prefix + (v,) an edge."""
-        prefix = tuple(prefix)
-        sizes = self.part_sizes[:-1]
-        if len(prefix) != len(sizes) or not all(0 <= v < m for v, m in zip(prefix, sizes)):
-            return 0
-        return self._masks()[_prefix_rank(prefix, sizes)]
-
     def common_neighborhoods(self, s_list: Sequence[int]) -> Iterator[tuple[Pattern, int]]:
         """(pattern, size) for every choice of s_i-subsets of parts i < r, in order.
 
         size counts the last-part vertices completing every transversal
-        prefix of the pattern: the popcount of the AND of their masks.
+        prefix of the pattern: the popcount of the AND of their masks.  Every
+        pattern has at least one prefix (each s_i >= 1), so the AND starts
+        from -1 and never builds an int as wide as the declared last part.
+        The mask table is built at the first pattern, so a shape with none
+        allocates nothing however large its declared parts.
         """
         sizes = self.part_sizes[:-1]
-        masks = self._masks()
-        full = (1 << self.part_sizes[-1]) - 1
         for pattern in itertools.product(
             *(itertools.combinations(range(m), s) for m, s in zip(sizes, s_list))
         ):
-            yield pattern, common_mask(masks, prefix_ranks(pattern, sizes), full).bit_count()
-
-    def link(self, vertex: int) -> "RPartiteHypergraph":
-        """The (r-1)-graph of edge prefixes through a last-part vertex.
-
-        The link of v has one edge per edge of self ending at v, so its edge
-        count equals degree(r-1, v).
-        """
-        if self.r < 2:
-            raise ValueError("link needs at least two parts")
-        if not 0 <= vertex < self.part_sizes[-1]:
-            raise ValueError(f"vertex {vertex} out of range for the last part")
-        prefixes = [e[:-1] for e in self.edges if e[-1] == vertex]
-        return RPartiteHypergraph(self.part_sizes[:-1], prefixes)
-
-    def prune_low_degree(self, threshold: int | Fraction) -> "PruneResult":
-        """Drop all edges through last-part vertices of degree below threshold.
-
-        The threshold is compared exactly (int or Fraction), vertices stay in
-        place as isolated vertices, and part sizes do not change.
-        """
-        degrees = [0] * self.part_sizes[-1]
-        for e in self.edges:
-            degrees[e[-1]] += 1
-        removed_vertices = tuple(v for v, d in enumerate(degrees) if d < threshold)
-        dropped = set(removed_vertices)
-        kept = [e for e in self.edges if e[-1] not in dropped]
-        graph = RPartiteHypergraph(self.part_sizes, kept)
-        return PruneResult(graph, self.num_edges - len(kept), removed_vertices)
+            ranks = prefix_ranks(pattern, sizes)
+            yield pattern, common_mask(self._masks(), ranks, -1).bit_count()
 
     # -- plumbing ----------------------------------------------------------
 
@@ -170,15 +127,6 @@ class RPartiteHypergraph:
 
     def __repr__(self) -> str:
         return f"RPartiteHypergraph(parts={self.part_sizes}, edges={self.num_edges})"
-
-
-@dataclass(frozen=True)
-class PruneResult:
-    """Outcome of prune_low_degree: the kept graph plus what was removed."""
-
-    graph: RPartiteHypergraph
-    removed_edges: int
-    removed_vertices: tuple[int, ...]
 
 
 def complete_graph(part_sizes: Sequence[int]) -> RPartiteHypergraph:
@@ -251,13 +199,20 @@ def pattern_count(
 ) -> int:
     """prod C(m_i, s_i): the number of patterns to enumerate.
 
+    The budget bounds the work, not just the patterns: each pattern costs
+    one mask lookup per transversal prefix, prod s_i of them, so the check
+    compares count * prod s_i with the budget.
+
     Raises:
-        BudgetError: the count is above budget (no check when budget is None).
+        BudgetError: the lookups are above budget (no check when budget is None).
     """
     count = math.prod(math.comb(m, s) for m, s in zip(part_sizes, s_list))
-    if budget is not None and count > budget:
+    lookups = count * math.prod(s_list)
+    if budget is not None and lookups > budget:
         raise BudgetError(
-            f"{count} patterns exceed the budget {budget}", required=count, budget=budget
+            f"{lookups} mask lookups for {count} patterns exceed the budget {budget}",
+            required=lookups,
+            budget=budget,
         )
     return count
 

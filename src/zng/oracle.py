@@ -31,9 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
-from zng.count import count_ordered
 from zng.errors import BudgetError
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
@@ -93,8 +91,9 @@ def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> 
     order.
 
     Raises:
-        BudgetError: more than edge_cap potential edges, or more patterns
-            than DEFAULT_PATTERN_BUDGET bitmasks to hold.
+        BudgetError: more than edge_cap potential edges, or pattern
+            bitmasks that take more than DEFAULT_PATTERN_BUDGET edge lookups
+            to build (hypergraph.pattern_count).
     """
     pot = list(itertools.product(*(range(m) for m in query.m_list)))
     n = len(pot)
@@ -208,75 +207,8 @@ def exact_z(query: ZQuery, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
 
 
 # ----------------------------------------------------------------------
-# bound comparison table and the results ledger
+# the results ledger
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundRow:
-    """One query compared against the closed-form bound expression."""
-
-    query: ZQuery
-    value: int
-    kind: str  # "exact" from the search, "witness" from a supplied graph
-    bound: float
-    ratio: float
-
-
-def bound_expression(query: ZQuery) -> float:
-    """m_1 ... m_{r-1} * m_r^(1 - 1/(s_1 ... s_{r-1})), as a float for display."""
-    sigma = math.prod(query.s_list[:-1]) if len(query.s_list) > 1 else query.s_list[0]
-    left = math.prod(query.m_list[:-1])
-    return left * query.m_list[-1] ** (1 - 1 / sigma)
-
-
-def bound_table(
-    entries: Sequence[ZQuery | tuple[ZQuery, RPartiteHypergraph | None]],
-    edge_cap: int = DEFAULT_SEARCH_EDGE_CAP,
-) -> list[BoundRow]:
-    """Compare exact values (or construction witnesses) to the bound expression.
-
-    Each entry is a ZQuery, optionally paired with a witness graph whose edge
-    count serves as a lower witness when the query is out of search range.
-    Witness graphs must match the query's parts and be pattern-free.
-    """
-    rows = []
-    for entry in entries:
-        if isinstance(entry, ZQuery):
-            query, witness = entry, None
-        else:
-            query, witness = entry
-        if witness is None:
-            result = exact_z(query, edge_cap)
-            value, kind = result.z, "exact"
-        else:
-            if witness.part_sizes != query.m_list:
-                raise ValueError(
-                    f"witness parts {witness.part_sizes} do not match {query.label()}"
-                )
-            if count_ordered(witness, query.s_list) != 0:
-                raise ValueError(f"witness for {query.label()} is not pattern-free")
-            value, kind = witness.num_edges, "witness"
-        bound = bound_expression(query)
-        rows.append(
-            BoundRow(
-                query=query,
-                value=value,
-                kind=kind,
-                bound=bound,
-                ratio=value / bound if bound else float("inf"),
-            )
-        )
-    return rows
-
-
-def format_bound_table(rows: Sequence[BoundRow]) -> str:
-    lines = ["query\tvalue\tkind\tbound\tratio"]
-    for row in rows:
-        lines.append(
-            f"{row.query.label()}\t{row.value}\t{row.kind}\t{row.bound:.6f}\t{row.ratio:.6f}"
-        )
-    return "\n".join(lines) + "\n"
-
 
 LEDGER_HEADER = "query\tz\tnodes\twitness\n"
 

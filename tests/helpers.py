@@ -181,7 +181,10 @@ def reference_graph(params, polys) -> RPartiteHypergraph:
 
 
 def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction:
-    """The convexity bound with one H.link(v) call per last-part vertex."""
+    """The convexity bound with one link graph per last-part vertex.
+
+    The link of v is built by filtering H.edges for edges ending at v.
+    """
     if H.r == 1:
         return gen_binom(H.num_edges, s_list[0])
     choices = pattern_count(H.part_sizes[:-1], s_list[:-1])
@@ -195,5 +198,6 @@ def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction
     else:
         t_a = Fraction(0)
         for v in range(H.part_sizes[-1]):
-            t_a += reference_jensen(H.link(v), s_list[:-1])
+            link = RPartiteHypergraph(H.part_sizes[:-1], [e[:-1] for e in H.edges if e[-1] == v])
+            t_a += reference_jensen(link, s_list[:-1])
     return choices * gen_binom(t_a / choices, s_list[-1])

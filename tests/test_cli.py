@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from zng.cli import main
-from zng.config import ExperimentConfig, parse_config, format_config, write_config
+from zng.config import ExperimentConfig, parse_config
 from zng.hypergraph import read_graph
 
 
@@ -159,24 +159,20 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
 # ----------------------------------------------------------------------
 
 def test_config_file_round_trip_drives_a_run(tmp_path, capsys):
-    config = ExperimentConfig(
+    text = f"mode=construct\ns=2\nm=6\nq=5\nt=4\nseed=3\nout={tmp_path / 'run'}\n"
+    assert parse_config(text) == ExperimentConfig(
         mode="construct", s=(2,), t=4, q=(5,), m=(6,), seed=3,
         out=str(tmp_path / "run"),
     )
-    assert parse_config(format_config(config)) == config
     path = tmp_path / "run.cfg"
-    write_config(config, path)
+    path.write_text(text)
     code, status = run_cli(["construct", "--config", str(path)], capsys)
     assert code == 0 and status["edges"] == 30
 
 
 def test_cli_flags_override_config(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    write_config(
-        ExperimentConfig(mode="construct", s=(2,), t=4, q=(5,), m=(6,), seed=3,
-                         out=str(tmp_path / "x")),
-        path,
-    )
+    path.write_text(f"mode=construct\ns=2\nm=6\nq=5\nt=4\nseed=3\nout={tmp_path / 'x'}\n")
     code, status = run_cli(
         ["construct", "--config", str(path), "--m", "4", "--out", str(tmp_path / "y")],
         capsys,
@@ -188,7 +184,7 @@ def test_cli_flags_override_config(tmp_path, capsys):
 
 def test_config_mode_mismatch_is_usage_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    write_config(ExperimentConfig(mode="oracle", s=(2, 2), m=(2, 2)), path)
+    path.write_text("mode=oracle\ns=2\ns=2\nm=2\nm=2\n")
     code, status = run_cli(["construct", "--config", str(path)], capsys)
     assert code == 2 and status["error"] == "usage"
 

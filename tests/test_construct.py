@@ -12,6 +12,7 @@ from zng.construct import (
     CapacityWarning,
     ConstructionError,
     PartSplitAdvisory,
+    TABLE_CAP,
     build,
     derive_params,
     family_graph,
@@ -182,9 +183,8 @@ def test_every_prefix_tuple_covers_exactly_q_to_s_minus_1_points():
     from collections import Counter
 
     bi = build(_params((2,), 4, 5, (10,)), seed=3).graph
-    for v in range(10):
-        assert bi.degree(0, v) == 5
-        assert bi.neighbor_mask((v,)).bit_count() == 5
+    assert Counter(e[:1] for e in bi.edges) == {(v,): 5 for v in range(10)}
+    assert [size for _, size in bi.common_neighborhoods((1,))] == [5] * 10
 
     tri = build(_params((2, 2), 4, 3, (2, 2)), seed=3).graph
     per_prefix = Counter(e[:2] for e in tri.edges)
@@ -344,13 +344,21 @@ def test_verify_input_validation():
         verify_freeness(complete_graph((30, 4)), (2,), 5, pattern_budget=100)
 
 
+def test_verify_budget_counts_mask_lookups():
+    # one pattern, but it ANDs 1000 prefix masks: the work is above 100
+    empty = RPartiteHypergraph((1000, 3), [])
+    with pytest.raises(BudgetError):
+        verify_freeness(empty, (1000,), 1, pattern_budget=100)
+    assert verify_freeness(empty, (1000,), 1, pattern_budget=1000).pattern_count == 1
+
+
 def test_verify_elides_large_tables_but_keeps_the_argmax():
-    cert = verify_freeness(complete_graph((3, 3)), (2,), 4, table_cap=2)
+    cert = verify_freeness(complete_graph((TABLE_CAP + 1, 3)), (1,), 4)
     assert cert.table is None
     assert cert.max_size == 3
     assert cert.argmax_pattern is not None
-    kept = verify_freeness(complete_graph((3, 3)), (2,), 4, table_cap=3)
-    assert kept.table is not None and len(kept.table) == 3
+    kept = verify_freeness(complete_graph((TABLE_CAP, 3)), (1,), 4)
+    assert kept.table is not None and len(kept.table) == TABLE_CAP
 
 
 def test_certificate_json_round_trips():

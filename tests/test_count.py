@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,6 @@ from zng.count import (
     count_report,
     gen_binom,
     jensen_lower_bound,
-    supersaturation_check,
 )
 from zng.construct import verify_freeness
 from zng.errors import BudgetError
@@ -74,6 +74,18 @@ def test_count_validation():
         count_ordered(C6, (2, 0))
     with pytest.raises(BudgetError):
         count_ordered(complete_graph((20, 20)), (2, 2), pattern_budget=100)
+
+
+def test_declared_last_part_size_allocates_nothing():
+    # a 10^8-vertex last part with no edges: memory follows the edges
+    g = RPartiteHypergraph((2, 10**8), [])
+    tracemalloc.start()
+    try:
+        assert count_ordered(g, (1, 1)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_count_is_zero_when_any_side_is_too_big():
@@ -161,47 +173,6 @@ def test_count_report_fields():
     assert data["density"] == "1"
 
 
-def test_supersaturation_on_the_complete_graph():
-    g = complete_graph((4, 4))
-    report = supersaturation_check(g, (2, 2), c1_probe=1, c2_probe=1)
-    assert report.edge_premise_holds  # 16 >= 4 * 4^(1/2)
-    assert report.copies_bound_holds  # p = 1: count equals the cell bound
-    assert not report.vacuous
-    assert report.exact == 36
-    assert report.ratio == 1
-
-
-def test_supersaturation_premise_fails_below_threshold():
-    g = RPartiteHypergraph((4, 4), [(0, 0)])
-    report = supersaturation_check(g, (2, 2), c1_probe=1, c2_probe=1)
-    assert not report.edge_premise_holds  # 1 < 4 * 2
-    assert not report.vacuous
-    empty = supersaturation_check(
-        RPartiteHypergraph((4, 4), []), (2, 2), c1_probe=1, c2_probe=1
-    )
-    assert empty.vacuous
-    assert empty.ratio is None
-
-
-def test_supersaturation_probe_validation():
-    with pytest.raises(ValueError):
-        supersaturation_check(C6, (2, 2), c1_probe=0, c2_probe=1)
-    with pytest.raises(ValueError):
-        supersaturation_check(C6, (2, 2), c1_probe=1, c2_probe=-2)
-
-
-def test_supersaturation_comparisons_are_exact():
-    # 7 edges on a 4x3 grid: premise needs 7^2 >= (c1*4)^2 * 3, i.e.
-    # c1^2 <= 49/48; the threshold sits between 101/100 and 51/50
-    g = RPartiteHypergraph(
-        (4, 3), [(0, 0), (0, 1), (1, 0), (1, 2), (2, 1), (2, 2), (3, 0)]
-    )
-    inside = supersaturation_check(g, (2, 2), Fraction(101, 100), 1)
-    assert inside.edge_premise_holds  # (101/100)^2 = 1.0201 <= 49/48
-    outside = supersaturation_check(g, (2, 2), Fraction(51, 50), 1)
-    assert not outside.edge_premise_holds  # (51/50)^2 = 1.0404 > 49/48
-
-
 def test_count_on_complete_graphs_is_the_product_of_binomials():
     # closed form: each s_i-subset tuple is a copy, independently per part
     for parts in itertools.product((1, 2, 3, 4, 5), repeat=2):
@@ -218,29 +189,6 @@ def test_count_on_complete_graphs_is_the_product_of_binomials():
     for s_list in ((1, 1, 1), (2, 3, 5), (5, 5, 5)):
         expected = math.prod(math.comb(5, s) for s in s_list)
         assert count_ordered(big, s_list) == expected
-
-
-def test_supersaturation_report_on_a_pattern_free_construction():
-    import warnings
-
-    from zng.construct import build, derive_params
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = derive_params((2,), 4, 5, (10,))
-    graph = build(params, seed=11).graph
-
-    # 50 edges meet the density premise with room to spare at c_1 = 1,
-    # yet the graph is free of the counted pattern, so the realized ratio
-    # against the predicted copy count is exactly zero.
-    report = supersaturation_check(graph, (2, 4), Fraction(1), Fraction(1))
-    assert report.edge_premise_holds
-    assert not report.vacuous
-    assert report.exact == 0
-    assert not report.copies_bound_holds
-    assert report.ratio == 0
-    p = Fraction(50, 250)
-    assert report.copies_bound == math.comb(10, 2) * math.comb(25, 4) * p ** 8
 
 
 @settings(max_examples=80, deadline=None)

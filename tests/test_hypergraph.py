@@ -1,13 +1,15 @@
-"""Graph model, text format round-tripping, links, degree pruning, pattern kernel."""
+"""Graph model, the prefix mask table, text format round-tripping, pattern kernel."""
 
 import itertools
-from fractions import Fraction
+import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_closing_patterns, reference_common_mask
+from helpers import random_graph, reference_closing_patterns, reference_common_mask
 from zng import hypergraph
 from zng.hypergraph import (
     GraphFormatError,
@@ -48,45 +50,53 @@ def test_constructor_validation():
         RPartiteHypergraph((2, 2), [(0, 0), (0, 0)])  # duplicate
 
 
+def mask_sizes(g):
+    """Popcount of each prefix's mask, read through common_neighborhoods.
+
+    With every s_i = 1 each pattern is one prefix, so its size is the
+    popcount of that prefix's neighbour mask.
+    """
+    ones = (1,) * (g.r - 1)
+    return {
+        tuple(side[0] for side in pattern): size for pattern, size in g.common_neighborhoods(ones)
+    }
+
+
+def prefix_degrees(g):
+    """Edges through each prefix, counted from graph.edges."""
+    counts = Counter(e[:-1] for e in g.edges)
+    return {
+        prefix: counts[prefix]
+        for prefix in itertools.product(*(range(m) for m in g.part_sizes[:-1]))
+    }
+
+
 def test_degrees_and_neighbor_masks():
     g = RPartiteHypergraph((3, 3), C6_EDGES)
-    assert [g.degree(0, v) for v in range(3)] == [2, 2, 2]
-    assert [g.degree(1, v) for v in range(3)] == [2, 2, 2]
-    assert g.neighbor_mask((0,)) == 0b011  # neighbors 0 and 1
-    assert g.neighbor_mask((1,)) == 0b110
-    assert g.neighbor_mask((9,)) == 0
+    assert mask_sizes(g) == prefix_degrees(g) == {(0,): 2, (1,): 2, (2,): 2}
+    # neighbours of 0 are {0, 1} and of 1 are {1, 2}: they share one vertex
+    shared = dict(g.common_neighborhoods((2,)))
+    assert shared == {((0, 1),): 1, ((0, 2),): 1, ((1, 2),): 1}
 
 
 def test_neighbor_mask_three_parts():
-    g = complete_graph((2, 2, 3))
-    assert g.neighbor_mask((1, 0)) == 0b111
-    assert g.degree(2, 0) == 4
+    assert mask_sizes(complete_graph((2, 2, 3)))[(1, 0)] == 3
+    rng = random.Random(7)
+    for _ in range(20):
+        g = random_graph(rng, (3, 4, 3), 0.4)
+        assert mask_sizes(g) == prefix_degrees(g)
 
 
-def test_link_is_the_prefix_graph():
-    g = complete_graph((2, 3, 2))
-    link = g.link(1)
-    assert link.part_sizes == (2, 3)
-    assert link.num_edges == g.degree(2, 1) == 6
-    with pytest.raises(ValueError):
-        g.link(2)
-
-
-def test_prune_low_degree_removes_every_cold_vertex():
-    # last-part degrees: 0 -> 2, 1 -> 1, 2 -> 0
-    g = RPartiteHypergraph((3, 3), [(0, 0), (1, 0), (2, 1)])
-    pruned = g.prune_low_degree(2)
-    assert pruned.removed_vertices == (1, 2)
-    assert pruned.removed_edges == 1
-    assert pruned.graph.part_sizes == (3, 3)  # sizes never shrink
-    assert pruned.graph.edges == ((0, 0), (1, 0))
-
-
-def test_prune_accepts_exact_fractional_thresholds():
-    g = RPartiteHypergraph((3, 3), [(0, 0), (1, 0), (2, 1)])
-    assert g.prune_low_degree(Fraction(3, 2)).removed_vertices == (1, 2)
-    assert g.prune_low_degree(Fraction(1, 2)).removed_vertices == (2,)
-    assert g.prune_low_degree(0).removed_vertices == ()
+def test_no_patterns_build_no_mask_table():
+    # s_2 > m_2 leaves no pattern, so the 4,000,000 prefix masks are never built
+    g = RPartiteHypergraph((2000, 2000, 3), [])
+    tracemalloc.start()
+    try:
+        assert list(g.common_neighborhoods((1, 2001))) == []
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_complete_graph_has_all_transversals():
@@ -183,62 +193,8 @@ def test_random_graphs_round_trip_through_text(part_sizes, data):
 @given(part_sizes_st)
 def test_complete_graph_masks_are_full(part_sizes):
     g = complete_graph(part_sizes)
-    full = (1 << part_sizes[-1]) - 1
-    for prefix in itertools.product(*(range(m) for m in part_sizes[:-1])):
-        assert g.neighbor_mask(prefix) == full
-
-
-def test_degree_boundary_examples():
-    empty = RPartiteHypergraph((2, 2, 2), [])
-    for part, size in enumerate(empty.part_sizes):
-        for v in range(size):
-            assert empty.degree(part, v) == 0
-
-    full = complete_graph((2, 2, 2))
-    for part, size in enumerate(full.part_sizes):
-        for v in range(size):
-            assert full.degree(part, v) == 4  # 2*2 transversals through v
-
-
-def test_link_boundary_examples():
-    isolated = RPartiteHypergraph((2, 2, 2), [(0, 0, 0)])
-    assert isolated.link(1).num_edges == 0
-
-    full = complete_graph((2, 3, 2))
-    for v in range(2):
-        assert full.link(v) == complete_graph((2, 3))
-
-
-def test_link_edge_counts_recount_degrees():
-    import random
-
-    from helpers import random_graph
-
-    rng = random.Random(7)
-    for _ in range(20):
-        g = random_graph(rng, (3, 4, 3), 0.4)
-        assert sum(g.link(v).num_edges for v in range(3)) == g.num_edges
-        for v in range(3):
-            assert g.link(v).num_edges == g.degree(2, v)
-
-
-def test_prune_threshold_boundaries():
-    g = RPartiteHypergraph((3, 3), [(0, 0), (1, 0), (2, 1)])
-    untouched = g.prune_low_degree(0)
-    assert untouched.graph == g and untouched.removed_edges == 0
-
-    cleared = g.prune_low_degree(3)  # above the max degree of 2
-    assert cleared.graph.num_edges == 0
-    assert cleared.removed_vertices == (0, 1, 2)
-
-
-def test_prune_one_cold_vertex_among_three():
-    # last-part degrees (1, 5, 5); threshold 2 drops exactly the first
-    edges = [(0, 0)] + [(i, 1) for i in range(5)] + [(i, 2) for i in range(5)]
-    pruned = RPartiteHypergraph((5, 3), edges).prune_low_degree(2)
-    assert pruned.removed_vertices == (0,)
-    assert pruned.removed_edges == 1
-    assert pruned.graph.num_edges == 10
+    assert set(mask_sizes(g).values()) == {part_sizes[-1]}
+    assert mask_sizes(g) == prefix_degrees(g)
 
 
 def test_parse_complete_three_part_graph_text():

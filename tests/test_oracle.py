@@ -1,4 +1,4 @@
-"""Exact search versus raw exhaustion, witnesses, bounds, and the ledger."""
+"""Exact search versus raw exhaustion, witnesses, and the ledger."""
 
 import itertools
 import math
@@ -11,16 +11,7 @@ from helpers import naive_count, small_shapes
 from zng.count import count_ordered
 from zng.errors import BudgetError
 from zng.hypergraph import RPartiteHypergraph
-from zng.oracle import (
-    BoundRow,
-    ZQuery,
-    append_ledger,
-    bound_expression,
-    bound_table,
-    exact_z,
-    exhaustive_z,
-    format_bound_table,
-)
+from zng.oracle import ZQuery, append_ledger, exact_z, exhaustive_z
 
 
 def test_query_validation():
@@ -181,54 +172,8 @@ def test_search_equals_exhaustion_on_every_shape_up_to_16_edges():
 
 
 # ----------------------------------------------------------------------
-# bound comparisons and the ledger
+# the ledger
 # ----------------------------------------------------------------------
-
-def test_bound_expression_values():
-    assert bound_expression(ZQuery((3, 3), (2, 2))) == pytest.approx(3 * math.sqrt(3))
-    assert bound_expression(ZQuery((10, 25), (2, 4))) == 50.0
-
-
-def test_bound_table_ratios():
-    rows = bound_table([ZQuery((2, 2), (2, 2)), ZQuery((3, 3), (2, 2))])
-    assert [row.value for row in rows] == [3, 6]
-    assert rows[0].ratio == pytest.approx(3 / (2 * math.sqrt(2)), abs=1e-9)  # ~1.06
-    assert rows[1].ratio == pytest.approx(6 / (3 * math.sqrt(3)), abs=1e-9)  # ~1.15
-    assert all(row.kind == "exact" for row in rows)
-
-
-def test_bound_table_accepts_construction_witnesses():
-    import warnings
-
-    from zng.construct import build, derive_params
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        params = derive_params((2,), 4, 5, (10,))
-    graph = build(params, seed=1).graph
-    rows = bound_table([(ZQuery((10, 25), (2, 4)), graph)])
-    assert rows[0].kind == "witness"
-    assert rows[0].value == 50
-    assert rows[0].ratio == 1.0  # 50 / (10 * 25^(1/2)) exactly
-
-
-def test_bound_table_rejects_bad_witnesses():
-    with pytest.raises(ValueError, match="parts"):
-        bound_table([(ZQuery((3, 3), (2, 2)), RPartiteHypergraph((2, 2), []))])
-    complete = RPartiteHypergraph(
-        (3, 3), itertools.product(range(3), range(3))
-    )
-    with pytest.raises(ValueError, match="pattern-free"):
-        bound_table([(ZQuery((3, 3), (2, 2)), complete)])
-
-
-def test_format_bound_table_is_tsv():
-    rows = [BoundRow(ZQuery((2, 2), (2, 2)), 3, "exact", 2.828427, 1.060660)]
-    text = format_bound_table(rows)
-    lines = text.splitlines()
-    assert lines[0] == "query\tvalue\tkind\tbound\tratio"
-    assert lines[1].startswith("z(2,2;2,2)\t3\texact\t")
-
 
 def test_ledger_appends_with_single_header(tmp_path):
     path = tmp_path / "oracle.tsv"
