@@ -34,6 +34,7 @@ from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     RPartiteHypergraph,
+    block_pattern,
     closing_patterns,
     common_mask,
     pattern_count,
@@ -53,6 +54,7 @@ from zng.seeds import derive_seed
 DEFAULT_POSITION_RETRY_CAP = 64
 DEFAULT_RESTART_CAP = 16
 TABLE_CAP = 2048
+RANGE_OK_BITS = 1 << 20
 
 
 class CapacityWarning(UserWarning):
@@ -242,18 +244,29 @@ def derive_params(
 def _range_ok(params: ConstructionParams) -> bool | None:
     """Whether prod(m) stays inside n^(t^(1/(s-1)) / (s(s-1))); report only.
 
-    Exact when t is a perfect (s-1)-th power; otherwise decided in floats,
-    which is fine for a purely informational field.
+    With P = prod(m), c = s(s-1) and x = t^(1/(s-1)) the question is
+    P^c <= n^x, decided in integers.  At precision j an integer root gives
+    a / 2^j <= x < (a + 1) / 2^j, so P^(c 2^j) <= n^a means yes and
+    P^(c 2^j) > n^(a+1) means no (as does anything but yes when a / 2^j is
+    x exactly).  Each step doubles the precision; once P^(c 2^j) would pass
+    RANGE_OK_BITS bits a tie still open is reported as None.
     """
     if params.m_list is None:
         return None
-    prod_m = params.tuple_count()
-    s = params.s_total
-    root = integer_root(params.t, s - 1)
-    if root ** (s - 1) == params.t:
-        return prod_m ** (s * (s - 1)) <= params.n**root
-    exponent = params.t ** (1.0 / (s - 1)) / (s * (s - 1))
-    return math.log(prod_m) <= exponent * math.log(params.n)
+    prod_m, n, t = params.tuple_count(), params.n, params.t
+    k = params.s_total - 1
+    c = params.s_total * k
+    j = 0
+    while c << j <= RANGE_OK_BITS // prod_m.bit_length():
+        scaled = t << (j * k)
+        a = integer_root(scaled, k)
+        power = prod_m ** (c << j)
+        if power <= n**a:
+            return True
+        if a**k == scaled or power > n ** (a + 1):
+            return False
+        j += 1
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -436,10 +449,11 @@ def verify_freeness(
 ) -> FreenessCertificate:
     """Exhaustively check that no ordered complete pattern reaches t.
 
-    Enumerates every choice of s_i-subsets of part i for i < r, intersects
-    the prefix neighborhoods in the last part, and records the maximum
-    intersection size.  Works on arbitrary graphs with matching part
-    structure, independent of how they were built.
+    Enumerates every choice of s_i-subsets of part i for i < r in
+    pattern_blocks, which intersects the prefix neighborhoods in the last
+    part, and records the maximum intersection size and the first pattern
+    that reaches it, one block at a time.  Works on arbitrary graphs with
+    matching part structure, independent of how they were built.
 
     Raises:
         BudgetError: more than pattern_budget patterns to enumerate.
@@ -454,11 +468,12 @@ def verify_freeness(
     max_size = 0
     argmax: Pattern | None = None
     table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
-    for pattern, size in H.common_neighborhoods(s_list):
+    for first, sizes in H.pattern_blocks(s_list):
+        best = max(sizes)
+        if best > max_size or argmax is None:
+            max_size, argmax = best, block_pattern(first, sizes.index(best))
         if table is not None:
-            table.append((pattern, size))
-        if size > max_size or argmax is None:
-            max_size, argmax = size, pattern
+            table.extend((block_pattern(first, k), size) for k, size in enumerate(sizes))
     return FreenessCertificate(
         part_sizes=H.part_sizes,
         s_list=tuple(s_list),

@@ -1,17 +1,23 @@
 """Exact ordered-pattern counting and the convexity lower-bound chain.
 
-count_ordered enumerates subset choices on the first r-1 parts, intersects
-prefix neighborhoods in the last part, and sums binomials of the
-intersection sizes; every number is an exact integer.  jensen_lower_bound
-replaces each averaging step of that count with the generalized binomial of
-the mean, which can only go down by convexity, so the bound is a certified
-floor for the exact count on every graph, not just asymptotically.  All
-rational arithmetic uses fractions.Fraction; nothing here touches floats.
+count_ordered enumerates subset choices on the first r-1 parts through
+RPartiteHypergraph.pattern_blocks, which intersects prefix neighborhoods in
+the last part, and sums binomials of the intersection sizes; every number is
+an exact integer.  count_report takes the exact and the intermediate count
+(s_r = 1) from one such pass, as both enumerate the same patterns.
+jensen_lower_bound replaces each averaging step of that count with the
+generalized binomial of the mean, which can only go down by convexity, so
+the bound is a certified floor for the exact count on every graph, not just
+asymptotically; a two-part step depends only on the edge count, so it is
+evaluated once per distinct link size.  All rational arithmetic uses
+fractions.Fraction; nothing here touches floats.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -38,6 +44,30 @@ def gen_binom(x: Rational, s: int) -> Fraction:
     return prod / math.factorial(s)
 
 
+def _check_sides(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> None:
+    if len(s_list) != H.r:
+        raise ValueError(f"s_list has {len(s_list)} entries for an {H.r}-partite graph")
+    if any(s < 1 for s in s_list):
+        raise ValueError(f"pattern sizes must be >= 1, got {s_list}")
+
+
+def _count_pass(
+    H: RPartiteHypergraph, s_list: tuple[int, ...], pattern_budget: int
+) -> tuple[int, int]:
+    """(sum of C(size, s_r), sum of size) over one pass of pattern_blocks.
+
+    The sizes are those of the patterns on the first r-1 parts, so the two
+    sums are the counts at s_list and at s_list[:-1] + (1,).
+    """
+    pattern_count(H.part_sizes[:-1], s_list[:-1], pattern_budget)
+    s_r = itertools.repeat(s_list[-1])
+    exact = intermediate = 0
+    for _, sizes in H.pattern_blocks(s_list[:-1]):
+        exact += sum(map(math.comb, sizes, s_r))
+        intermediate += sum(sizes)
+    return exact, intermediate
+
+
 def count_ordered(
     H: RPartiteHypergraph,
     s_list: tuple[int, ...],
@@ -53,21 +83,15 @@ def count_ordered(
     Args:
         H: the graph.
         s_list: one side size per part, length r.
-        pattern_budget: cap on the number of enumerated subset choices.
+        pattern_budget: cap on the mask lookups of the enumeration.
 
     Returns:
         The exact count, 0 when some s_i exceeds its part.
     """
-    if len(s_list) != H.r:
-        raise ValueError(f"s_list has {len(s_list)} entries for an {H.r}-partite graph")
-    if any(s < 1 for s in s_list):
-        raise ValueError(f"pattern sizes must be >= 1, got {s_list}")
+    _check_sides(H, s_list)
     if any(s > m for s, m in zip(s_list, H.part_sizes)):
         return 0
-    pattern_count(H.part_sizes[:-1], s_list[:-1], pattern_budget)
-    return sum(
-        math.comb(size, s_list[-1]) for _, size in H.common_neighborhoods(s_list[:-1])
-    )
+    return _count_pass(H, s_list, pattern_budget)[0]
 
 
 def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction:
@@ -81,10 +105,7 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
 
     Always <= count_ordered(H, s_list), with equality on complete graphs.
     """
-    if len(s_list) != H.r:
-        raise ValueError(f"s_list has {len(s_list)} entries for an {H.r}-partite graph")
-    if any(s < 1 for s in s_list):
-        raise ValueError(f"pattern sizes must be >= 1, got {s_list}")
+    _check_sides(H, s_list)
     if H.r == 1:
         # every edge is a vertex of the single part; the count is a binomial
         return gen_binom(H.num_edges, s_list[0])
@@ -97,16 +118,23 @@ def _jensen(
     """jensen_lower_bound for r >= 2 parts, on the edge list alone.
 
     The link of a last-part vertex v is the list of prefixes of the edges
-    ending at v; one pass groups them, and each link recurses as its list.
+    ending at v.  A two-part bound depends only on its edge count, so with
+    three parts the vertices are grouped by link size and each size is
+    evaluated once; with more, one pass groups the links and each recurses
+    as its list.
     """
+    if len(part_sizes) == 2:
+        return _jensen_two(part_sizes, len(edges), s_list)
     choices = pattern_count(part_sizes[:-1], s_list[:-1])
     if choices == 0:
         return Fraction(0)
-    if len(part_sizes) == 2:
-        m2 = part_sizes[1]
-        if m2 == 0:
-            return Fraction(0)
-        t_a = m2 * gen_binom(Fraction(len(edges), m2), s_list[0])
+    if len(part_sizes) == 3:
+        degrees = Counter(e[-1] for e in edges)
+        link_sizes = Counter(degrees.values())
+        link_sizes[0] += part_sizes[-1] - len(degrees)
+        t_a = Fraction(0)
+        for size, vertices in link_sizes.items():
+            t_a += vertices * _jensen_two(part_sizes[:-1], size, s_list[:-1])
     else:
         links: list[list[tuple[int, ...]]] = [[] for _ in range(part_sizes[-1])]
         for e in edges:
@@ -115,6 +143,16 @@ def _jensen(
         for prefixes in links:
             t_a += _jensen(part_sizes[:-1], prefixes, s_list[:-1])
     return choices * gen_binom(t_a / choices, s_list[-1])
+
+
+def _jensen_two(part_sizes: tuple[int, ...], num_edges: int, s_list: tuple[int, ...]) -> Fraction:
+    """The closed two-part chain, a function of the edge count alone."""
+    choices = math.comb(part_sizes[0], s_list[0])
+    m2 = part_sizes[1]
+    if choices == 0 or m2 == 0:
+        return Fraction(0)
+    t_a = m2 * gen_binom(Fraction(num_edges, m2), s_list[0])
+    return choices * gen_binom(t_a / choices, s_list[1])
 
 
 @dataclass(frozen=True)
@@ -144,9 +182,16 @@ def count_report(
     s_list: tuple[int, ...],
     pattern_budget: int = DEFAULT_PATTERN_BUDGET,
 ) -> CountReport:
-    """Assemble the exact count, the intermediate count, and the bound."""
-    exact = count_ordered(H, s_list, pattern_budget)
-    intermediate = count_ordered(H, s_list[:-1] + (1,), pattern_budget)
+    """Assemble the exact count, the intermediate count, and the bound.
+
+    The exact and the intermediate count share their patterns on the first
+    r-1 parts, so one pass of pattern_blocks sums both.
+    """
+    _check_sides(H, s_list)
+    if any(s > m for s, m in zip(s_list[:-1] + (1,), H.part_sizes)):
+        exact = intermediate = 0
+    else:
+        exact, intermediate = _count_pass(H, s_list, pattern_budget)
     lower = jensen_lower_bound(H, s_list)
     cells = math.prod(H.part_sizes)
     density = Fraction(H.num_edges, cells) if cells else Fraction(0)

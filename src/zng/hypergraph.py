@@ -13,9 +13,10 @@ the first r-1 parts; prefix_ranks numbers its transversal prefixes (for
 r = 2 they are just its one side), common_mask ANDs the masks at those
 ranks, closing_patterns lists the patterns whose lex-max prefix is a given
 one, and pattern_count sizes an enumeration and checks its mask lookups
-against a budget.
-Selection, verification, counting and the oracle all ask through these;
-selection and the oracle turn each closing pattern into its ranks once, not
+against a budget.  RPartiteHypergraph.pattern_blocks is the block kernel
+that verification and counting enumerate: it folds the prefix masks a run
+of patterns shares once, and yields each run's sizes as one list.
+Selection and the oracle turn each closing pattern into its ranks once, not
 once per candidate or search node.
 
 Graphs serialize to a small line format:
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import os
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -38,6 +40,9 @@ from typing import Iterable, Iterator, Sequence
 from zng.errors import BudgetError, ZngError
 
 DEFAULT_PATTERN_BUDGET = 1_000_000
+
+_PREFIX = operator.itemgetter(slice(0, -1))
+_LAST = operator.itemgetter(-1)
 
 Edge = tuple[int, ...]
 Pattern = tuple[tuple[int, ...], ...]  # one vertex subset per part
@@ -64,20 +69,30 @@ class RPartiteHypergraph:
             raise ValueError("need at least one part")
         if any(m < 0 for m in sizes):
             raise ValueError(f"part sizes must be nonnegative, got {sizes}")
-        self.part_sizes = sizes
-        self.r = len(sizes)
         seen: set[Edge] = set()
         for e in edges:
             e = tuple(e)
-            if len(e) != self.r:
-                raise ValueError(f"edge {e} has arity {len(e)}, expected {self.r}")
+            if len(e) != len(sizes):
+                raise ValueError(f"edge {e} has arity {len(e)}, expected {len(sizes)}")
             for i, v in enumerate(e):
                 if not 0 <= v < sizes[i]:
                     raise ValueError(f"edge {e}: index {v} out of range for part {i + 1}")
             if e in seen:
                 raise ValueError(f"duplicate edge {e}")
             seen.add(e)
-        self.edges: tuple[Edge, ...] = tuple(sorted(seen))
+        self._fill(sizes, tuple(sorted(seen)))
+
+    @classmethod
+    def _checked(cls, part_sizes: tuple[int, ...], edges: tuple[Edge, ...]) -> RPartiteHypergraph:
+        """A graph whose caller has already validated and sorted its edges."""
+        graph = cls.__new__(cls)
+        graph._fill(part_sizes, edges)
+        return graph
+
+    def _fill(self, part_sizes: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
+        self.part_sizes = part_sizes
+        self.r = len(part_sizes)
+        self.edges = edges
         self._prefix_masks: list[int] | None = None
 
     def _masks(self) -> list[int]:
@@ -85,8 +100,10 @@ class RPartiteHypergraph:
         if self._prefix_masks is None:
             sizes = self.part_sizes[:-1]
             masks = [0] * math.prod(sizes)
-            for e in self.edges:
-                masks[_prefix_rank(e, sizes)] |= 1 << e[-1]
+            # edges are sorted, so each prefix's edges are consecutive, and
+            # distinct, so the sum of their bits is their OR
+            for prefix, group in itertools.groupby(self.edges, _PREFIX):
+                masks[_prefix_rank(prefix, sizes)] = sum(map((1).__lshift__, map(_LAST, group)))
             self._prefix_masks = masks
         return self._prefix_masks
 
@@ -96,22 +113,47 @@ class RPartiteHypergraph:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def common_neighborhoods(self, s_list: Sequence[int]) -> Iterator[tuple[Pattern, int]]:
-        """(pattern, size) for every choice of s_i-subsets of parts i < r, in order.
+    def pattern_blocks(self, s_list: Sequence[int]) -> Iterator[tuple[Pattern, list[int]]]:
+        """Common-neighbourhood sizes of every pattern with sides s_list, in blocks.
 
-        size counts the last-part vertices completing every transversal
-        prefix of the pattern: the popcount of the AND of their masks.  Every
-        pattern has at least one prefix (each s_i >= 1), so the AND starts
-        from -1 and never builds an int as wide as the declared last part.
-        The mask table is built at the first pattern, so a shape with none
-        allocates nothing however large its declared parts.
+        A pattern picks an s_i-subset of each part i < r, and its size counts
+        the last-part vertices completing all of its transversal prefixes.
+        Patterns come in itertools.product(combinations...) order, grouped by
+        head: every side fixed but the last element of the last side.  Each
+        block is (first, sizes): first is the block's first pattern and
+        sizes[k] is the size of block_pattern(first, k); the last element
+        runs on to the end of its part.
+
+        For each choice of the outer sides 1..r-2, common_mask folds their
+        prefix masks once into a column of m_{r-1} masks; a head ANDs its
+        columns once, and its sizes are the popcounts of that AND with each
+        later column.  Every AND starts from -1, so no int grows wider than
+        the masks.  The mask table is built at the first block, so a shape
+        with no pattern (some s_i > m_i) allocates nothing however large its
+        declared parts.
         """
         sizes = self.part_sizes[:-1]
-        for pattern in itertools.product(
-            *(itertools.combinations(range(m), s) for m, s in zip(sizes, s_list))
+        if any(s > m for m, s in zip(sizes, s_list)):
+            return
+        masks = self._masks()
+        if not sizes:  # one part: the empty pattern, completed by every edge
+            yield (), [masks[0].bit_count()]
+            return
+        *outer_sizes, m = sizes
+        *outer_s, s = s_list
+        for outer in itertools.product(
+            *(itertools.combinations(range(mi), si) for mi, si in zip(outer_sizes, outer_s))
         ):
-            ranks = prefix_ranks(pattern, sizes)
-            yield pattern, common_mask(self._masks(), ranks, -1).bit_count()
+            bases = [rank * m for rank in prefix_ranks(outer, outer_sizes)]
+            column = [common_mask(masks, [base + j for base in bases], -1) for j in range(m)]
+            for head in itertools.combinations(range(m - 1), s - 1):
+                common = common_mask(column, head, -1)
+                start = head[-1] + 1 if head else 0
+                if common:
+                    block = list(map(int.bit_count, map(common.__and__, column[start:])))
+                else:
+                    block = [0] * (m - start)
+                yield (*outer, (*head, start)), block
 
     # -- plumbing ----------------------------------------------------------
 
@@ -162,6 +204,14 @@ def prefix_ranks(pattern: Pattern, part_sizes: Sequence[int]) -> Sequence[int]:
     if len(pattern) == 1:
         return pattern[0]
     return tuple(_prefix_rank(prefix, part_sizes) for prefix in itertools.product(*pattern))
+
+
+def block_pattern(first: Pattern, k: int) -> Pattern:
+    """The k-th pattern of the pattern_blocks block that starts at first."""
+    if not k:
+        return first
+    *outer, last = first
+    return (*outer, (*last[:-1], last[-1] + k))
 
 
 def common_mask(masks: Sequence[int], ranks: Iterable[int], common: int) -> int:
@@ -228,15 +278,17 @@ def format_graph(graph: RPartiteHypergraph) -> str:
 
 
 def parse_graph(text: str) -> RPartiteHypergraph:
-    """Parse the line format; every complaint carries its 1-based line number."""
+    """Parse the line format; every complaint carries its 1-based line number.
+
+    The checks here are the constructor's, with line numbers, so the graph
+    is built without running them a second time.
+    """
     part_sizes: tuple[int, ...] | None = None
-    edges: list[Edge] = []
     seen: dict[Edge, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         if part_sizes is None:
             if tokens[0] != "zng":
                 raise GraphFormatError(f"line {lineno}: expected 'zng' header, got {tokens[0]!r}")
@@ -254,29 +306,28 @@ def parse_graph(text: str) -> RPartiteHypergraph:
             part_sizes = tuple(sizes)
             continue
         try:
-            edge = tuple(int(t) for t in tokens)
+            edge = tuple(map(int, tokens))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: edge fields must be integers") from None
         if len(edge) != len(part_sizes):
             raise GraphFormatError(
                 f"line {lineno}: edge has {len(edge)} indices, expected {len(part_sizes)}"
             )
-        for i, v in enumerate(edge):
-            if not 0 <= v < part_sizes[i]:
-                raise GraphFormatError(
-                    f"line {lineno}: index {v} out of range for part {i + 1} "
-                    f"(size {part_sizes[i]})"
-                )
-        if edge in seen:
+        if min(edge) < 0 or any(map(operator.ge, edge, part_sizes)):
+            i, v = next((i, v) for i, v in enumerate(edge) if not 0 <= v < part_sizes[i])
+            raise GraphFormatError(
+                f"line {lineno}: index {v} out of range for part {i + 1} "
+                f"(size {part_sizes[i]})"
+            )
+        first = seen.setdefault(edge, lineno)
+        if first != lineno:
             raise GraphFormatError(
                 f"line {lineno}: duplicate edge {' '.join(map(str, edge))} "
-                f"(first seen on line {seen[edge]})"
+                f"(first seen on line {first})"
             )
-        seen[edge] = lineno
-        edges.append(edge)
     if part_sizes is None:
         raise GraphFormatError("line 1: missing 'zng' header")
-    return RPartiteHypergraph(part_sizes, edges)
+    return RPartiteHypergraph._checked(part_sizes, tuple(sorted(seen)))
 
 
 def write_atomic(path: str | Path, text: str) -> None:

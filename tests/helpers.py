@@ -12,9 +12,11 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from zng.construct import DEFAULT_POSITION_RETRY_CAP, ConstructionError
 from zng.count import gen_binom
-from zng.hypergraph import RPartiteHypergraph, closing_patterns, pattern_count
+from zng.hypergraph import RPartiteHypergraph, block_pattern, closing_patterns, pattern_count
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
     agreement_set,
@@ -56,6 +58,43 @@ def reference_common_mask(masks, pattern, common: int) -> int:
     for prefix in itertools.product(*pattern):
         common &= masks.get(prefix, 0)
     return common
+
+
+def flat_blocks(H: RPartiteHypergraph, s_list) -> list:
+    """H.pattern_blocks(s_list) flattened to one (pattern, size) per pattern."""
+    return [
+        (block_pattern(first, k), size)
+        for first, sizes in H.pattern_blocks(s_list)
+        for k, size in enumerate(sizes)
+    ]
+
+
+def reference_neighborhoods(H: RPartiteHypergraph, s_list) -> list:
+    """(pattern, size) per pattern in product order, one reference_common_mask each."""
+    masks = {}
+    for e in H.edges:
+        masks[e[:-1]] = masks.get(e[:-1], 0) | 1 << e[-1]
+    return [
+        (pattern, reference_common_mask(masks, pattern, -1).bit_count())
+        for pattern in itertools.product(
+            *(itertools.combinations(range(m), s) for m, s in zip(H.part_sizes, s_list))
+        )
+    ]
+
+
+@st.composite
+def graphs_with_sides(draw, min_r: int = 1, max_r: int = 4):
+    """(graph, s_list): r parts of 0..4 vertices, any edge set, s_i in 1..m_i + 1.
+
+    s_i may exceed m_i, so some shapes have no pattern at all.
+    """
+    r = draw(st.integers(min_r, max_r))
+    top = 4 if r < 4 else 3
+    part_sizes = tuple(draw(st.lists(st.integers(0, top), min_size=r, max_size=r)))
+    cells = list(itertools.product(*(range(m) for m in part_sizes)))
+    edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    s_list = tuple(draw(st.integers(1, m + 1)) for m in part_sizes)
+    return RPartiteHypergraph(part_sizes, edges), s_list
 
 
 def small_shapes(max_edges: int):

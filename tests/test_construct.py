@@ -7,12 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_graph, reference_select
+from helpers import (
+    flat_blocks,
+    graphs_with_sides,
+    reference_graph,
+    reference_neighborhoods,
+    reference_select,
+)
 from zng.construct import (
     CapacityWarning,
     ConstructionError,
     PartSplitAdvisory,
     TABLE_CAP,
+    _range_ok,
     build,
     derive_params,
     family_graph,
@@ -128,6 +135,47 @@ def _params(s_list, t, q, m_list):
         return derive_params(s_list, t, q, m_list)
 
 
+def test_range_ok_is_exact_when_t_is_a_perfect_power():
+    # s = 3, t = 4: the limit n^(2/6) is q itself
+    assert _range_ok(_params((3,), 4, 5, (5,))) is True
+    assert _range_ok(_params((3,), 4, 5, (6,))) is False
+    assert _range_ok(derive_params((3,), 4, 5)) is None  # no part sizes
+
+
+def test_range_ok_decides_the_analyze_shape_in_integers():
+    # (2, 2), t = 16: 16^(1/3) is irrational; 25 tuples far exceed 2401^0.21
+    assert _range_ok(_params((2, 2), 16, 7, (5, 5))) is False
+    assert _range_ok(_params((2, 2), 16, 7, (1, 1))) is True
+
+
+def test_range_ok_reports_a_near_tie_as_unknown():
+    # log_n(178) falls short of sqrt(5)/6 at n = 103^3 by about 7e-8: floats
+    # answer True, but powers of up to RANGE_OK_BITS bits cannot separate them
+    params = _params((3,), 5, 103, (178,))
+    gap = math.log(178) / math.log(params.n) - math.sqrt(5) / 6
+    assert -1e-7 < gap < 0
+    assert _range_ok(params) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([(2,), (3,), (2, 2), (4,), (2, 3)]),
+    st.integers(0, 30),
+    st.sampled_from([2, 3, 4, 5, 7, 9, 11, 16, 25, 27, 49, 61, 127]),
+    st.integers(1, 2000),
+)
+def test_range_ok_agrees_with_floats_away_from_ties(s_list, extra_t, q, tuples):
+    params = _params(s_list, math.prod(s_list) + extra_t, q, (tuples,) + (1,) * (len(s_list) - 1))
+    s = params.s_total
+    exponent = params.t ** (1 / (s - 1)) / (s * (s - 1))
+    gap = math.log(tuples) - exponent * math.log(params.n)
+    decided = _range_ok(params)
+    if abs(gap) > 1e-3:
+        assert decided == (gap < 0)
+    elif abs(gap) > 1e-9:
+        assert decided in (None, gap < 0)
+
+
 def test_build_bipartite_example():
     params = _params((2,), 4, 5, (10,))
     result = build(params, seed=1)
@@ -184,7 +232,7 @@ def test_every_prefix_tuple_covers_exactly_q_to_s_minus_1_points():
 
     bi = build(_params((2,), 4, 5, (10,)), seed=3).graph
     assert Counter(e[:1] for e in bi.edges) == {(v,): 5 for v in range(10)}
-    assert [size for _, size in bi.common_neighborhoods((1,))] == [5] * 10
+    assert [size for _, size in flat_blocks(bi, (1,))] == [5] * 10
 
     tri = build(_params((2, 2), 4, 3, (2, 2)), seed=3).graph
     per_prefix = Counter(e[:2] for e in tri.edges)
@@ -359,6 +407,20 @@ def test_verify_elides_large_tables_but_keeps_the_argmax():
     assert cert.argmax_pattern is not None
     kept = verify_freeness(complete_graph((TABLE_CAP, 3)), (1,), 4)
     assert kept.table is not None and len(kept.table) == TABLE_CAP
+
+
+@settings(max_examples=300)
+@given(graphs_with_sides(min_r=2), st.integers(1, 5))
+def test_verify_matches_the_per_pattern_reference(case, t):
+    g, s_list = case
+    reference = reference_neighborhoods(g, s_list[:-1])
+    cert = verify_freeness(g, s_list[:-1], t)
+    max_size = max((size for _, size in reference), default=0)
+    assert cert.pattern_count == len(reference)
+    assert cert.max_size == max_size
+    assert cert.argmax_pattern == next((p for p, size in reference if size == max_size), None)
+    assert cert.table == tuple(reference)
+    assert cert.passed == (max_size < t)
 
 
 def test_certificate_json_round_trips():

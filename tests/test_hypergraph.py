@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_graph, reference_closing_patterns, reference_common_mask
+from helpers import (
+    flat_blocks,
+    graphs_with_sides,
+    random_graph,
+    reference_closing_patterns,
+    reference_common_mask,
+    reference_neighborhoods,
+)
 from zng import hypergraph
 from zng.hypergraph import (
     GraphFormatError,
@@ -51,14 +58,14 @@ def test_constructor_validation():
 
 
 def mask_sizes(g):
-    """Popcount of each prefix's mask, read through common_neighborhoods.
+    """Popcount of each prefix's mask, read through pattern_blocks.
 
     With every s_i = 1 each pattern is one prefix, so its size is the
     popcount of that prefix's neighbour mask.
     """
     ones = (1,) * (g.r - 1)
     return {
-        tuple(side[0] for side in pattern): size for pattern, size in g.common_neighborhoods(ones)
+        tuple(side[0] for side in pattern): size for pattern, size in flat_blocks(g, ones)
     }
 
 
@@ -75,7 +82,7 @@ def test_degrees_and_neighbor_masks():
     g = RPartiteHypergraph((3, 3), C6_EDGES)
     assert mask_sizes(g) == prefix_degrees(g) == {(0,): 2, (1,): 2, (2,): 2}
     # neighbours of 0 are {0, 1} and of 1 are {1, 2}: they share one vertex
-    shared = dict(g.common_neighborhoods((2,)))
+    shared = dict(flat_blocks(g, (2,)))
     assert shared == {((0, 1),): 1, ((0, 2),): 1, ((1, 2),): 1}
 
 
@@ -92,7 +99,7 @@ def test_no_patterns_build_no_mask_table():
     g = RPartiteHypergraph((2000, 2000, 3), [])
     tracemalloc.start()
     try:
-        assert list(g.common_neighborhoods((1, 2001))) == []
+        assert list(g.pattern_blocks((1, 2001))) == []
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -262,3 +269,32 @@ def test_prefix_ranks_are_lexicographic_indices(part_sizes, data):
     assert list(prefix_ranks(pattern, part_sizes)) == [
         cells.index(prefix) for prefix in itertools.product(*pattern)
     ]
+
+
+@settings(max_examples=300)
+@given(graphs_with_sides())
+def test_pattern_blocks_match_the_per_pattern_reference(case):
+    g, s_list = case
+    s_list = s_list[:-1]
+    assert flat_blocks(g, s_list) == reference_neighborhoods(g, s_list)
+    for first, sizes in g.pattern_blocks(s_list):
+        # a block is one head: its last element runs on to the end of its part
+        assert sizes
+        if first:
+            assert first[-1][-1] + len(sizes) == g.part_sizes[-2]
+
+
+@settings(max_examples=200)
+@given(graphs_with_sides(), st.randoms(use_true_random=False))
+def test_parsed_graph_equals_the_constructed_one(case, rng):
+    g, _ = case
+    edges = list(g.edges)
+    rng.shuffle(edges)
+    lines = ["# shuffled", "zng " + " ".join(map(str, (g.r, *g.part_sizes)))]
+    lines += [" ".join(map(str, e)) + rng.choice(["", "  # edge"]) for e in edges]
+    parsed = parse_graph("\n".join(lines) + "\n")
+    built = RPartiteHypergraph(g.part_sizes, edges)
+    assert parsed == built
+    assert (parsed.r, parsed.part_sizes, parsed.edges) == (built.r, built.part_sizes, built.edges)
+    ones = (1,) * (g.r - 1)
+    assert flat_blocks(parsed, ones) == flat_blocks(built, ones)
