@@ -149,11 +149,9 @@ class RPartiteHypergraph:
             for head in itertools.combinations(range(m - 1), s - 1):
                 common = common_mask(column, head, -1)
                 start = head[-1] + 1 if head else 0
-                if common:
-                    block = list(map(int.bit_count, map(common.__and__, column[start:])))
-                else:
-                    block = [0] * (m - start)
-                yield (*outer, (*head, start)), block
+                yield (*outer, (*head, start)), list(
+                    map(int.bit_count, map(common.__and__, column[start:]))
+                )
 
     # -- plumbing ----------------------------------------------------------
 
@@ -313,12 +311,12 @@ def parse_graph(text: str) -> RPartiteHypergraph:
             raise GraphFormatError(
                 f"line {lineno}: edge has {len(edge)} indices, expected {len(part_sizes)}"
             )
-        if min(edge) < 0 or any(map(operator.ge, edge, part_sizes)):
-            i, v = next((i, v) for i, v in enumerate(edge) if not 0 <= v < part_sizes[i])
-            raise GraphFormatError(
-                f"line {lineno}: index {v} out of range for part {i + 1} "
-                f"(size {part_sizes[i]})"
-            )
+        for i, v in enumerate(edge):
+            if not 0 <= v < part_sizes[i]:
+                raise GraphFormatError(
+                    f"line {lineno}: index {v} out of range for part {i + 1} "
+                    f"(size {part_sizes[i]})"
+                )
         first = seen.setdefault(edge, lineno)
         if first != lineno:
             raise GraphFormatError(
