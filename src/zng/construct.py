@@ -7,9 +7,10 @@ chosen greedily in lexicographic tuple order: a candidate is kept only if
 every complete pattern it completes has an agreement set of fewer than t
 points, so the forbidden complete pattern with t last-part vertices can
 never appear.  That size is the popcount of the AND of the tuples'
-last-part neighbour masks (mpoly.graph_mask), which also make up the emitted
-graph.  A final exhaustive verification pass certifies the result
-independently of how the family was chosen.
+last-part neighbour masks (mpoly.graph_mask, read from monomial rows that
+are computed once per selection), which also make up the emitted graph.  A
+final exhaustive verification pass certifies the result independently of
+how the family was chosen.
 
 Derived quantities (polynomial degree, tuple capacity) use exact integer
 root-and-floor arithmetic throughout; no floating point touches anything
@@ -47,6 +48,7 @@ from zng.mpoly import (
     MultiPoly,
     graph_mask,
     monomial_basis,
+    monomial_rows,
     random_poly,
 )
 from zng.seeds import derive_seed
@@ -329,9 +331,11 @@ def sequential_select(
     more points.  Rejection resamples the same position, up to
     position_retry_cap draws.
 
-    Each closing pattern's AND of already-chosen masks is taken once per
-    position, so a candidate costs one graph_mask plus one AND and popcount
-    per pattern; the popcount is the pattern's agreement-set size.
+    The domain's monomial values are computed once per call
+    (mpoly.monomial_rows), and each closing pattern's AND of already-chosen
+    masks once per position, so a candidate costs one graph_mask over those
+    rows plus one AND and popcount per pattern; the popcount is the
+    pattern's agreement-set size.
 
     Raises:
         ValueError: position_retry_cap below 1.
@@ -344,6 +348,7 @@ def sequential_select(
     _check_select_args(params, position_retry_cap, point_budget)
     rng = random.Random(seed)
     basis = monomial_basis(params.s_total - 1, params.degree)
+    rows = monomial_rows(basis, params.field)
     chosen: dict[tuple[int, ...], MultiPoly] = {}
     masks: list[int] = []  # indexed by position rank, as positions come in lex order
     resamples = 0
@@ -356,7 +361,7 @@ def sequential_select(
         last_violation: tuple[Pattern, int] | None = None
         for _ in range(position_retry_cap):
             candidate = random_poly(basis, params.field, rng)
-            mask = graph_mask(candidate)
+            mask = graph_mask(candidate, rows)
             sizes = ((pattern, (common & mask).bit_count()) for pattern, common in closing)
             last_violation = next((v for v in sizes if v[1] >= params.t), None)
             if last_violation is None:
@@ -502,15 +507,19 @@ def family_graph(params: ConstructionParams, family: PolyFamily) -> RPartiteHype
 
     Last-part vertices are the points of F_q^s_total numbered
     lexicographically by coordinate in the field's element order; a tuple's
-    edges are the set bits of its neighbour mask (mpoly.graph_mask).
+    edges are the set bits of its neighbour mask (mpoly.graph_mask).  They
+    come out in range, distinct and in lexicographic order, so the graph is
+    built without the constructor's checks.
     """
     edges = []
     for position, mask in zip(family.positions(), family.masks):
-        while mask:
-            low = mask & -mask
-            edges.append((*position, low.bit_length() - 1))
-            mask ^= low
-    return RPartiteHypergraph((*family.m_list, params.n), edges)
+        # bit v of the mask is character v of its reversed binary text
+        bits = format(mask, "b")[::-1]
+        v = bits.find("1")
+        while v >= 0:
+            edges.append((*position, v))
+            v = bits.find("1", v + 1)
+    return RPartiteHypergraph._checked((*family.m_list, params.n), tuple(edges))
 
 
 def build(

@@ -7,11 +7,21 @@ polynomial of degree k, found by an exhaustive trial-division scan; the scan
 is feasible because the whole module is capped at desk-scale orders
 (q <= 2^16 by default).  Inverses use a^(q-2), which keeps the arithmetic
 a single well-tested code path instead of an extended-gcd special case.
+
+Hot loops use Field.int_arith instead: the same arithmetic on element
+indices 0..q-1 (positions in elements()), through a log/antilog pair for
+the first primitive element in elements() order.  Sums are (a + b) mod p in
+a prime field, XOR when p = 2, and go through a Zech-log table otherwise.
+Every table has O(q) entries and is built on first use, so code that never
+evaluates a polynomial family never pays for it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
+from typing import Callable, Iterable, NamedTuple
 
 from zng.errors import BudgetError
 
@@ -75,6 +85,20 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 # the field itself
 # ----------------------------------------------------------------------
 
+class IntArith(NamedTuple):
+    """GF(q) arithmetic on element indices, the positions in elements().
+
+    With g the primitive element, log[a] is the e in 0..q-2 with g^e = a,
+    and log[0] is 2(q-1); exp[log[a] + log[b]] is then the index of a*b for
+    every a and b, zero included, because exp reads 0 from 2(q-1) on.
+    total(terms) is the index of the field sum of an iterable of indices.
+    """
+
+    log: list[int]
+    exp: list[int]
+    total: Callable[[Iterable[int]], int]
+
+
 class Field:
     """Arithmetic for GF(p^k) on tuple-of-residue elements.
 
@@ -86,7 +110,7 @@ class Field:
             from the constant term up; None exactly when k == 1.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_reduce_rows", "_elements", "_index")
+    __slots__ = ("p", "k", "q", "modulus", "_reduce_rows", "_elements", "_index", "_arith")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
@@ -106,6 +130,7 @@ class Field:
                 self._reduce_rows.append(tuple(row))
         self._elements: tuple[FieldElement, ...] | None = None
         self._index: dict[FieldElement, int] | None = None
+        self._arith: IntArith | None = None
 
     # -- identities ----------------------------------------------------
 
@@ -175,6 +200,51 @@ class Field:
         if self._index is None:
             self._index = {e: i for i, e in enumerate(self.elements())}
         return self._index[a]
+
+    # -- integer arithmetic on element indices ---------------------------
+
+    def int_arith(self) -> IntArith:
+        """The integer tables of this field, built on the first call."""
+        if self._arith is None:
+            self._arith = self._build_int_arith()
+        return self._arith
+
+    def _build_int_arith(self) -> IntArith:
+        elems, n, p = self.elements(), self.q - 1, self.p
+        factors = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
+        g = next(
+            a for a in elems[1:] if all(self.pow(a, n // r) != self.one for r in factors)
+        )
+        powers = []  # index of g^e for e in 0..q-2
+        x = self.one
+        for _ in range(n):
+            powers.append(self.index(x))
+            x = self.mul(x, g)
+        exp = powers * 2 + [0] * (2 * n + 1)
+        log = [2 * n] * self.q
+        for e, a in enumerate(powers):
+            log[a] = e
+        if self.k == 1:
+            def total(terms: Iterable[int]) -> int:
+                return sum(terms) % p
+        elif p == 2:
+            def total(terms: Iterable[int]) -> int:
+                return functools.reduce(operator.xor, terms, 0)
+        else:
+            # zech[e] = log(1 + g^e); a negative e reads zech[e + q - 1]
+            zech = [log[self.index(self.add(self.one, elems[a]))] for a in powers]
+
+            def total(terms: Iterable[int]) -> int:
+                acc = 0
+                for b in terms:
+                    if not acc:
+                        acc = b
+                    elif b:
+                        # a + b = a (1 + b/a)
+                        la = log[acc]
+                        acc = exp[la + zech[log[b] - la]]
+                return acc
+        return IntArith(log, exp, total)
 
     # -- serialization and plumbing -------------------------------------
 

@@ -5,14 +5,23 @@ degree at most max_degree, in graded order (degree first, lexicographically
 descending inside a degree), so coefficient tuples line up across the whole
 family and serialization is positional.  graph_mask turns a polynomial into
 the bitmask of its graph points; several polynomials agree on as many points
-as the AND of their masks has bits.  agreement_set is the exhaustive
-reference for that count, evaluating over all of F_q^num_vars under a budget.
+as the AND of their masks has bits.
+
+graph_mask reads the monomial values of the domain from MonomialRows, which
+monomial_rows computes once per (basis, field) as discrete logs on integer
+field elements (gf.Field.int_arith).  A candidate's value at point i is then
+sum_j c_j * row_i[j]: one antilog lookup per term and one integer field sum
+per point, with no tuple arithmetic.  evaluate and agreement_set keep the
+tuple arithmetic of gf.Field and are the references: agreement_set counts
+agreement points by exhaustive evaluation over all of F_q^num_vars under a
+budget.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Iterator, Sequence
@@ -142,19 +151,63 @@ def domain(field: Field, num_vars: int) -> Iterator[Point]:
     return itertools.product(field.elements(), repeat=num_vars)
 
 
-def graph_mask(f: MultiPoly) -> int:
+@dataclass(frozen=True)
+class MonomialRows:
+    """Every basis monomial at every domain point, as discrete logs.
+
+    logs[i][j] is the log (in field.int_arith()) of monomial j of basis at
+    the i-th point of domain(field, basis.num_vars); a zero value has the
+    zero log.
+    """
+
+    field: Field
+    basis: MonomialBasis
+    logs: list[list[int]]
+
+
+def monomial_rows(basis: MonomialBasis, field: Field) -> MonomialRows:
+    """The monomial values of the whole domain; callers bound the domain.
+
+    A monomial's log is sum_v e_v * log(x_v) mod q-1, or the zero log when a
+    coordinate with e_v > 0 is zero.  Zero coordinates get a stand-in log
+    larger than any sum of nonzero ones, so one sum decides both cases.
+    """
+    log = field.int_arith().log
+    zero, n = log[0], field.q - 1
+    big = basis.max_degree * n + 1
+    coords = [big if e == zero else e for e in log]
+    logs = []
+    for point in itertools.product(coords, repeat=basis.num_vars):
+        row = []
+        for exps in basis.exponents:
+            e = sum(map(operator.mul, exps, point))
+            row.append(e % n if e < big else zero)
+        logs.append(row)
+    return MonomialRows(field, basis, logs)
+
+
+def graph_mask(f: MultiPoly, rows: MonomialRows) -> int:
     """Bitmask of the graph points {(x, f(x))} of f inside F_q^(num_vars+1).
 
     Bit i*q + index(f(x_i)) is set for the i-th point x_i of domain(): the
     lexicographic point numbering that construct.family_graph uses for the
-    last part.  One evaluation per domain point; callers bound the domain.
+    last part.  rows holds the monomial values of f's basis over f's field.
+
+    Raises:
+        ValueError: rows belong to another basis or field.
     """
-    field, basis = f.field, f.basis
-    q = field.q
-    bits = bytearray((q ** (basis.num_vars + 1) + 7) // 8)
-    for i, point in enumerate(domain(field, basis.num_vars)):
-        vertex = i * q + field.index(_dot(f, _monomial_values(basis, point, field)))
+    field, q = f.field, f.field.q
+    if rows.basis != f.basis or rows.field != field:
+        raise ValueError("monomial rows of another basis or field")
+    log, exp, total = field.int_arith()
+    term = exp.__getitem__
+    coeffs = [log[field.index(c)] for c in f.coeffs]
+    bits = bytearray((q * len(rows.logs) + 7) // 8)
+    offset = 0  # i*q for the i-th point
+    for row in rows.logs:
+        vertex = offset + total(map(term, map(operator.add, coeffs, row)))
         bits[vertex >> 3] |= 1 << (vertex & 7)
+        offset += q
     return int.from_bytes(bits, "little")
 
 

@@ -206,6 +206,18 @@ def reference_select(
     return chosen, resamples
 
 
+def reference_graph_mask(f) -> int:
+    """mpoly.graph_mask by per-point evaluation: one evaluate per domain point.
+
+    evaluate recomputes the point's monomial values with tuple arithmetic.
+    """
+    field = f.field
+    mask = 0
+    for i, x in enumerate(domain(field, f.basis.num_vars)):
+        mask |= 1 << (i * field.q + field.index(evaluate(f, x)))
+    return mask
+
+
 def reference_graph(params, polys) -> RPartiteHypergraph:
     """Graph points by per-point evaluation, numbered coordinate by coordinate."""
     fld = params.field

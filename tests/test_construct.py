@@ -363,6 +363,26 @@ def test_family_graph_matches_build_and_is_reproducible():
     assert [p["tuple"] for p in polys] == sorted(p["tuple"] for p in polys)
 
 
+# the golden builds of tests/test_golden.py: (s_list, t, q, m_list, retries)
+GOLDEN_BUILDS = [
+    *(((2,), 4, q, (q,), 64) for q in (5, 7, 9, 11, 13)),
+    ((2, 2), 16, 7, (5, 5), 64),
+    ((3,), 9, 9, (6,), 64),
+    ((2, 2), 5, 5, (5, 5), 64),
+    ((2,), 2, 5, (24,), 8),
+]
+
+
+@pytest.mark.parametrize("shape", GOLDEN_BUILDS, ids=str)
+def test_family_graph_equals_the_validated_graph(shape):
+    s_list, t, q, m_list, retries = shape
+    params = _params(s_list, t, q, m_list)
+    graph = build(params, 20260819, position_retry_cap=retries).graph
+    validated = RPartiteHypergraph(graph.part_sizes, graph.edges)
+    assert graph.part_sizes == validated.part_sizes
+    assert graph.edges == validated.edges  # same edges, same order
+
+
 # ----------------------------------------------------------------------
 # the standalone verifier
 # ----------------------------------------------------------------------

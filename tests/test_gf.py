@@ -1,11 +1,14 @@
 """Finite field arithmetic: exhaustive axioms, canonical moduli, budgets."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import check_field_axioms
 from zng.errors import BudgetError
+from zng.construct import derive_params
 from zng.gf import DEFAULT_ORDER_CAP, factor_prime_power, make_field
 
 def _prime_powers(limit: int) -> list[tuple[int, int, int]]:
@@ -142,3 +145,63 @@ def test_small_field_arithmetic_examples():
     gf9 = make_field(3, 2)
     x = (0, 1)
     assert gf9.mul(x, x) == (2, 0)
+
+
+# ----------------------------------------------------------------------
+# integer tables on element indices
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("q,p,k", ALL_Q, ids=[f"q{q}" for q, _, _ in ALL_Q])
+def test_int_arith_matches_tuple_arithmetic(q, p, k):
+    field = make_field(p, k)
+    log, exp, total = field.int_arith()
+    elems = field.elements()
+    index = field.index
+    assert len(log) == q and len(exp) == 4 * q - 3
+    for a, x in enumerate(elems):
+        assert exp[log[a]] == a
+        for b, y in enumerate(elems):
+            assert exp[log[a] + log[b]] == index(field.mul(x, y))
+            assert total((a, b)) == index(field.add(x, y))
+    assert total(()) == 0
+    rng = random.Random(q)
+    for _ in range(200):
+        terms = [rng.randrange(q) for _ in range(rng.randrange(1, 8))]
+        expected = field.zero
+        for a in terms:
+            expected = field.add(expected, elems[a])
+        assert total(terms) == index(expected)
+
+
+def _first_primitive(field) -> int:
+    """Index of the first element in elements() order whose powers reach every nonzero element."""
+    for g, a in enumerate(field.elements()):
+        x, order = a, 1
+        while x != field.one and order < field.q:
+            x, order = field.mul(x, a), order + 1
+        if x == field.one and order == field.q - 1:
+            return g
+    raise AssertionError("no primitive element")
+
+
+@pytest.mark.parametrize("q,p,k", ALL_Q, ids=[f"q{q}" for q, _, _ in ALL_Q])
+def test_int_arith_uses_the_first_primitive_element(q, p, k):
+    field = make_field(p, k)
+    _, exp, _ = field.int_arith()
+    assert exp[1] == _first_primitive(field)
+    assert make_field(p, k).int_arith()[:2] == field.int_arith()[:2]
+
+
+def test_primitive_elements_are_frozen():
+    assert make_field(5, 1).int_arith().exp[1] == 2
+    assert make_field(7, 1).int_arith().exp[1] == 3
+    assert make_field(2, 2).int_arith().exp[1] == 1  # x, modulus x^2 + x + 1
+    assert make_field(3, 2).int_arith().exp[1] == 4  # 1 + x, modulus x^2 + 1
+
+
+def test_make_field_builds_no_tables():
+    for p, k in [(2, 1), (61, 1), (2, 5), (3, 3), (2, 8)]:
+        assert make_field(p, k)._arith is None
+    assert derive_params((2,), 4, 61).field._arith is None
+    field = make_field(5, 2)
+    assert field.int_arith() is field.int_arith()

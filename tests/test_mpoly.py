@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import reference_graph_mask
 from zng.errors import BudgetError
-from zng.gf import make_field
+from zng.gf import factor_prime_power, make_field
 from zng.mpoly import (
     MultiPoly,
     agreement_set,
@@ -17,6 +18,7 @@ from zng.mpoly import (
     evaluate,
     graph_mask,
     monomial_basis,
+    monomial_rows,
     random_poly,
 )
 
@@ -236,9 +238,10 @@ def test_mask_and_popcount_is_the_agreement_set_size(pk, num_vars, degree, count
         ))
         for _ in range(count)
     ]
+    rows = monomial_rows(basis, field)
     common = -1
     for f in fs:
-        mask = graph_mask(f)
+        mask = graph_mask(f, rows)
         assert mask.bit_count() == q**num_vars  # one graph point per domain point
         common &= mask
     agreeing = agreement_set(fs)
@@ -247,3 +250,64 @@ def test_mask_and_popcount_is_the_agreement_set_size(pk, num_vars, degree, count
     assert agreeing == {
         x for i, x in enumerate(domain(field, num_vars)) if common >> (i * q) & block
     }
+
+
+# (q, num_vars, degree): the sweep ladder 5..27 plus 32 and 61 at s=(2,),
+# t=4, and the stress shapes (2,2) t=16 q=11, (2,3) t=36 q=5, (3,) t=9 q=25/27
+MASK_SHAPES = [
+    *((q, 1, 3) for q in (5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 61)),
+    (11, 3, 2),
+    (5, 5, 2),
+    (25, 2, 2),
+    (27, 2, 2),
+]
+
+
+@pytest.mark.parametrize("q, num_vars, degree", MASK_SHAPES, ids=str)
+def test_graph_mask_matches_per_point_evaluation(q, num_vars, degree):
+    field = make_field(*factor_prime_power(q))
+    basis = monomial_basis(num_vars, degree)
+    rows = monomial_rows(basis, field)
+    elements = field.elements()
+    rng = random.Random(q * 100 + num_vars)
+    size = len(basis)
+    coeff_lists = [
+        (field.zero,) * size,  # the zero polynomial
+        (field.one,) + (field.zero,) * (size - 1),
+        (elements[-1],) + (field.zero,) * (size - 1),  # constants
+        (field.zero,) + tuple(elements[rng.randrange(q)] for _ in range(size - 1)),
+        tuple(elements[rng.randrange(q)] if j % 2 else field.zero for j in range(size)),
+        (field.zero,) * (size - 1) + (elements[1],),  # a single top-degree term
+        *(random_poly(basis, field, rng).coeffs for _ in range(2 if q**num_vars > 1000 else 6)),
+    ]
+    for coeffs in coeff_lists:
+        f = MultiPoly(field, basis, coeffs)
+        assert graph_mask(f, rows) == reference_graph_mask(f)
+
+
+def test_monomial_rows_hold_the_monomial_logs():
+    field = make_field(3, 2)
+    basis = monomial_basis(2, 2)
+    rows = monomial_rows(basis, field)
+    log, exp, _ = field.int_arith()
+    points = list(domain(field, 2))
+    assert len(rows.logs) == len(points) == 81
+    for point, row in zip(points, rows.logs):
+        for exps, entry in zip(basis.exponents, row):
+            value = field.one
+            for coord, e in zip(point, exps):
+                value = field.mul(value, field.pow(coord, e))
+            assert exp[entry] == field.index(value)
+            assert entry == log[field.index(value)]
+
+
+def test_graph_mask_rejects_rows_of_another_basis_or_field():
+    gf5, gf7 = make_field(5, 1), make_field(7, 1)
+    basis = monomial_basis(1, 2)
+    f = random_poly(basis, gf5, random.Random(0))
+    with pytest.raises(ValueError, match="another basis or field"):
+        graph_mask(f, monomial_rows(basis, gf7))
+    with pytest.raises(ValueError, match="another basis or field"):
+        graph_mask(f, monomial_rows(monomial_basis(1, 3), gf5))
+    # rows of an equal field built separately are accepted
+    assert graph_mask(f, monomial_rows(basis, make_field(5, 1))) == reference_graph_mask(f)
