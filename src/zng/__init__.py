@@ -5,45 +5,10 @@ polynomials over small finite fields, certifies by exhaustive enumeration that
 no forbidden complete pattern appears, counts ordered complete patterns
 exactly, and cross-checks everything against brute-force oracles on
 desk-scale instances.
+
+Nothing is re-exported here: import from the modules (zng.construct,
+zng.certify, zng.count, zng.oracle, ...), so that a command-line start loads
+only the modules its subcommand runs.
 """
-
-from zng.construct import (
-    ConstructionError,
-    ConstructionParams,
-    FreenessCertificate,
-    build,
-    derive_params,
-    verify_freeness,
-)
-from zng.count import count_ordered, count_report, gen_binom, jensen_lower_bound
-from zng.errors import BudgetError, ZngError
-from zng.gf import Field, make_field
-from zng.hypergraph import GraphFormatError, RPartiteHypergraph, parse_graph, read_graph
-from zng.oracle import ZQuery, ZResult, exact_z, exhaustive_z
-
-__all__ = [
-    "BudgetError",
-    "ConstructionError",
-    "ConstructionParams",
-    "Field",
-    "FreenessCertificate",
-    "GraphFormatError",
-    "RPartiteHypergraph",
-    "ZQuery",
-    "ZResult",
-    "ZngError",
-    "build",
-    "count_ordered",
-    "count_report",
-    "derive_params",
-    "exact_z",
-    "exhaustive_z",
-    "gen_binom",
-    "jensen_lower_bound",
-    "make_field",
-    "parse_graph",
-    "read_graph",
-    "verify_freeness",
-]
 
 __version__ = "0.1.0"

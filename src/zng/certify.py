@@ -1,0 +1,125 @@
+"""Freeness certificates: exhaustive verification and their JSON form.
+
+verify_freeness works on any graph with a matching part structure,
+independently of how it was built, so `zng verify` loads only this module
+and the graph model; `construct.build` adds its inputs (seed, parameters,
+family) to the certificate it gets from here.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass
+from pathlib import Path
+
+from zng.hypergraph import (
+    DEFAULT_PATTERN_BUDGET,
+    Pattern,
+    RPartiteHypergraph,
+    block_pattern,
+    pattern_count,
+    write_atomic,
+)
+
+TABLE_CAP = 2048
+
+
+@dataclass(frozen=True)
+class FreenessCertificate:
+    """Exhaustive record of every pattern's common-neighborhood size.
+
+    The full per-pattern table is kept only up to TABLE_CAP entries;
+    larger runs keep the maximum and its pattern, which is all the verdict
+    needs.
+    """
+
+    part_sizes: tuple[int, ...]
+    s_list: tuple[int, ...]
+    t: int
+    pattern_count: int
+    max_size: int
+    argmax_pattern: Pattern | None
+    table: tuple[tuple[Pattern, int], ...] | None
+    passed: bool
+    seed: int | None = None
+    params: dict | None = None
+    family: dict | None = None
+    bezout_bound: int | None = None
+    range_ok: bool | None = None
+
+    def to_dict(self) -> dict:
+        return {
+            "part_sizes": list(self.part_sizes),
+            "s_list": list(self.s_list),
+            "t": self.t,
+            "pattern_count": self.pattern_count,
+            "max_size": self.max_size,
+            "argmax_pattern": [list(side) for side in self.argmax_pattern]
+            if self.argmax_pattern is not None
+            else None,
+            "table": [
+                {"pattern": [list(side) for side in pat], "size": size}
+                for pat, size in self.table
+            ]
+            if self.table is not None
+            else None,
+            "passed": self.passed,
+            "seed": self.seed,
+            "params": self.params,
+            "family": self.family,
+            "bezout_bound": self.bezout_bound,
+            "range_ok": self.range_ok,
+        }
+
+
+def format_certificate(cert: FreenessCertificate) -> str:
+    return json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+def write_certificate(cert: FreenessCertificate, path: str | Path) -> None:
+    write_atomic(path, format_certificate(cert))
+
+
+def verify_freeness(
+    H: RPartiteHypergraph,
+    s_list: tuple[int, ...],
+    t: int,
+    pattern_budget: int = DEFAULT_PATTERN_BUDGET,
+) -> FreenessCertificate:
+    """Exhaustively check that no ordered complete pattern reaches t.
+
+    Enumerates every choice of s_i-subsets of part i for i < r in
+    pattern_blocks, which intersects the prefix neighborhoods in the last
+    part, and records the maximum intersection size and the first pattern
+    that reaches it, one block at a time.  Works on arbitrary graphs with
+    matching part structure, independent of how they were built.
+
+    Raises:
+        BudgetError: more than pattern_budget patterns to enumerate.
+    """
+    if len(s_list) != H.r - 1:
+        raise ValueError(f"s_list has {len(s_list)} entries for an {H.r}-partite graph")
+    if any(s < 1 for s in s_list):
+        raise ValueError(f"side sizes must be >= 1, got {s_list}")
+    if t < 1:
+        raise ValueError(f"t must be >= 1, got {t}")
+    patterns = pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
+    max_size = 0
+    argmax: Pattern | None = None
+    table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
+    for first, sizes in H.pattern_blocks(s_list):
+        best = max(sizes)
+        if best > max_size or argmax is None:
+            max_size, argmax = best, block_pattern(first, sizes.index(best))
+        if table is not None:
+            table.extend((block_pattern(first, k), size) for k, size in enumerate(sizes))
+    return FreenessCertificate(
+        part_sizes=H.part_sizes,
+        s_list=tuple(s_list),
+        t=int(t),
+        pattern_count=patterns,
+        max_size=max_size,
+        argmax_pattern=argmax,
+        table=tuple(table) if table is not None else None,
+        passed=max_size <= t - 1,
+    )

@@ -16,22 +16,11 @@ import math
 import sys
 import time
 from dataclasses import fields
-from fractions import Fraction
 from pathlib import Path
 
 from zng.config import ExperimentConfig, read_config
-from zng.construct import (
-    ConstructionError,
-    build,
-    derive_params,
-    verify_freeness,
-    write_certificate,
-)
-from zng.count import count_report
-from zng.errors import BudgetError
+from zng.errors import BudgetError, ConstructionError
 from zng.hypergraph import GraphFormatError, read_graph, write_atomic, write_graph
-from zng.oracle import ZQuery, append_ledger, exact_z
-from zng.seeds import derive_seed
 
 log = logging.getLogger("zng")
 
@@ -67,10 +56,14 @@ def _build_kwargs(config: ExperimentConfig) -> dict:
 
 
 # ----------------------------------------------------------------------
-# per-mode runners
+# per-mode runners: each imports the modules it runs when it is called, so
+# a start loads only those (and a traced or patched name is read at call time)
 # ----------------------------------------------------------------------
 
 def _run_construct(config: ExperimentConfig) -> int:
+    from zng.certify import write_certificate
+    from zng.construct import build, derive_params
+
     out = _outdir(config)
     params = derive_params(config.s, config.t, config.q[0], config.m)
     result = build(params, config.seed, **_build_kwargs(config))
@@ -92,6 +85,8 @@ def _run_construct(config: ExperimentConfig) -> int:
 
 
 def _run_verify(config: ExperimentConfig) -> int:
+    from zng.certify import verify_freeness, write_certificate
+
     out = _outdir(config)
     graph = read_graph(config.graph)
     cert = verify_freeness(graph, config.s, config.t, **_kwargs(pattern_budget=config.budget))
@@ -113,6 +108,8 @@ def _run_verify(config: ExperimentConfig) -> int:
 
 
 def _run_count(config: ExperimentConfig) -> int:
+    from zng.count import count_report
+
     out = _outdir(config)
     graph = read_graph(config.graph)
     report = count_report(graph, config.s, **_kwargs(pattern_budget=config.budget))
@@ -123,6 +120,8 @@ def _run_count(config: ExperimentConfig) -> int:
 
 
 def _run_oracle(config: ExperimentConfig) -> int:
+    from zng.oracle import ZQuery, append_ledger, exact_z
+
     out = _outdir(config)
     query = ZQuery(config.m, config.s)
     result = exact_z(query, **_kwargs(edge_cap=config.budget))
@@ -146,6 +145,12 @@ def _run_oracle(config: ExperimentConfig) -> int:
 
 def _run_sweep(config: ExperimentConfig) -> int:
     """One construction per field order; partial failures stay per-row."""
+    from fractions import Fraction
+
+    from zng.certify import write_certificate
+    from zng.construct import build, derive_params
+    from zng.seeds import derive_seed
+
     out = _outdir(config)
     s_total = math.prod(config.s)
     rows = []

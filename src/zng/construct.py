@@ -9,8 +9,8 @@ points, so the forbidden complete pattern with t last-part vertices can
 never appear.  That size is the popcount of the AND of the tuples'
 last-part neighbour masks (mpoly.graph_mask, read from monomial rows that
 are computed once per selection), which also make up the emitted graph.  A
-final exhaustive verification pass certifies the result independently of
-how the family was chosen.
+final exhaustive verification pass (certify.verify_freeness) certifies the
+result independently of how the family was chosen.
 
 Derived quantities (polynomial degree, tuple capacity) use exact integer
 root-and-floor arithmetic throughout; no floating point touches anything
@@ -21,26 +21,25 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import random
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator
 
-from zng.errors import BudgetError, ZngError
+# write_certificate is not called here: perfbench/tracing.py times the
+# certificate writes under the name zng.construct.write_certificate.
+from zng.certify import FreenessCertificate, verify_freeness, write_certificate  # noqa: F401
+from zng.errors import BudgetError, ConstructionError
 from zng.gf import Field, factor_prime_power, make_field
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     RPartiteHypergraph,
-    block_pattern,
     closing_patterns,
     common_mask,
     pattern_count,
     prefix_ranks,
-    write_atomic,
 )
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
@@ -55,7 +54,6 @@ from zng.seeds import derive_seed
 
 DEFAULT_POSITION_RETRY_CAP = 64
 DEFAULT_RESTART_CAP = 16
-TABLE_CAP = 2048
 RANGE_OK_BITS = 1 << 20
 
 
@@ -65,19 +63,6 @@ class CapacityWarning(UserWarning):
 
 class PartSplitAdvisory(UserWarning):
     """A balanced split of the tuple capacity would allow larger parts."""
-
-
-class ConstructionError(ZngError):
-    """The greedy selection ran out of retries.
-
-    Carries the furthest attempt so failures are reportable: attempts is a
-    list of (sub_seed, positions_filled, position, pattern) tuples, best
-    first.
-    """
-
-    def __init__(self, message: str, attempts: list[tuple] | None = None):
-        super().__init__(message)
-        self.attempts = attempts or []
 
 
 def integer_root(n: int, k: int) -> int:
@@ -383,111 +368,6 @@ def sequential_select(
         polys=chosen,
         masks=masks,
         resamples=resamples,
-    )
-
-
-# ----------------------------------------------------------------------
-# freeness certification
-# ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class FreenessCertificate:
-    """Exhaustive record of every pattern's common-neighborhood size.
-
-    The full per-pattern table is kept only up to TABLE_CAP entries;
-    larger runs keep the maximum and its pattern, which is all the verdict
-    needs.
-    """
-
-    part_sizes: tuple[int, ...]
-    s_list: tuple[int, ...]
-    t: int
-    pattern_count: int
-    max_size: int
-    argmax_pattern: Pattern | None
-    table: tuple[tuple[Pattern, int], ...] | None
-    passed: bool
-    seed: int | None = None
-    params: dict | None = None
-    family: dict | None = None
-    bezout_bound: int | None = None
-    range_ok: bool | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "part_sizes": list(self.part_sizes),
-            "s_list": list(self.s_list),
-            "t": self.t,
-            "pattern_count": self.pattern_count,
-            "max_size": self.max_size,
-            "argmax_pattern": [list(side) for side in self.argmax_pattern]
-            if self.argmax_pattern is not None
-            else None,
-            "table": [
-                {"pattern": [list(side) for side in pat], "size": size}
-                for pat, size in self.table
-            ]
-            if self.table is not None
-            else None,
-            "passed": self.passed,
-            "seed": self.seed,
-            "params": self.params,
-            "family": self.family,
-            "bezout_bound": self.bezout_bound,
-            "range_ok": self.range_ok,
-        }
-
-
-def format_certificate(cert: FreenessCertificate) -> str:
-    return json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
-
-
-def write_certificate(cert: FreenessCertificate, path: str | Path) -> None:
-    write_atomic(path, format_certificate(cert))
-
-
-def verify_freeness(
-    H: RPartiteHypergraph,
-    s_list: tuple[int, ...],
-    t: int,
-    pattern_budget: int = DEFAULT_PATTERN_BUDGET,
-) -> FreenessCertificate:
-    """Exhaustively check that no ordered complete pattern reaches t.
-
-    Enumerates every choice of s_i-subsets of part i for i < r in
-    pattern_blocks, which intersects the prefix neighborhoods in the last
-    part, and records the maximum intersection size and the first pattern
-    that reaches it, one block at a time.  Works on arbitrary graphs with
-    matching part structure, independent of how they were built.
-
-    Raises:
-        BudgetError: more than pattern_budget patterns to enumerate.
-    """
-    if len(s_list) != H.r - 1:
-        raise ValueError(f"s_list has {len(s_list)} entries for an {H.r}-partite graph")
-    if any(s < 1 for s in s_list):
-        raise ValueError(f"side sizes must be >= 1, got {s_list}")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
-    patterns = pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
-    max_size = 0
-    argmax: Pattern | None = None
-    table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
-    for first, sizes in H.pattern_blocks(s_list):
-        best = max(sizes)
-        if best > max_size or argmax is None:
-            max_size, argmax = best, block_pattern(first, sizes.index(best))
-        if table is not None:
-            table.extend((block_pattern(first, k), size) for k, size in enumerate(sizes))
-    return FreenessCertificate(
-        part_sizes=H.part_sizes,
-        s_list=tuple(s_list),
-        t=int(t),
-        pattern_count=patterns,
-        max_size=max_size,
-        argmax_pattern=argmax,
-        table=tuple(table) if table is not None else None,
-        passed=max_size <= t - 1,
     )
 
 

@@ -4,7 +4,8 @@ Every enumerative kernel in the package is budgeted: callers state up front
 how many items (domain points, patterns, potential edges) they are willing to
 touch, and the kernel refuses with BudgetError instead of starting a run that
 cannot finish at desk scale.  The command line maps BudgetError to its own
-exit code so scripted callers can tell "too big" apart from "failed".
+exit code so scripted callers can tell "too big" apart from "failed", and
+ConstructionError to the verdict code without loading the construction.
 """
 
 
@@ -19,3 +20,16 @@ class BudgetError(ZngError):
         super().__init__(message)
         self.required = required
         self.budget = budget
+
+
+class ConstructionError(ZngError):
+    """The greedy selection ran out of retries.
+
+    Carries the furthest attempt so failures are reportable: attempts is a
+    list of (sub_seed, positions_filled, position, pattern) tuples, best
+    first.
+    """
+
+    def __init__(self, message: str, attempts: list[tuple] | None = None):
+        super().__init__(message)
+        self.attempts = attempts or []

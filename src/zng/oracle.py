@@ -40,6 +40,7 @@ from zng.hypergraph import (
     common_mask,
     pattern_count,
     prefix_ranks,
+    write_atomic,
 )
 
 DEFAULT_EXHAUSTIVE_EDGE_CAP = 30
@@ -214,9 +215,15 @@ LEDGER_HEADER = "query\tz\tnodes\twitness\n"
 
 
 def append_ledger(path: str | Path, result: ZResult, witness_path: str) -> None:
-    """Append one outcome to the results ledger; a new file gets the header."""
+    """Append one outcome to the results ledger; a new file gets the header.
+
+    The whole ledger is rewritten through write_atomic, so a failed write
+    leaves the old ledger as it was instead of a torn last row.
+    """
     path = Path(path)
     line = f"{result.query.label()}\t{result.z}\t{result.nodes}\t{witness_path}\n"
-    header = "" if path.exists() else LEDGER_HEADER
-    with path.open("a", encoding="ascii") as handle:
-        handle.write(header + line)
+    try:
+        old = path.read_bytes().decode("ascii")  # as stored, line ends too
+    except FileNotFoundError:
+        old = LEDGER_HEADER
+    write_atomic(path, old + line)

@@ -14,8 +14,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from zng.construct import DEFAULT_POSITION_RETRY_CAP, ConstructionError
+from zng.construct import DEFAULT_POSITION_RETRY_CAP
 from zng.count import gen_binom
+from zng.errors import ConstructionError
 from zng.hypergraph import RPartiteHypergraph, block_pattern, closing_patterns, pattern_count
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,

@@ -13,9 +13,10 @@ import time
 import warnings
 
 from helpers import check_field_axioms, naive_count, random_graph
+from zng.certify import verify_freeness
 from zng.cli import run
 from zng.config import ExperimentConfig
-from zng.construct import build, derive_params, verify_freeness
+from zng.construct import build, derive_params
 from zng.count import count_ordered, jensen_lower_bound
 from zng.gf import factor_prime_power, make_field
 from zng.hypergraph import complete_graph, parse_graph, read_graph

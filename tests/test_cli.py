@@ -1,11 +1,14 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import zng
 from zng.cli import main
 from zng.config import ExperimentConfig, parse_config
 from zng.hypergraph import read_graph
@@ -255,3 +258,52 @@ def test_module_entry_point_usage():
     )
     assert helped.returncode == 0
     assert "construct" in helped.stdout and "sweep" in helped.stdout
+
+
+# ----------------------------------------------------------------------
+# start-up: each subcommand loads only the modules it runs
+# ----------------------------------------------------------------------
+
+LOADED_MODULES = (
+    "import sys, zng.cli\n"
+    "if sys.argv[1:]:\n"
+    "    zng.cli.main(sys.argv[1:])\n"
+    "print(' '.join(sorted(m for m in sys.modules if m.startswith('zng.'))))\n"
+)
+
+
+def loaded_modules(argv):
+    """The zng.* modules in sys.modules after a fresh `zng.cli.main(argv)`."""
+    env = {**os.environ, "PYTHONPATH": str(Path(zng.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(done.stdout.strip().splitlines()[-1].split())
+
+
+# mode: (zng modules it must load, zng modules it must not load)
+STARTUP_MODULES = {
+    "import": ((), ("construct", "certify", "count", "oracle", "gf", "mpoly")),
+    "oracle": (("oracle",), ("construct", "gf", "mpoly")),
+    "count": (("count",), ("construct", "gf", "mpoly")),
+    "verify": (("certify",), ("construct", "gf", "mpoly")),
+}
+
+
+@pytest.mark.parametrize("mode", list(STARTUP_MODULES))
+def test_each_mode_loads_only_what_it_runs(tmp_path, mode):
+    graph = tmp_path / "c6.zng"
+    graph.write_text("zng 2 3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n")
+    out = ["--out", str(tmp_path / "out")]
+    argv = {
+        "import": [],
+        "oracle": ["oracle", "--m", "3", "--s", "2", "--m", "3", "--s", "2", *out],
+        "count": ["count", "--graph", str(graph), "--s", "2", "--s", "2", *out],
+        "verify": ["verify", "--graph", str(graph), "--s", "2", "--t", "2", *out],
+    }[mode]
+    loads, skips = STARTUP_MODULES[mode]
+    loaded = loaded_modules(argv)
+    assert {f"zng.{name}" for name in loads} <= loaded
+    assert loaded.isdisjoint(f"zng.{name}" for name in skips)

@@ -14,21 +14,18 @@ from helpers import (
     reference_neighborhoods,
     reference_select,
 )
+from zng.certify import TABLE_CAP, format_certificate, verify_freeness
 from zng.construct import (
     CapacityWarning,
-    ConstructionError,
     PartSplitAdvisory,
-    TABLE_CAP,
     _range_ok,
     build,
     derive_params,
     family_graph,
-    format_certificate,
     integer_root,
     sequential_select,
-    verify_freeness,
 )
-from zng.errors import BudgetError
+from zng.errors import BudgetError, ConstructionError
 from zng.hypergraph import RPartiteHypergraph, complete_graph
 from zng.seeds import derive_seed
 

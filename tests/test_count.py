@@ -11,13 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import graphs_with_sides, naive_count, random_graph, reference_jensen
+from zng.certify import verify_freeness
 from zng.count import (
     count_ordered,
     count_report,
     gen_binom,
     jensen_lower_bound,
 )
-from zng.construct import verify_freeness
 from zng.errors import BudgetError
 from zng.hypergraph import RPartiteHypergraph, complete_graph
 

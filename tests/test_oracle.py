@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import naive_count, small_shapes
+from zng import hypergraph
 from zng.count import count_ordered
 from zng.errors import BudgetError
 from zng.hypergraph import RPartiteHypergraph
@@ -185,6 +186,23 @@ def test_ledger_appends_with_single_header(tmp_path):
     assert lines[0] == "query\tz\tnodes\twitness"
     assert lines[1].split("\t") == ["z(2,2;2,2)", "3", str(first.nodes), "w1.zng"]
     assert len(lines) == 3
+
+
+def test_failed_ledger_write_leaves_the_old_ledger(tmp_path, monkeypatch):
+    path = tmp_path / "oracle.tsv"
+    append_ledger(path, exact_z(ZQuery((2, 2), (2, 2))), "w1.zng")
+    append_ledger(path, exact_z(ZQuery((3, 3), (2, 2))), "w2.zng")
+    before = path.read_bytes()
+    assert before.count(b"\n") == 3  # the header and two rows
+
+    def swap_fails(src, dst):
+        raise OSError("simulated failure before the new ledger is swapped in")
+
+    monkeypatch.setattr(hypergraph.os, "replace", swap_fails)
+    with pytest.raises(OSError, match="simulated"):
+        append_ledger(path, exact_z(ZQuery((2, 3), (2, 2))), "w3.zng")
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["oracle.tsv"]  # no temp file left
 
 
 def test_ledger_bytes_are_pinned(tmp_path):
