@@ -10,7 +10,9 @@ never appear.  That size is the popcount of the AND of the tuples'
 last-part neighbour masks (mpoly.graph_mask, read from monomial rows that
 are computed once per selection), which also make up the emitted graph.  A
 final exhaustive verification pass (certify.verify_freeness) certifies the
-result independently of how the family was chosen.
+result independently of how the family was chosen.  Coefficients are field
+element indices 0..q-1; the certificate (PolyFamily.to_dict) writes each as
+its residue tuple, constant term first (gf.Field.residues).
 
 Derived quantities (polynomial degree, tuple capacity) use exact integer
 root-and-floor arithmetic throughout; no floating point touches anything
@@ -280,7 +282,10 @@ class PolyFamily:
             "basis": {"num_vars": self.basis.num_vars, "max_degree": self.basis.max_degree},
             "field": self.field.to_dict(),
             "polys": [
-                {"tuple": list(pos), "coeffs": [list(c) for c in self.polys[pos].coeffs]}
+                {
+                    "tuple": list(pos),
+                    "coeffs": [list(self.field.residues(c)) for c in self.polys[pos].coeffs],
+                }
                 for pos in self.positions()
             ],
             "resamples": self.resamples,
@@ -385,11 +390,11 @@ class BuildResult:
 def family_graph(params: ConstructionParams, family: PolyFamily) -> RPartiteHypergraph:
     """The r-graph joining every tuple to the graph points of its polynomial.
 
-    Last-part vertices are the points of F_q^s_total numbered
-    lexicographically by coordinate in the field's element order; a tuple's
-    edges are the set bits of its neighbour mask (mpoly.graph_mask).  They
-    come out in range, distinct and in lexicographic order, so the graph is
-    built without the constructor's checks.
+    Last-part vertices are the points of F_q^s_total, each coordinate an
+    element index, numbered lexicographically; a tuple's edges are the set
+    bits of its neighbour mask (mpoly.graph_mask).  They come out in range,
+    distinct and in lexicographic order, so the graph is built without the
+    constructor's checks.
     """
     edges = []
     for position, mask in zip(family.positions(), family.masks):

@@ -120,8 +120,9 @@ def _jensen(
     The link of a last-part vertex v is the list of prefixes of the edges
     ending at v.  A two-part bound depends only on its edge count, so with
     three parts the vertices are grouped by link size and each size is
-    evaluated once; with more, one pass groups the links and each recurses
-    as its list.
+    evaluated once; with more, one pass groups the nonempty links and each
+    recurses as its list, and the empty link is evaluated once for all
+    vertices without edges.
     """
     if len(part_sizes) == 2:
         return _jensen_two(part_sizes, len(edges), s_list)
@@ -136,11 +137,12 @@ def _jensen(
         for size, vertices in link_sizes.items():
             t_a += vertices * _jensen_two(part_sizes[:-1], size, s_list[:-1])
     else:
-        links: list[list[tuple[int, ...]]] = [[] for _ in range(part_sizes[-1])]
+        links: dict[int, list[tuple[int, ...]]] = {}
         for e in edges:
-            links[e[-1]].append(e[:-1])
-        t_a = Fraction(0)
-        for prefixes in links:
+            links.setdefault(e[-1], []).append(e[:-1])
+        edgeless = part_sizes[-1] - len(links)
+        t_a = edgeless * _jensen(part_sizes[:-1], [], s_list[:-1])
+        for prefixes in links.values():
             t_a += _jensen(part_sizes[:-1], prefixes, s_list[:-1])
     return choices * gen_binom(t_a / choices, s_list[-1])
 

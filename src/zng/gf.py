@@ -1,19 +1,21 @@
-"""Small finite fields GF(p^k) with explicit polynomial-basis elements.
+"""Small finite fields GF(p^k) whose elements are the integers 0..q-1.
 
-Elements are plain tuples of k residues mod p, listed from the constant term
-up, so they are hashable, cheap, and stable across processes.  Extension
-fields reduce modulo the lexicographically smallest monic irreducible
-polynomial of degree k, found by an exhaustive trial-division scan; the scan
-is feasible because the whole module is capped at desk-scale orders
-(q <= 2^16 by default).  Inverses use a^(q-2), which keeps the arithmetic
-a single well-tested code path instead of an extended-gcd special case.
+Element a stands for the polynomial c_0 + c_1 x + ... + c_{k-1} x^{k-1}
+over GF(p) whose residues (c_0, ..., c_{k-1}) are the base-p digits of a,
+most significant first (Field.residues).  So 0..q-1 lists the residue
+tuples in lexicographic order, zero first, and the field's one has index
+q/p.  Extension fields reduce modulo the lexicographically smallest monic
+irreducible polynomial of degree k, found by an exhaustive trial-division
+scan; the scan is feasible because the whole module is capped at desk-scale
+orders (q <= 2^16 by default).
 
-Hot loops use Field.int_arith instead: the same arithmetic on element
-indices 0..q-1 (positions in elements()), through a log/antilog pair for
-the first primitive element in elements() order.  Sums are (a + b) mod p in
-a prime field, XOR when p = 2, and go through a Zech-log table otherwise.
-Every table has O(q) entries and is built on first use, so code that never
-evaluates a polynomial family never pays for it.
+Field.int_arith is the arithmetic: a log/antilog pair for the first
+primitive element, and an integer field sum that is (a + b) mod p in a prime
+field, XOR when p = 2, and goes through a Zech-log table otherwise.  Every
+table has O(q) entries and is built on first use, so code that never
+evaluates a polynomial family never pays for it.  The residue product that
+builds the tables runs only there; certificates write each coefficient as
+its residue tuple.
 """
 
 from __future__ import annotations
@@ -26,8 +28,6 @@ from typing import Callable, Iterable, NamedTuple
 from zng.errors import BudgetError
 
 DEFAULT_ORDER_CAP = 1 << 16
-
-FieldElement = tuple[int, ...]
 
 
 def _is_prime(n: int) -> bool:
@@ -86,7 +86,7 @@ def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 
 class IntArith(NamedTuple):
-    """GF(q) arithmetic on element indices, the positions in elements().
+    """GF(q) arithmetic on element indices.
 
     With g the primitive element, log[a] is the e in 0..q-2 with g^e = a,
     and log[0] is 2(q-1); exp[log[a] + log[b]] is then the index of a*b for
@@ -100,7 +100,10 @@ class IntArith(NamedTuple):
 
 
 class Field:
-    """Arithmetic for GF(p^k) on tuple-of-residue elements.
+    """GF(p^k) on the element indices 0..q-1.
+
+    Element a is the polynomial in x whose residues mod p, constant term
+    first, are the base-p digits of a, most significant first (residues).
 
     Attributes:
         p: field characteristic (prime).
@@ -110,98 +113,22 @@ class Field:
             from the constant term up; None exactly when k == 1.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_reduce_rows", "_elements", "_index", "_arith")
+    __slots__ = ("p", "k", "q", "modulus", "_arith")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
         self.p = p
         self.k = k
         self.q = p**k
         self.modulus = modulus
-        # x^j mod modulus for j in k .. 2k-2, used to fold products back down
-        self._reduce_rows: list[tuple[int, ...]] = []
-        if k > 1:
-            assert modulus is not None
-            row = [(-c) % p for c in modulus[:k]]  # x^k
-            self._reduce_rows.append(tuple(row))
-            for _ in range(k - 2):
-                shifted = [0, *row[: k - 1]]
-                lead = row[k - 1]
-                row = [(shifted[i] + lead * self._reduce_rows[0][i]) % p for i in range(k)]
-                self._reduce_rows.append(tuple(row))
-        self._elements: tuple[FieldElement, ...] | None = None
-        self._index: dict[FieldElement, int] | None = None
         self._arith: IntArith | None = None
 
-    # -- identities ----------------------------------------------------
-
-    @property
-    def zero(self) -> FieldElement:
-        return (0,) * self.k
-
-    @property
-    def one(self) -> FieldElement:
-        return (1,) + (0,) * (self.k - 1)
-
-    # -- arithmetic ----------------------------------------------------
-
-    def add(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def neg(self, a: FieldElement) -> FieldElement:
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul(self, a: FieldElement, b: FieldElement) -> FieldElement:
-        p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        conv = [0] * (2 * k - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:k]]
-        for j in range(k, 2 * k - 1):
-            c = conv[j] % p
-            if c:
-                row = self._reduce_rows[j - k]
-                for i in range(k):
-                    out[i] = (out[i] + c * row[i]) % p
-        return tuple(out)
-
-    def pow(self, a: FieldElement, e: int) -> FieldElement:
-        if e < 0:
-            raise ValueError("negative exponent; invert first")
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
-
-    def inv(self, a: FieldElement) -> FieldElement:
-        if a == self.zero:
-            raise ZeroDivisionError("zero has no multiplicative inverse")
-        return self.pow(a, self.q - 2)
-
-    # -- enumeration ---------------------------------------------------
-
-    def elements(self) -> tuple[FieldElement, ...]:
-        """All q elements, lexicographic on the coefficient tuple; zero first."""
-        if self._elements is None:
-            self._elements = tuple(itertools.product(range(self.p), repeat=self.k))
-        return self._elements
-
-    def index(self, a: FieldElement) -> int:
-        """Position of a in elements(); the canonical vertex number of a."""
-        if self._index is None:
-            self._index = {e: i for i, e in enumerate(self.elements())}
-        return self._index[a]
-
-    # -- integer arithmetic on element indices ---------------------------
+    def residues(self, a: int) -> tuple[int, ...]:
+        """The k residues of element a, constant term first."""
+        digits = []
+        for _ in range(self.k):
+            a, c = divmod(a, self.p)
+            digits.append(c)
+        return tuple(reversed(digits))
 
     def int_arith(self) -> IntArith:
         """The integer tables of this field, built on the first call."""
@@ -210,29 +137,58 @@ class Field:
         return self._arith
 
     def _build_int_arith(self) -> IntArith:
-        elems, n, p = self.elements(), self.q - 1, self.p
-        factors = [r for r in range(2, n + 1) if n % r == 0 and _is_prime(r)]
-        g = next(
-            a for a in elems[1:] if all(self.pow(a, n // r) != self.one for r in factors)
-        )
-        powers = []  # index of g^e for e in 0..q-2
-        x = self.one
-        for _ in range(n):
-            powers.append(self.index(x))
-            x = self.mul(x, g)
+        p, k, q, n = self.p, self.k, self.q, self.q - 1
+        one = q // p  # residues (1, 0, ..., 0)
+        residues, modulus = self.residues, self.modulus
+
+        def times(a: int, b: int) -> int:
+            """a*b by schoolbook product of residues and long division by modulus."""
+            if k == 1:
+                return a * b % p
+            conv = [0] * (2 * k - 1)
+            ys = residues(b)
+            for i, x in enumerate(residues(a)):
+                if x:
+                    for j, y in enumerate(ys, i):
+                        conv[j] += x * y
+            for top in range(2 * k - 2, k - 1, -1):
+                c = conv[top] % p
+                if c:
+                    for i, m in enumerate(modulus):
+                        conv[top - k + i] -= c * m
+            out = 0
+            for c in conv[:k]:
+                out = out * p + c % p
+            return out
+
+        # the first element whose powers return to 1 after exactly q-1 steps;
+        # the powers of an element of smaller order have smaller order too
+        seen = bytearray(q)
+        for g in range(1, q):
+            if seen[g]:
+                continue
+            powers = [one]  # index of g^e for e in 0..q-2
+            x = g
+            while x != one:
+                powers.append(x)
+                x = times(x, g)
+            if len(powers) == n:
+                break
+            for a in powers:
+                seen[a] = 1
         exp = powers * 2 + [0] * (2 * n + 1)
-        log = [2 * n] * self.q
+        log = [2 * n] * q
         for e, a in enumerate(powers):
             log[a] = e
-        if self.k == 1:
+        if k == 1:
             def total(terms: Iterable[int]) -> int:
                 return sum(terms) % p
         elif p == 2:
             def total(terms: Iterable[int]) -> int:
                 return functools.reduce(operator.xor, terms, 0)
         else:
-            # zech[e] = log(1 + g^e); a negative e reads zech[e + q - 1]
-            zech = [log[self.index(self.add(self.one, elems[a]))] for a in powers]
+            # zech[e] = log(1 + g^e); adding 1 adds one to the leading digit
+            zech = [log[(a + one) % q] for a in powers]
 
             def total(terms: Iterable[int]) -> int:
                 acc = 0

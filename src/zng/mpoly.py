@@ -3,18 +3,18 @@
 A polynomial lives on a fixed monomial basis: all exponent tuples of total
 degree at most max_degree, in graded order (degree first, lexicographically
 descending inside a degree), so coefficient tuples line up across the whole
-family and serialization is positional.  graph_mask turns a polynomial into
-the bitmask of its graph points; several polynomials agree on as many points
-as the AND of their masks has bits.
+family and serialization is positional.  Coefficients are field element
+indices (gf.Field).  graph_mask turns a polynomial into the bitmask of its
+graph points; several polynomials agree on as many points as the AND of
+their masks has bits.
 
-graph_mask reads the monomial values of the domain from MonomialRows, which
-monomial_rows computes once per (basis, field) as discrete logs on integer
-field elements (gf.Field.int_arith).  A candidate's value at point i is then
+graph_mask reads the monomial values of the domain F_q^num_vars, whose
+points are numbered lexicographically in element order, from MonomialRows,
+which monomial_rows computes once per (basis, field) as discrete logs
+(gf.Field.int_arith).  A candidate's value at point i is then
 sum_j c_j * row_i[j]: one antilog lookup per term and one integer field sum
-per point, with no tuple arithmetic.  evaluate and agreement_set keep the
-tuple arithmetic of gf.Field and are the references: agreement_set counts
-agreement points by exhaustive evaluation over all of F_q^num_vars under a
-budget.
+per point.  The per-point references (evaluate, agreement_set) live in
+tests/helpers.py and run on residue tuples.
 """
 
 from __future__ import annotations
@@ -24,15 +24,13 @@ import math
 import operator
 from dataclasses import dataclass
 from random import Random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from zng.errors import BudgetError
-from zng.gf import Field, FieldElement
+from zng.gf import Field
 
 DEFAULT_BASIS_CAP = 100_000
 DEFAULT_POINT_BUDGET = 1 << 20
-
-Point = tuple[FieldElement, ...]
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -88,17 +86,19 @@ def monomial_basis(num_vars: int, max_degree: int, size_cap: int = DEFAULT_BASIS
 
 @dataclass(frozen=True)
 class MultiPoly:
-    """A polynomial as a dense coefficient tuple on a shared basis."""
+    """A polynomial as a dense tuple of coefficient indices on a shared basis."""
 
     field: Field
     basis: MonomialBasis
-    coeffs: tuple[FieldElement, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != len(self.basis):
             raise ValueError(
                 f"{len(self.coeffs)} coefficients for a {len(self.basis)}-monomial basis"
             )
+        if self.coeffs and not 0 <= min(self.coeffs) <= max(self.coeffs) < self.field.q:
+            raise ValueError(f"coefficients {self.coeffs} outside 0..{self.field.q - 1}")
 
 
 def random_poly(basis: MonomialBasis, field: Field, rng: Random) -> MultiPoly:
@@ -107,48 +107,8 @@ def random_poly(basis: MonomialBasis, field: Field, rng: Random) -> MultiPoly:
     The draw consumes exactly one randrange(q) per monomial, in basis order,
     so a seeded rng reproduces the same polynomial bit for bit.
     """
-    elements = field.elements()
-    coeffs = tuple(elements[rng.randrange(field.q)] for _ in range(len(basis)))
+    coeffs = tuple(rng.randrange(field.q) for _ in range(len(basis)))
     return MultiPoly(field, basis, coeffs)
-
-
-def _monomial_values(basis: MonomialBasis, point: Point, field: Field) -> list[FieldElement]:
-    powers: list[list[FieldElement]] = []
-    for coord in point:
-        col = [field.one]
-        for _ in range(basis.max_degree):
-            col.append(field.mul(col[-1], coord))
-        powers.append(col)
-    values = []
-    for exps in basis.exponents:
-        acc = field.one
-        for var, e in enumerate(exps):
-            if e:
-                acc = field.mul(acc, powers[var][e])
-        values.append(acc)
-    return values
-
-
-def _dot(f: MultiPoly, monos: list[FieldElement]) -> FieldElement:
-    """f's value at the point whose monomial values are monos."""
-    field = f.field
-    zero = acc = field.zero
-    for coeff, mono in zip(f.coeffs, monos):
-        if coeff != zero:
-            acc = field.add(acc, field.mul(coeff, mono))
-    return acc
-
-
-def evaluate(f: MultiPoly, point: Point) -> FieldElement:
-    """Evaluate f at a point of F_q^num_vars."""
-    if len(point) != f.basis.num_vars:
-        raise ValueError(f"point has {len(point)} coordinates, expected {f.basis.num_vars}")
-    return _dot(f, _monomial_values(f.basis, point, f.field))
-
-
-def domain(field: Field, num_vars: int) -> Iterator[Point]:
-    """All points of F_q^num_vars, lexicographic in the field's element order."""
-    return itertools.product(field.elements(), repeat=num_vars)
 
 
 @dataclass(frozen=True)
@@ -156,8 +116,8 @@ class MonomialRows:
     """Every basis monomial at every domain point, as discrete logs.
 
     logs[i][j] is the log (in field.int_arith()) of monomial j of basis at
-    the i-th point of domain(field, basis.num_vars); a zero value has the
-    zero log.
+    the i-th point of F_q^num_vars in lexicographic order; a zero value has
+    the zero log.
     """
 
     field: Field
@@ -189,9 +149,10 @@ def monomial_rows(basis: MonomialBasis, field: Field) -> MonomialRows:
 def graph_mask(f: MultiPoly, rows: MonomialRows) -> int:
     """Bitmask of the graph points {(x, f(x))} of f inside F_q^(num_vars+1).
 
-    Bit i*q + index(f(x_i)) is set for the i-th point x_i of domain(): the
-    lexicographic point numbering that construct.family_graph uses for the
-    last part.  rows holds the monomial values of f's basis over f's field.
+    Bit i*q + f(x_i) is set for the i-th point x_i of F_q^num_vars in
+    lexicographic order: the point numbering that construct.family_graph
+    uses for the last part.  rows holds the monomial values of f's basis
+    over f's field.
 
     Raises:
         ValueError: rows belong to another basis or field.
@@ -201,7 +162,7 @@ def graph_mask(f: MultiPoly, rows: MonomialRows) -> int:
         raise ValueError("monomial rows of another basis or field")
     log, exp, total = field.int_arith()
     term = exp.__getitem__
-    coeffs = [log[field.index(c)] for c in f.coeffs]
+    coeffs = [log[c] for c in f.coeffs]
     bits = bytearray((q * len(rows.logs) + 7) // 8)
     offset = 0  # i*q for the i-th point
     for row in rows.logs:
@@ -209,48 +170,3 @@ def graph_mask(f: MultiPoly, rows: MonomialRows) -> int:
         bits[vertex >> 3] |= 1 << (vertex & 7)
         offset += q
     return int.from_bytes(bits, "little")
-
-
-def agreement_set(
-    fs: Sequence[MultiPoly], point_budget: int = DEFAULT_POINT_BUDGET
-) -> set[Point]:
-    """Points where all polynomials in fs take one common value.
-
-    Computed by exhaustive evaluation over the whole domain; the reference
-    for the popcount of the AND of graph_mask values.  Adding a polynomial
-    can only shrink the result; a single polynomial agrees with itself
-    everywhere.
-
-    Raises:
-        ValueError: empty input, or mismatched bases.
-        BudgetError: the domain has more than point_budget points.
-    """
-    if not fs:
-        raise ValueError("agreement_set needs at least one polynomial")
-    first = fs[0]
-    field, basis = first.field, first.basis
-    for f in fs[1:]:
-        if f.basis != basis or f.field != field:
-            raise ValueError("polynomials live on different bases or fields")
-    size = field.q**basis.num_vars
-    if size > point_budget:
-        raise BudgetError(
-            f"domain has {size} points, above the budget {point_budget}",
-            required=size,
-            budget=point_budget,
-        )
-    agreeing: set[Point] = set()
-    for point in domain(field, basis.num_vars):
-        monos = _monomial_values(basis, point, field)
-        value = None
-        same = True
-        for f in fs:
-            acc = _dot(f, monos)
-            if value is None:
-                value = acc
-            elif acc != value:
-                same = False
-                break
-        if same:
-            agreeing.add(point)
-    return agreeing

@@ -7,6 +7,7 @@ wrong.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -16,16 +17,107 @@ from hypothesis import strategies as st
 
 from zng.construct import DEFAULT_POSITION_RETRY_CAP
 from zng.count import gen_binom
-from zng.errors import ConstructionError
+from zng.errors import BudgetError, ConstructionError
 from zng.hypergraph import RPartiteHypergraph, block_pattern, closing_patterns, pattern_count
-from zng.mpoly import (
-    DEFAULT_POINT_BUDGET,
-    agreement_set,
-    domain,
-    evaluate,
-    monomial_basis,
-    random_poly,
-)
+from zng.mpoly import DEFAULT_POINT_BUDGET, monomial_basis, random_poly
+
+
+# ----------------------------------------------------------------------
+# residue-tuple arithmetic: the field reference, sharing no code with zng.gf
+# ----------------------------------------------------------------------
+
+class ResidueField:
+    """GF(p^k) on tuples of k residues mod p, constant term first.
+
+    Products are schoolbook convolutions reduced by long division by the
+    field's modulus.  elements lists the tuples lexicographically, which is
+    the element numbering of zng.gf: index[e] is e's element index.
+    """
+
+    def __init__(self, p: int, k: int, modulus):
+        self.p, self.k, self.q, self.modulus = p, k, p**k, modulus
+        self.elements = tuple(itertools.product(range(p), repeat=k))
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.zero = self.elements[0]
+        self.one = (1,) + (0,) * (k - 1)
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def mul(self, a, b):
+        p, k = self.p, self.k
+        if k == 1:
+            return (a[0] * b[0] % p,)
+        rem = [0] * (2 * k - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                rem[i + j] += x * y
+        while len(rem) > k:  # subtract lead * x^(deg - k) * modulus
+            lead = rem.pop() % p
+            for i, c in enumerate(self.modulus[:k]):
+                rem[len(rem) - k + i] -= lead * c
+        return tuple(c % p for c in rem)
+
+
+@functools.lru_cache(maxsize=None)
+def residue_field(field) -> ResidueField:
+    """The residue-tuple reference for a zng.gf.Field: its p, k and modulus only."""
+    return ResidueField(field.p, field.k, field.modulus)
+
+
+def domain(field, num_vars: int):
+    """All points of F_q^num_vars as residue tuples, lexicographic."""
+    return itertools.product(residue_field(field).elements, repeat=num_vars)
+
+
+def evaluate(f, point):
+    """f at a point of residue tuples, term by term; returns a residue tuple."""
+    ref = residue_field(f.field)
+    if len(point) != f.basis.num_vars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {f.basis.num_vars}")
+    powers = []  # powers[v][e] = point[v]^e
+    for x in point:
+        column = [ref.one]
+        for _ in range(f.basis.max_degree):
+            column.append(ref.mul(column[-1], x))
+        powers.append(column)
+    acc = ref.zero
+    for exps, c in zip(f.basis.exponents, f.coeffs):
+        if c:
+            term = ref.elements[c]
+            for column, e in zip(powers, exps):
+                if e:
+                    term = ref.mul(term, column[e])
+            acc = ref.add(acc, term)
+    return acc
+
+
+def agreement_set(fs, point_budget: int = DEFAULT_POINT_BUDGET) -> set:
+    """Points where all polynomials in fs take one common value, by evaluate.
+
+    The reference for the popcount of the AND of graph_mask values.
+
+    Raises:
+        ValueError: empty input, or mismatched bases.
+        BudgetError: the domain has more than point_budget points.
+    """
+    if not fs:
+        raise ValueError("agreement_set needs at least one polynomial")
+    field, basis = fs[0].field, fs[0].basis
+    if any(f.basis != basis or f.field != field for f in fs):
+        raise ValueError("polynomials live on different bases or fields")
+    size = field.q**basis.num_vars
+    if size > point_budget:
+        raise BudgetError(
+            f"domain has {size} points, above the budget {point_budget}",
+            required=size,
+            budget=point_budget,
+        )
+    return {
+        point
+        for point in domain(field, basis.num_vars)
+        if len({evaluate(f, point) for f in fs}) == 1
+    }
 
 
 def naive_count(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> int:
@@ -121,21 +213,20 @@ def random_graph(
 
 
 def check_field_axioms(field) -> None:
-    """Exhaustive commutative-field axioms via integer index tables.
+    """Exhaustive commutative-field axioms on the integer tables.
 
-    Builds q x q add/mul tables indexed by element position, then checks
-    associativity, commutativity, distributivity, identities, and inverses
-    over every triple with plain list lookups.
+    Builds q x q add/mul tables from total((a, b)) and exp[log a + log b],
+    then checks associativity, commutativity, distributivity, identities,
+    and inverses over every triple with plain list lookups.
     """
-    elems = field.elements()
-    q = len(elems)
-    index = {e: i for i, e in enumerate(elems)}
-    add = [[index[field.add(a, b)] for b in elems] for a in elems]
-    mul = [[index[field.mul(a, b)] for b in elems] for a in elems]
-    zero = index[field.zero]
-    one = index[field.one]
-    assert zero != one
+    log, exp, total = field.int_arith()
+    q = field.q
     rng = range(q)
+    add = [[total((a, b)) for b in rng] for a in rng]
+    mul = [[exp[log[a] + log[b]] for b in rng] for a in rng]
+    zero = 0
+    one = field.q // field.p
+    assert zero != one
     for a in rng:
         assert add[a][zero] == a
         assert mul[a][one] == a
@@ -143,11 +234,11 @@ def check_field_axioms(field) -> None:
         for b in rng:
             assert add[a][b] == add[b][a]
             assert mul[a][b] == mul[b][a]
-    # additive and multiplicative inverses exist and match the methods
-    for a in elems:
-        assert field.add(a, field.neg(a)) == field.zero
-        if a != field.zero:
-            assert field.mul(a, field.inv(a)) == field.one
+    # additive and multiplicative inverses exist
+    for a in rng:
+        assert zero in add[a]
+        if a != zero:
+            assert one in mul[a]
     for a in rng:
         row_a_add = add[a]
         row_a_mul = mul[a]
@@ -208,26 +299,23 @@ def reference_select(
 
 
 def reference_graph_mask(f) -> int:
-    """mpoly.graph_mask by per-point evaluation: one evaluate per domain point.
-
-    evaluate recomputes the point's monomial values with tuple arithmetic.
-    """
-    field = f.field
+    """mpoly.graph_mask by per-point evaluation: one evaluate per domain point."""
+    ref = residue_field(f.field)
     mask = 0
-    for i, x in enumerate(domain(field, f.basis.num_vars)):
-        mask |= 1 << (i * field.q + field.index(evaluate(f, x)))
+    for i, x in enumerate(domain(f.field, f.basis.num_vars)):
+        mask |= 1 << (i * ref.q + ref.index[evaluate(f, x)])
     return mask
 
 
 def reference_graph(params, polys) -> RPartiteHypergraph:
     """Graph points by per-point evaluation, numbered coordinate by coordinate."""
-    fld = params.field
+    ref = residue_field(params.field)
     edges = []
     for position, f in polys.items():
-        for x in domain(fld, params.s_total - 1):
+        for x in domain(params.field, params.s_total - 1):
             vertex = 0
             for coord in (*x, evaluate(f, x)):
-                vertex = vertex * params.q + fld.index(coord)
+                vertex = vertex * params.q + ref.index[coord]
             edges.append((*position, vertex))
     return RPartiteHypergraph((*params.m_list, params.n), edges)
 

@@ -12,7 +12,7 @@ import random
 import time
 import warnings
 
-from helpers import check_field_axioms, naive_count, random_graph
+from helpers import agreement_set, check_field_axioms, naive_count, random_graph
 from zng.certify import verify_freeness
 from zng.cli import run
 from zng.config import ExperimentConfig
@@ -20,7 +20,7 @@ from zng.construct import build, derive_params
 from zng.count import count_ordered, jensen_lower_bound
 from zng.gf import factor_prime_power, make_field
 from zng.hypergraph import complete_graph, parse_graph, read_graph
-from zng.mpoly import agreement_set, monomial_basis, random_poly
+from zng.mpoly import monomial_basis, random_poly
 from zng.oracle import ZQuery, exact_z, exhaustive_z
 from zng.seeds import derive_seed
 

@@ -86,6 +86,17 @@ def test_declared_last_part_size_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+    # the bound too: empty links are evaluated once, not once per vertex
+    for part_sizes in [(2, 2, 10**5), (2, 2, 2, 10**5)]:
+        g = RPartiteHypergraph(part_sizes, [])
+        tracemalloc.start()
+        try:
+            report = count_report(g, (1,) * len(part_sizes))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.exact == report.lower_bound == 0
+        assert peak < 1 << 20
 
 
 def test_count_is_zero_when_any_side_is_too_big():

@@ -1,4 +1,8 @@
-"""Monomial bases, evaluation, agreement sets, and sampling uniformity."""
+"""Monomial bases, graph masks, agreement sizes, and sampling uniformity.
+
+evaluate, agreement_set and domain are the residue-tuple references of
+tests/helpers.py; graph_mask is checked against them.
+"""
 
 import math
 import random
@@ -8,19 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_graph_mask
+from helpers import agreement_set, domain, evaluate, reference_graph_mask, residue_field
 from zng.errors import BudgetError
 from zng.gf import factor_prime_power, make_field
-from zng.mpoly import (
-    MultiPoly,
-    agreement_set,
-    domain,
-    evaluate,
-    graph_mask,
-    monomial_basis,
-    monomial_rows,
-    random_poly,
-)
+from zng.mpoly import MultiPoly, graph_mask, monomial_basis, monomial_rows, random_poly
 
 
 @pytest.mark.parametrize("v", range(0, 7))
@@ -63,15 +58,15 @@ def test_domain_enumerates_all_points_lexicographically():
 
 
 def _direct_eval(f: MultiPoly, point):
-    """Reference evaluation: sum coeff * prod(var^exp) term by term."""
-    field = f.field
-    acc = field.zero
+    """Reference evaluation: sum coeff * prod(var^exp), one product at a time."""
+    ref = residue_field(f.field)
+    acc = ref.zero
     for exps, coeff in zip(f.basis.exponents, f.coeffs):
-        term = coeff
+        term = ref.elements[coeff]
         for x, e in zip(point, exps):
             for _ in range(e):
-                term = field.mul(term, x)
-        acc = field.add(acc, term)
+                term = ref.mul(term, x)
+        acc = ref.add(acc, term)
     return acc
 
 
@@ -90,7 +85,16 @@ def test_coefficient_length_is_checked():
     field = make_field(5, 1)
     basis = monomial_basis(1, 2)
     with pytest.raises(ValueError):
-        MultiPoly(field=field, basis=basis, coeffs=((1,), (2,)))
+        MultiPoly(field=field, basis=basis, coeffs=(1, 2))
+
+
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_coefficients_outside_the_field_are_rejected(bad):
+    field = make_field(3, 2)
+    basis = monomial_basis(1, 2)
+    with pytest.raises(ValueError, match="outside 0..8"):
+        MultiPoly(field, basis, (0, bad, 8))
+    assert MultiPoly(field, basis, (0, 4, 8)).coeffs == (0, 4, 8)
 
 
 def test_random_poly_is_deterministic_per_seed():
@@ -104,14 +108,23 @@ def test_random_poly_is_deterministic_per_seed():
 
 
 # ----------------------------------------------------------------------
-# agreement sets
+# agreement sets: popcounts of mask ANDs, and the reference
 # ----------------------------------------------------------------------
+
+def _agreement_size(fs) -> int:
+    """Points where every polynomial of fs agrees: the popcount of the mask AND."""
+    rows = monomial_rows(fs[0].basis, fs[0].field)
+    common = -1
+    for f in fs:
+        common &= graph_mask(f, rows)
+    return common.bit_count()
+
 
 def test_agreement_set_of_identical_polys_is_whole_domain():
     field = make_field(5, 1)
     basis = monomial_basis(1, 2)
     f = random_poly(basis, field, random.Random(0))
-    assert len(agreement_set([f, f])) == 5
+    assert _agreement_size([f, f]) == len(agreement_set([f, f])) == 5
 
 
 def test_univariate_agreement_bounded_by_degree_over_1000_pairs():
@@ -127,7 +140,7 @@ def test_univariate_agreement_bounded_by_degree_over_1000_pairs():
         if f.coeffs == g.coeffs:
             continue
         pairs += 1
-        assert len(agreement_set([f, g])) <= d
+        assert _agreement_size([f, g]) <= d
 
 
 def test_multivariate_agreement_matches_pointwise_scan():
@@ -139,9 +152,10 @@ def test_multivariate_agreement_matches_pointwise_scan():
         expected = {
             point
             for point in domain(field, 2)
-            if len({evaluate(f, point) for f in fs}) == 1
+            if len({_direct_eval(f, point) for f in fs}) == 1
         }
         assert agreement_set(fs) == expected
+        assert _agreement_size(fs) == len(expected)
 
 
 def test_agreement_set_validates_inputs():
@@ -189,19 +203,25 @@ def test_basis_sizes_nest_by_degree(v, d):
 def test_evaluate_small_examples():
     gf5 = make_field(5, 1)
     basis = monomial_basis(2, 1)  # exponents (0,0), (1,0), (0,1)
-    zero = MultiPoly(gf5, basis, (gf5.zero,) * 3)
+    zero = MultiPoly(gf5, basis, (0,) * 3)
     for point in domain(gf5, 2):
-        assert evaluate(zero, point) == gf5.zero
-    x1_plus_x2 = MultiPoly(gf5, basis, ((0,), (1,), (1,)))
+        assert evaluate(zero, point) == (0,)
+    x1_plus_x2 = MultiPoly(gf5, basis, (0, 1, 1))
     assert evaluate(x1_plus_x2, ((2,), (4,))) == (1,)  # 6 mod 5
+    # over GF(9), modulus x^2 + 1: indices 4 and 5 are 1 + x and 1 + 2x, and
+    # at x1 = x, (1 + x) + (1 + 2x) x = 1 + 2x + 2x^2 = 2 + 2x
+    gf9 = make_field(3, 2)
+    f = MultiPoly(gf9, monomial_basis(1, 1), (4, 5))
+    assert evaluate(f, ((0, 1),)) == (2, 2)
 
 
 def test_agreement_of_parallel_lines_is_empty():
     gf5 = make_field(5, 1)
     basis = monomial_basis(1, 1)
-    x = MultiPoly(gf5, basis, ((0,), (1,)))
-    x_plus_1 = MultiPoly(gf5, basis, ((1,), (1,)))
+    x = MultiPoly(gf5, basis, (0, 1))
+    x_plus_1 = MultiPoly(gf5, basis, (1, 1))
     assert agreement_set([x, x_plus_1]) == set()
+    assert _agreement_size([x, x_plus_1]) == 0
 
 
 def test_distinct_cubics_over_gf5_agree_on_at_most_three_points():
@@ -213,7 +233,7 @@ def test_distinct_cubics_over_gf5_agree_on_at_most_three_points():
         g = random_poly(basis, gf5, rng)
         if f.coeffs == g.coeffs:
             continue
-        assert len(agreement_set([f, g])) <= 3
+        assert _agreement_size([f, g]) <= 3
 
 
 @settings(max_examples=80, deadline=None)
@@ -234,7 +254,7 @@ def test_mask_and_popcount_is_the_agreement_set_size(pk, num_vars, degree, count
     base = random_poly(basis, field, rng).coeffs
     fs = [
         MultiPoly(field, basis, tuple(
-            c if rng.random() < keep else field.elements()[rng.randrange(q)] for c in base
+            c if rng.random() < keep else rng.randrange(q) for c in base
         ))
         for _ in range(count)
     ]
@@ -268,16 +288,16 @@ def test_graph_mask_matches_per_point_evaluation(q, num_vars, degree):
     field = make_field(*factor_prime_power(q))
     basis = monomial_basis(num_vars, degree)
     rows = monomial_rows(basis, field)
-    elements = field.elements()
+    one = q // field.p
     rng = random.Random(q * 100 + num_vars)
     size = len(basis)
     coeff_lists = [
-        (field.zero,) * size,  # the zero polynomial
-        (field.one,) + (field.zero,) * (size - 1),
-        (elements[-1],) + (field.zero,) * (size - 1),  # constants
-        (field.zero,) + tuple(elements[rng.randrange(q)] for _ in range(size - 1)),
-        tuple(elements[rng.randrange(q)] if j % 2 else field.zero for j in range(size)),
-        (field.zero,) * (size - 1) + (elements[1],),  # a single top-degree term
+        (0,) * size,  # the zero polynomial
+        (one,) + (0,) * (size - 1),
+        (q - 1,) + (0,) * (size - 1),  # constants
+        (0,) + tuple(rng.randrange(q) for _ in range(size - 1)),
+        tuple(rng.randrange(q) if j % 2 else 0 for j in range(size)),
+        (0,) * (size - 1) + (1,),  # a single top-degree term
         *(random_poly(basis, field, rng).coeffs for _ in range(2 if q**num_vars > 1000 else 6)),
     ]
     for coeffs in coeff_lists:
@@ -290,15 +310,20 @@ def test_monomial_rows_hold_the_monomial_logs():
     basis = monomial_basis(2, 2)
     rows = monomial_rows(basis, field)
     log, exp, _ = field.int_arith()
+    index = residue_field(field).index
+    one = field.q // field.p
+    # monomial j alone, with coefficient 1
+    monomials = [
+        MultiPoly(field, basis, tuple(one if i == j else 0 for i in range(len(basis))))
+        for j in range(len(basis))
+    ]
     points = list(domain(field, 2))
     assert len(rows.logs) == len(points) == 81
     for point, row in zip(points, rows.logs):
-        for exps, entry in zip(basis.exponents, row):
-            value = field.one
-            for coord, e in zip(point, exps):
-                value = field.mul(value, field.pow(coord, e))
-            assert exp[entry] == field.index(value)
-            assert entry == log[field.index(value)]
+        for monomial, entry in zip(monomials, row):
+            value = index[evaluate(monomial, point)]
+            assert exp[entry] == value
+            assert entry == log[value]
 
 
 def test_graph_mask_rejects_rows_of_another_basis_or_field():
