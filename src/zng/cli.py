@@ -124,7 +124,17 @@ def _run_oracle(config: ExperimentConfig) -> int:
 
     out = _outdir(config)
     query = ZQuery(config.m, config.s)
+    started = time.perf_counter()
     result = exact_z(query, **_kwargs(edge_cap=config.budget))
+    seconds = time.perf_counter() - started
+    log.info(
+        "oracle %s: z=%d, %d nodes in %.3fs (%.0f nodes/s)",
+        query.label(),
+        result.z,
+        result.nodes,
+        seconds,
+        result.nodes / seconds if seconds else 0.0,
+    )
     name = "witness_{}_{}.zng".format(
         "x".join(map(str, config.m)), "x".join(map(str, config.s))
     )

@@ -161,21 +161,32 @@ class Field:
                 out = out * p + c % p
             return out
 
-        # the first element whose powers return to 1 after exactly q-1 steps;
-        # the powers of an element of smaller order have smaller order too
-        seen = bytearray(q)
-        for g in range(1, q):
-            if seen[g]:
-                continue
-            powers = [one]  # index of g^e for e in 0..q-2
-            x = g
-            while x != one:
-                powers.append(x)
-                x = times(x, g)
-            if len(powers) == n:
-                break
-            for a in powers:
-                seen[a] = 1
+        def power(a: int, e: int) -> int:
+            """a^e by square-and-multiply on times."""
+            out = one
+            while e:
+                if e & 1:
+                    out = times(out, a)
+                a = times(a, a)
+                e >>= 1
+            return out
+
+        # the first element of order q-1: g^(n/l) != 1 for every prime l | n
+        factors, rest, f = [], n, 2
+        while f * f <= rest:
+            if rest % f == 0:
+                factors.append(f)
+                while rest % f == 0:
+                    rest //= f
+            f += 1
+        if rest > 1:
+            factors.append(rest)
+        g = next(g for g in range(1, q) if all(power(g, n // l) != one for l in factors))
+        powers = [one]  # index of g^e for e in 0..q-2
+        x = g
+        while x != one:
+            powers.append(x)
+            x = times(x, g)
         exp = powers * 2 + [0] * (2 * n + 1)
         log = [2 * n] * q
         for e, a in enumerate(powers):

@@ -19,10 +19,11 @@ such a prefix, so its common neighbourhood is empty and it cannot complete.
 The search numbers the (r-1)-prefixes by lexicographic rank
 (hypergraph.prefix_ranks), so potential edge pos is prefix pos // m_r with
 last-part vertex pos % m_r, and the neighbour masks are a flat list indexed
-by rank.  Before the search starts, every prefix's closing patterns are
-turned into tuples of prefix ranks, once; each include step then runs
-hypergraph.common_mask over those tuples and needs no tuple slicing, dict
-lookup or pattern generation.
+by rank.  Before the search starts, each prefix's closing patterns are
+turned, once, into their other prefix ranks: the pattern's ranks besides
+the prefix's own, which are all earlier prefixes.  The include step checks
+them inline, with no call per pattern; the exclude branch is the next turn
+of a loop, and leaf children are counted in their parent (see _search).
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     RPartiteHypergraph,
     closing_patterns,
-    common_mask,
     pattern_count,
     prefix_ranks,
     write_atomic,
@@ -130,54 +130,105 @@ def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> 
 def _search(query: ZQuery) -> tuple[int, list[int], int]:
     """Depth-first branch and bound; returns (best, its edge bits, nodes).
 
+    A node is one visit of a search state (pos, count, tight): the root and
+    every child of a node that is neither a leaf (pos == n) nor cut by the
+    bound (count + n - pos <= best).  A node at pos has its include child at
+    pos + 1 first, if the canonical rule and the closing checks allow it,
+    then its exclude child.  dfs turns the exclude child into the next turn
+    of its loop and calls itself only for an include child below the last
+    position; an include child at pos + 1 == n is a leaf counted where it
+    is found, and an include child is never cut, because its bound is its
+    parent's.  dfs returns the number of nodes it visited.
+
     Potential edge pos joins prefix rank pos // m_r to last-part vertex
-    pos % m_r.  masks[rank] is that prefix's neighbour mask so far, and
-    closing[rank] holds the prefix_ranks of every pattern closing at it,
-    built once per search.
+    pos % m_r, and masks[rank] is that prefix's neighbour mask so far.  A
+    pattern closing at a rank contains the rank, so it is kept as its other
+    prefix ranks only.  One other rank o goes to singles[rank]: the new edge
+    completes that pattern iff cur & masks[o] has s_r bits, where cur is
+    the rank's mask with the new edge.  Longer ones go to groups[rank].
+    Their ranks are earlier prefixes, whose masks stay fixed while the
+    rank's edges are assigned, so an include at a rank with no edge yet
+    (masks[rank] == 0) ANDs each group's masks and keeps in fixed[rank]
+    those with s_r bits or more, for this and the rank's later includes.
     """
     sizes, s_list = query.m_list[:-1], query.s_list[:-1]
-    closing = [
-        tuple(prefix_ranks(pattern, sizes) for pattern in closing_patterns(prefix, s_list))
-        for prefix in itertools.product(*(range(m) for m in sizes))
-    ]
-    masks = [0] * len(closing)
     n = query.potential_edges
     block = n // query.m_list[0]
     m_last, s_last = query.m_list[-1], query.s_list[-1]
-    bits = [0] * n
-    best, best_bits, nodes = -1, [], 0
+    singles, groups = [], []
+    for rank, prefix in enumerate(itertools.product(*(range(m) for m in sizes))):
+        others = [
+            tuple(o for o in prefix_ranks(pattern, sizes) if o != rank)
+            for pattern in closing_patterns(prefix, s_list)
+        ]
+        singles.append([ranks[0] for ranks in others if len(ranks) == 1])
+        groups.append([ranks for ranks in others if len(ranks) != 1])
+    # per position: rank, last-part bit, the rank's checks, index in bits
+    at = [
+        (rank, 1 << v, singles[rank], groups[rank], block + pos)
+        for pos in range(n)
+        for rank, v in [divmod(pos, m_last)]
+    ]
+    starts = [pos % block == 0 for pos in range(n)]
+    masks = [0] * len(singles)
+    fixed = [[] for _ in groups]
+    everyone = (1 << m_last) - 1  # a group's AND starts from every last-part vertex
+    # bits[block + pos] is edge pos; the leading ones let the first block
+    # read its previous block's bit at bits[pos] like every other
+    bits = [1] * block + [0] * n
+    best, best_bits = -1, []
 
-    def dfs(pos: int, count: int, tight: bool) -> None:
-        nonlocal best, best_bits, nodes
-        nodes += 1
-        if pos == n:
-            if count > best:
-                best, best_bits = count, bits.copy()
-            return
-        if count + (n - pos) <= best:
-            return
-        # tight: this first-part block equals the previous one so far, so it
-        # may not set a bit the previous block left clear
-        if pos < block:
-            prev_bit = 1
-        else:
-            prev_bit = bits[pos - block]
-            if pos % block == 0:
+    def dfs(pos: int, count: int, tight: bool) -> int:
+        nonlocal best, best_bits
+        nodes = 1
+        while pos < n:
+            if count + n - pos <= best:
+                return nodes
+            # tight: this first-part block equals the previous one so far, so
+            # it may not set a bit the previous block left clear
+            prev_bit = bits[pos]
+            if starts[pos]:
                 tight = True
-        if prev_bit or not tight:  # include first; it keeps tight
-            rank, v = divmod(pos, m_last)
-            masks[rank] |= 1 << v
-            for ranks in closing[rank]:
-                if common_mask(masks, ranks, -1).bit_count() >= s_last:
-                    break  # the edge completes a pattern
-            else:
-                bits[pos] = 1
-                dfs(pos + 1, count + 1, tight)
-                bits[pos] = 0
-            masks[rank] ^= 1 << v
-        dfs(pos + 1, count, tight and not prev_bit)
+            if prev_bit or not tight:  # include first; it keeps tight
+                rank, vbit, single, group, here = at[pos]
+                old = masks[rank]
+                cur = old | vbit
+                for o in single:
+                    if (cur & masks[o]).bit_count() >= s_last:
+                        break  # the edge completes a pattern
+                else:
+                    if group and not old:
+                        ands = fixed[rank] = []
+                        for others in group:
+                            common = everyone
+                            for o in others:
+                                common &= masks[o]
+                                if not common:
+                                    break
+                            if common.bit_count() >= s_last:
+                                ands.append(common)
+                    for common in fixed[rank]:
+                        if (cur & common).bit_count() >= s_last:
+                            break
+                    else:
+                        if pos + 1 < n:
+                            masks[rank] = cur
+                            bits[here] = 1
+                            nodes += dfs(pos + 1, count + 1, tight)
+                            bits[here] = 0
+                            masks[rank] = old
+                        else:
+                            nodes += 1
+                            if count >= best:
+                                best, best_bits = count + 1, bits[block:-1] + [1]
+            nodes += 1  # the exclude child, visited by the next turn
+            pos += 1
+            tight = tight and not prev_bit
+        if count > best:
+            best, best_bits = count, bits[block:]
+        return nodes
 
-    dfs(0, 0, False)
+    nodes = dfs(0, 0, False)
     return best, best_bits, nodes
 
 

@@ -18,7 +18,14 @@ from hypothesis import strategies as st
 from zng.construct import DEFAULT_POSITION_RETRY_CAP
 from zng.count import gen_binom
 from zng.errors import BudgetError, ConstructionError
-from zng.hypergraph import RPartiteHypergraph, block_pattern, closing_patterns, pattern_count
+from zng.hypergraph import (
+    RPartiteHypergraph,
+    block_pattern,
+    closing_patterns,
+    common_mask,
+    pattern_count,
+    prefix_ranks,
+)
 from zng.mpoly import DEFAULT_POINT_BUDGET, monomial_basis, random_poly
 
 
@@ -173,6 +180,60 @@ def reference_neighborhoods(H: RPartiteHypergraph, s_list) -> list:
             *(itertools.combinations(range(m), s) for m, s in zip(H.part_sizes, s_list))
         )
     ]
+
+
+def reference_search(query) -> tuple[int, list[int], int]:
+    """oracle._search as a plain recursion: one dfs call per node.
+
+    Returns (best, its edge bits, nodes).  Potential edge pos joins prefix
+    rank pos // m_r to last-part vertex pos % m_r.  masks[rank] is that
+    prefix's neighbour mask so far, and closing[rank] holds the prefix_ranks
+    of every pattern closing at it, built once per search.
+    """
+    sizes, s_list = query.m_list[:-1], query.s_list[:-1]
+    closing = [
+        tuple(prefix_ranks(pattern, sizes) for pattern in closing_patterns(prefix, s_list))
+        for prefix in itertools.product(*(range(m) for m in sizes))
+    ]
+    masks = [0] * len(closing)
+    n = query.potential_edges
+    block = n // query.m_list[0]
+    m_last, s_last = query.m_list[-1], query.s_list[-1]
+    bits = [0] * n
+    best, best_bits, nodes = -1, [], 0
+
+    def dfs(pos: int, count: int, tight: bool) -> None:
+        nonlocal best, best_bits, nodes
+        nodes += 1
+        if pos == n:
+            if count > best:
+                best, best_bits = count, bits.copy()
+            return
+        if count + (n - pos) <= best:
+            return
+        # tight: this first-part block equals the previous one so far, so it
+        # may not set a bit the previous block left clear
+        if pos < block:
+            prev_bit = 1
+        else:
+            prev_bit = bits[pos - block]
+            if pos % block == 0:
+                tight = True
+        if prev_bit or not tight:  # include first; it keeps tight
+            rank, v = divmod(pos, m_last)
+            masks[rank] |= 1 << v
+            for ranks in closing[rank]:
+                if common_mask(masks, ranks, -1).bit_count() >= s_last:
+                    break  # the edge completes a pattern
+            else:
+                bits[pos] = 1
+                dfs(pos + 1, count + 1, tight)
+                bits[pos] = 0
+            masks[rank] ^= 1 << v
+        dfs(pos + 1, count, tight and not prev_bit)
+
+    dfs(0, 0, False)
+    return best, best_bits, nodes
 
 
 @st.composite

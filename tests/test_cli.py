@@ -1,6 +1,7 @@
 """End-to-end command-line runs: artifacts, exit codes, determinism."""
 
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -93,6 +94,25 @@ def test_oracle_ledger_row(tmp_path, capsys):
     assert lines[1].split("\t")[:2] == ["z(2,2;2,2)", "3"]
     witness = read_graph(out / "witness_2x2_2x2.zng")
     assert witness.num_edges == 3
+
+
+def test_oracle_logs_its_node_rate_and_nothing_else(tmp_path, capsys, caplog):
+    caplog.set_level(logging.INFO, logger="zng")
+    out = tmp_path / "o"
+    code, status = run_cli(
+        ["oracle", "--m", "3", "--m", "3", "--s", "2", "--s", "2", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0
+    lines = [r.getMessage() for r in caplog.records if r.getMessage().startswith("oracle ")]
+    assert len(lines) == 1
+    assert lines[0].startswith("oracle z(3,3;2,2): z=6, 74 nodes in ")
+    assert lines[0].endswith(" nodes/s)")
+    # the rate goes to the log only: the status line and the ledger are as before
+    assert set(status) == {"mode", "query", "z", "nodes", "witness", "out"}
+    assert (out / "oracle.tsv").read_text().splitlines()[1] == (
+        "z(3,3;2,2)\t6\t74\twitness_3x3_2x2.zng"
+    )
 
 
 # ----------------------------------------------------------------------

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_count, small_shapes
+from helpers import naive_count, reference_search, small_shapes
 from zng import hypergraph
 from zng.count import count_ordered
 from zng.errors import BudgetError
 from zng.hypergraph import RPartiteHypergraph
-from zng.oracle import ZQuery, append_ledger, exact_z, exhaustive_z
+from zng.oracle import ZQuery, _search, append_ledger, exact_z, exhaustive_z
 
 
 def test_query_validation():
@@ -170,6 +170,60 @@ def test_search_equals_exhaustion_on_every_shape_up_to_12_edges():
 @pytest.mark.slow
 def test_search_equals_exhaustion_on_every_shape_up_to_16_edges():
     assert _search_matches_exhaustion_on_every_shape(16) == 1765
+
+
+# four-part shapes, with s_r = 1 and with a side of one among them
+FOUR_PART_SHAPES = [
+    ((2, 2, 2, 2), (2, 2, 2, 2)),
+    ((2, 2, 2, 2), (1, 2, 2, 2)),
+    ((2, 2, 2, 2), (2, 2, 2, 1)),
+    ((3, 2, 2, 2), (2, 2, 1, 2)),
+    ((3, 2, 2, 2), (2, 2, 2, 2)),
+    ((2, 2, 2, 3), (2, 2, 2, 2)),
+    ((2, 2, 2, 2), (1, 1, 1, 1)),
+]
+
+
+def _search_matches_reference(min_edges: int, max_edges: int) -> int:
+    """_search against reference_search on every small shape in the edge range."""
+    shapes = 0
+    for m_list, s_list in small_shapes(max_edges):
+        if math.prod(m_list) >= min_edges:
+            query = ZQuery(m_list, s_list)
+            assert _search(query) == reference_search(query), query.label()
+            shapes += 1
+    return shapes
+
+
+def test_search_equals_reference_search_on_11_to_12_edges():
+    assert _search_matches_reference(11, 12) == 366
+
+
+def test_search_equals_reference_search_on_four_parts():
+    for m_list, s_list in FOUR_PART_SHAPES:
+        query = ZQuery(m_list, s_list)
+        assert _search(query) == reference_search(query), query.label()
+
+
+@pytest.mark.slow
+def test_search_equals_reference_search_up_to_16_edges():
+    assert _search_matches_reference(1, 16) == 1765
+
+
+@pytest.mark.parametrize(
+    "m_list, s_list, z, nodes",
+    [
+        ((6, 6), (2, 2), 16, 846_720),
+        ((6, 6), (2, 3), 21, 2_239_243),
+        ((4, 4, 2), (2, 2, 2), 25, 200_990),
+    ],
+)
+def test_stress_trees_are_pinned(m_list, s_list, z, nodes):
+    # deep canonical chains that the shapes up to 10 edges never reach
+    result = exact_z(ZQuery(m_list, s_list))
+    assert (result.z, result.nodes) == (z, nodes)
+    assert result.witness.num_edges == z
+    assert naive_count(result.witness, s_list) == 0
 
 
 # ----------------------------------------------------------------------
