@@ -3,12 +3,13 @@
 The acceptance gate checks that reruns are byte-identical; these digests
 check that artifacts stay identical from one version of the code to the
 next.  They cover the acceptance sweep (MASTER_SEED, q = 5..13), an r=3
-build and its pattern count, a three-variable build over GF(9), and two
-builds that exercise rejection: one with resamples only, one with restarts,
-two exact_z runs (r=2 and r=3) with their search-node counts, and exact_z's
-value, node count and witness on every small shape.  A change that moves
-any digest changes what the pipeline selects, emits, certifies, counts or
-searches.
+build and its pattern count, a three-variable build over GF(9), two r=2
+builds at q = 61 (with the full pattern table) and q = 127 (above the table
+cap), and two builds that exercise rejection: one with resamples only, one
+with restarts, two exact_z runs (r=2 and r=3) with their search-node counts,
+and exact_z's value, node count and witness on every small shape.  A change
+that moves any digest changes what the pipeline selects, emits, certifies,
+counts or searches.
 """
 
 import hashlib
@@ -61,6 +62,20 @@ BUILDS = {
         {
             "certificate.json": "1debdde426e39e6cd178b1f32e8f88c9b817b317303aff4efb82c29927292a3c",
             "graph.zng": "9747d92a8cca2fc8a34d716a24997cd730bef5a295c5bc63d733a54640ce1057",
+        },
+    ),
+    "r2-q61": (  # 1,830 table rows, 205,608 certificate bytes
+        dict(s=(2,), t=4, q=(61,), m=(61,)),
+        {
+            "certificate.json": "64420903f2478c31009195e84b8dba7492f5df7541218a22b2243ae387012a17",
+            "graph.zng": "2c4833cb9ac8cb032f5b24d2dd006e50bffecd11f320bc8aef21c0487e22d7f2",
+        },
+    ),
+    "r2-q127": (  # 8,001 patterns, above TABLE_CAP: the family but no table
+        dict(s=(2,), t=4, q=(127,), m=(127,)),
+        {
+            "certificate.json": "15517b606f2ee5f859bd9f9da0d207cee55088caf77ae97df47e10971ea1f723",
+            "graph.zng": "7a9cb90c073ceb1fbdd9f00724bd2dd0000b6c2aab3b218d1310225cdf6124f6",
         },
     ),
     "restarts": (  # 33 resamples over 6 restarts
