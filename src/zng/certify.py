@@ -8,9 +8,10 @@ family) to the certificate it gets from here.
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
@@ -24,8 +25,7 @@ from zng.hypergraph import (
 TABLE_CAP = 2048
 
 
-@dataclass(frozen=True)
-class FreenessCertificate:
+class FreenessCertificate(NamedTuple):
     """Exhaustive record of every pattern's common-neighborhood size.
 
     The full per-pattern table is kept only up to TABLE_CAP entries;
@@ -73,7 +73,61 @@ class FreenessCertificate:
 
 
 def format_certificate(cert: FreenessCertificate) -> str:
-    return json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
+    """json.dumps(cert.to_dict(), indent=2, sort_keys=True) plus a newline.
+
+    With an indent, json encodes in pure Python, so the two long lists, the
+    table and the family's polys (in PolyFamily.to_dict's layout), are left
+    out of that call and put in from _json_rows.
+    """
+    head = cert._replace(table=None).to_dict()
+    holes = {}
+    if cert.table is not None:
+        head["table"] = "\x00table"
+        holes['"\\u0000table"'] = _json_rows(
+            cert.table,
+            "  ",
+            lambda row: tuple(map(len, row[0])),
+            lambda row: {"pattern": [[0] * len(side) for side in row[0]], "size": 0},
+            lambda row: (*itertools.chain.from_iterable(row[0]), row[1]),
+        )
+    if cert.family is not None and "polys" in cert.family:
+        head["family"] = {**cert.family, "polys": "\x00polys"}
+        holes['"\\u0000polys"'] = _json_rows(
+            cert.family["polys"],
+            "    ",
+            lambda row: (len(row["tuple"]), *map(len, row["coeffs"])),
+            lambda row: {
+                "coeffs": [[0] * len(c) for c in row["coeffs"]],
+                "tuple": [0] * len(row["tuple"]),
+            },
+            lambda row: (*itertools.chain.from_iterable(row["coeffs"]), *row["tuple"]),
+        )
+    text = json.dumps(head, indent=2, sort_keys=True)
+    for hole, rows in holes.items():
+        text = text.replace(hole, rows)
+    return text + "\n"
+
+
+def _json_rows(rows, pad: str, shape, zero, values) -> str:
+    """A list of rows as json.dumps(indent=2) writes it on a line indented by pad.
+
+    The rows of one shape(row) share a template: the encoding of zero(row),
+    whose only digits are its zeros, with each 0 made a %d.  values(row)
+    fills it in the order json writes the numbers.
+    """
+    if not rows:
+        return "[]"
+    inner = "\n" + pad + "  "
+    templates: dict = {}
+    texts = []
+    for row in rows:
+        key = shape(row)
+        template = templates.get(key)
+        if template is None:
+            text = json.dumps(zero(row), indent=2, sort_keys=True)
+            template = templates[key] = text.replace("\n", inner).replace("0", "%d")
+        texts.append(template % values(row))
+    return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]"
 
 
 def write_certificate(cert: FreenessCertificate, path: str | Path) -> None:

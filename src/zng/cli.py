@@ -15,7 +15,6 @@ import logging
 import math
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 from zng.config import ExperimentConfig, read_config
@@ -32,6 +31,13 @@ EXIT_BUDGET = 3
 
 def _status(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without loading fractions."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _outdir(config: ExperimentConfig) -> Path:
@@ -155,8 +161,6 @@ def _run_oracle(config: ExperimentConfig) -> int:
 
 def _run_sweep(config: ExperimentConfig) -> int:
     """One construction per field order; partial failures stay per-row."""
-    from fractions import Fraction
-
     from zng.certify import write_certificate
     from zng.construct import build, derive_params
     from zng.seeds import derive_seed
@@ -183,11 +187,10 @@ def _run_sweep(config: ExperimentConfig) -> int:
         write_graph(result.graph, point_dir / "graph.zng")
         write_certificate(result.certificate, point_dir / "certificate.json")
         edges = result.graph.num_edges
-        ratio = Fraction(edges, bound)
         verdict = "pass" if result.certificate.passed else "failed"
         failures += verdict == "failed"
         log.info("sweep q=%d done in %.3fs", q, time.perf_counter() - started)
-        rows.append((q, m_list, str(edges), str(bound), str(ratio), verdict))
+        rows.append((q, m_list, str(edges), str(bound), _ratio_text(edges, bound), verdict))
     lines = ["q\tm\tedges\tbound\tratio\tverdict"]
     for q, m_list, edges, bound, ratio, verdict in rows:
         m_text = ",".join(map(str, m_list))
@@ -275,7 +278,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             raise ValueError(
                 f"config file mode {base.mode!r} does not match subcommand {args.mode!r}"
             )
-        values.update((f.name, getattr(base, f.name)) for f in fields(base))
+        values.update(zip(base._fields, base))
     list_keys = ("s", "m") if args.mode == "construct" else ("s", "m", "q")
     for key in list_keys:
         flag = getattr(args, key, None)

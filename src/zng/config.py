@@ -8,8 +8,8 @@ a short integer list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 MODES = ("construct", "verify", "count", "oracle", "sweep")
 
@@ -18,8 +18,7 @@ _INT_KEYS = frozenset({"t", "seed", "budget", "retries", "restarts"})
 _STR_KEYS = frozenset({"mode", "out", "graph"})
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(NamedTuple):
     """Everything that determines a run, besides the code itself."""
 
     mode: str

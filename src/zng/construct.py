@@ -21,13 +21,11 @@ that decides acceptance.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import random
 import warnings
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 # write_certificate is not called here: perfbench/tracing.py times the
 # certificate writes under the name zng.construct.write_certificate.
@@ -98,8 +96,7 @@ def _ceil_root(n: int, k: int) -> int:
 # parameters
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstructionParams:
+class ConstructionParams(NamedTuple):
     """Validated inputs plus every derived constant the pipeline needs.
 
     Attributes:
@@ -262,8 +259,7 @@ def _range_ok(params: ConstructionParams) -> bool | None:
 # the polynomial family
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PolyFamily:
+class PolyFamily(NamedTuple):
     """One polynomial per tuple of first-part indices, its graph_mask, and stats."""
 
     m_list: tuple[int, ...]
@@ -380,8 +376,7 @@ def sequential_select(
 # the full build
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(NamedTuple):
     graph: RPartiteHypergraph
     family: PolyFamily
     certificate: FreenessCertificate
@@ -445,7 +440,7 @@ def build(
         except ConstructionError as err:
             attempts.extend(err.attempts)
             continue
-        family = dataclasses.replace(selected, restarts=restart)
+        family = selected._replace(restarts=restart)
         break
     if family is None:
         attempts.sort(key=lambda rec: -rec[1])
@@ -459,8 +454,7 @@ def build(
         )
     graph = family_graph(params, family)
     cert = verify_freeness(graph, params.s_list, params.t, pattern_budget)
-    cert = dataclasses.replace(
-        cert,
+    cert = cert._replace(
         seed=seed,
         params=params.to_dict(),
         family=family.to_dict(),

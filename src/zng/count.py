@@ -18,9 +18,8 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from zng.hypergraph import DEFAULT_PATTERN_BUDGET, RPartiteHypergraph, pattern_count
 
@@ -157,8 +156,7 @@ def _jensen_two(part_sizes: tuple[int, ...], num_edges: int, s_list: tuple[int, 
     return choices * gen_binom(t_a / choices, s_list[1])
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     """Exact count, the intermediate single-vertex count, and the bound."""
 
     s_list: tuple[int, ...]

@@ -22,9 +22,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from random import Random
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from zng.errors import BudgetError
 from zng.gf import Field
@@ -47,16 +46,12 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
-@dataclass(frozen=True)
-class MonomialBasis:
+class MonomialBasis(NamedTuple):
     """All monomials in num_vars variables of total degree <= max_degree."""
 
     num_vars: int
     max_degree: int
     exponents: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.exponents)
 
 
 def monomial_basis(num_vars: int, max_degree: int, size_cap: int = DEFAULT_BASIS_CAP) -> MonomialBasis:
@@ -84,21 +79,29 @@ def monomial_basis(num_vars: int, max_degree: int, size_cap: int = DEFAULT_BASIS
     return MonomialBasis(num_vars, max_degree, exps)
 
 
-@dataclass(frozen=True)
-class MultiPoly:
-    """A polynomial as a dense tuple of coefficient indices on a shared basis."""
-
+class _MultiPoly(NamedTuple):
     field: Field
     basis: MonomialBasis
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != len(self.basis):
+
+class MultiPoly(_MultiPoly):
+    """A polynomial as a dense tuple of coefficient indices on a shared basis.
+
+    The constructor checks the coefficients; _make and _replace would skip
+    that check, so nothing calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, field: Field, basis: MonomialBasis, coeffs: tuple[int, ...]) -> MultiPoly:
+        if len(coeffs) != len(basis.exponents):
             raise ValueError(
-                f"{len(self.coeffs)} coefficients for a {len(self.basis)}-monomial basis"
+                f"{len(coeffs)} coefficients for a {len(basis.exponents)}-monomial basis"
             )
-        if self.coeffs and not 0 <= min(self.coeffs) <= max(self.coeffs) < self.field.q:
-            raise ValueError(f"coefficients {self.coeffs} outside 0..{self.field.q - 1}")
+        if coeffs and not 0 <= min(coeffs) <= max(coeffs) < field.q:
+            raise ValueError(f"coefficients {coeffs} outside 0..{field.q - 1}")
+        return super().__new__(cls, field, basis, coeffs)
 
 
 def random_poly(basis: MonomialBasis, field: Field, rng: Random) -> MultiPoly:
@@ -107,12 +110,11 @@ def random_poly(basis: MonomialBasis, field: Field, rng: Random) -> MultiPoly:
     The draw consumes exactly one randrange(q) per monomial, in basis order,
     so a seeded rng reproduces the same polynomial bit for bit.
     """
-    coeffs = tuple(rng.randrange(field.q) for _ in range(len(basis)))
+    coeffs = tuple(rng.randrange(field.q) for _ in range(len(basis.exponents)))
     return MultiPoly(field, basis, coeffs)
 
 
-@dataclass(frozen=True)
-class MonomialRows:
+class MonomialRows(NamedTuple):
     """Every basis monomial at every domain point, as discrete logs.
 
     logs[i][j] is the log (in field.int_arith()) of monomial j of basis at

@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from zng.errors import BudgetError
 from zng.hypergraph import (
@@ -47,18 +47,26 @@ DEFAULT_EXHAUSTIVE_EDGE_CAP = 30
 DEFAULT_SEARCH_EDGE_CAP = 36
 
 
-@dataclass(frozen=True)
-class ZQuery:
-    """Part sizes and forbidden ordered-pattern side sizes, one per part."""
-
+class _ZQuery(NamedTuple):
     m_list: tuple[int, ...]
     s_list: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.m_list) != len(self.s_list) or not self.m_list:
+
+class ZQuery(_ZQuery):
+    """Part sizes and forbidden ordered-pattern side sizes, one per part.
+
+    The constructor checks the sizes; _make and _replace would skip that
+    check, so nothing calls them.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, m_list: tuple[int, ...], s_list: tuple[int, ...]) -> ZQuery:
+        if len(m_list) != len(s_list) or not m_list:
             raise ValueError("m_list and s_list must be equal-length and nonempty")
-        if any(m < 1 for m in self.m_list) or any(s < 1 for s in self.s_list):
+        if any(m < 1 for m in m_list) or any(s < 1 for s in s_list):
             raise ValueError("all sizes must be >= 1")
+        return super().__new__(cls, m_list, s_list)
 
     @property
     def potential_edges(self) -> int:
@@ -70,8 +78,7 @@ class ZQuery:
         return f"z({ms};{ss})"
 
 
-@dataclass(frozen=True)
-class ZResult:
+class ZResult(NamedTuple):
     """The exact maximum, one witness attaining it, and the search size."""
 
     query: ZQuery

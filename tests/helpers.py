@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from zng.certify import FreenessCertificate
 from zng.construct import DEFAULT_POSITION_RETRY_CAP
 from zng.count import gen_binom
 from zng.errors import BudgetError, ConstructionError
@@ -402,3 +404,56 @@ def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction
             link = RPartiteHypergraph(H.part_sizes[:-1], [e[:-1] for e in H.edges if e[-1] == v])
             t_a += reference_jensen(link, s_list[:-1])
     return choices * gen_binom(t_a / choices, s_list[-1])
+
+
+def reference_certificate_text(cert: FreenessCertificate) -> str:
+    """certify.format_certificate by json's own indenting encoder."""
+    return json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+@st.composite
+def certificates(draw):
+    """FreenessCertificates with r = 2..4 parts and any mix of optional fields.
+
+    Table None, empty or full (row shapes may differ), range_ok null or a
+    bool, and the family None or in PolyFamily.to_dict's layout with 0..3
+    residues per coefficient.
+    """
+    r = draw(st.integers(2, 4))
+    ints = st.integers(0, 10**6)
+    side = st.lists(ints, min_size=1, max_size=3).map(tuple)
+    pattern = st.lists(side, min_size=r - 1, max_size=r - 1).map(tuple)
+    table = st.none() | st.lists(st.tuples(pattern, ints), max_size=8).map(tuple)
+    k = draw(st.integers(0, 3))
+    poly = st.fixed_dictionaries(
+        {
+            "tuple": st.lists(ints, min_size=r - 1, max_size=r - 1),
+            "coeffs": st.lists(st.lists(ints, min_size=k, max_size=k), max_size=4),
+        }
+    )
+    family = st.none() | st.fixed_dictionaries(
+        {
+            "basis": st.fixed_dictionaries({"num_vars": ints, "max_degree": ints}),
+            "field": st.fixed_dictionaries(
+                {"p": ints, "k": st.just(k), "modulus": st.none() | st.lists(ints)}
+            ),
+            "polys": st.lists(poly, max_size=5),
+            "resamples": ints,
+            "restarts": ints,
+        }
+    )
+    return FreenessCertificate(
+        part_sizes=tuple(draw(st.lists(ints, min_size=r, max_size=r))),
+        s_list=tuple(draw(st.lists(ints, min_size=r - 1, max_size=r - 1))),
+        t=draw(ints),
+        pattern_count=draw(ints),
+        max_size=draw(ints),
+        argmax_pattern=draw(st.none() | pattern),
+        table=draw(table),
+        passed=draw(st.booleans()),
+        seed=draw(st.none() | st.integers(0, 2**64 - 1)),
+        params=draw(st.none() | st.dictionaries(st.sampled_from("nqrt"), ints)),
+        family=draw(family),
+        bezout_bound=draw(st.none() | ints),
+        range_ok=draw(st.none() | st.booleans()),
+    )

@@ -5,12 +5,13 @@ import logging
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import zng
-from zng.cli import main
+from zng.cli import _ratio_text, main
 from zng.config import ExperimentConfig, parse_config
 from zng.hypergraph import read_graph
 
@@ -137,6 +138,13 @@ def test_sweep_ratios_are_exactly_one(tmp_path, capsys):
     for q in (5, 7, 9, 11):
         assert (out / f"q{q}" / "graph.zng").exists()
         assert (out / f"q{q}" / "certificate.json").exists()
+
+
+def test_sweep_ratio_text_is_the_fraction_text():
+    cases = [(edges, bound) for bound in range(1, 40) for edges in range(bound + 1)]
+    cases += [(3721, 3721), (0, 3721), (6 * 2**64, 4 * 2**64), (10**30 + 1, 10**30)]
+    for edges, bound in cases:
+        assert _ratio_text(edges, bound) == str(Fraction(edges, bound))
 
 
 def test_sweep_empty_range(tmp_path, capsys):
@@ -288,12 +296,12 @@ LOADED_MODULES = (
     "import sys, zng.cli\n"
     "if sys.argv[1:]:\n"
     "    zng.cli.main(sys.argv[1:])\n"
-    "print(' '.join(sorted(m for m in sys.modules if m.startswith('zng.'))))\n"
+    "print(' '.join(sorted(sys.modules)))\n"
 )
 
 
 def loaded_modules(argv):
-    """The zng.* modules in sys.modules after a fresh `zng.cli.main(argv)`."""
+    """The modules in sys.modules after a fresh `zng.cli.main(argv)`."""
     env = {**os.environ, "PYTHONPATH": str(Path(zng.__file__).resolve().parent.parent)}
     done = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, *argv],
@@ -309,7 +317,14 @@ STARTUP_MODULES = {
     "oracle": (("oracle",), ("construct", "gf", "mpoly")),
     "count": (("count",), ("construct", "gf", "mpoly")),
     "verify": (("certify",), ("construct", "gf", "mpoly")),
+    "construct": (("construct", "certify", "gf", "mpoly"), ("count", "oracle")),
+    "sweep": (("construct", "certify", "gf", "mpoly", "seeds"), ("count", "oracle")),
 }
+
+# No mode loads dataclasses (with inspect, ast and dis: about 11 ms per start
+# without a bytecode cache), and only count, whose bound is an exact
+# rational, loads fractions (with decimal and numbers: about 3 ms).
+NEVER_LOADED = ("dataclasses", "inspect")
 
 
 @pytest.mark.parametrize("mode", list(STARTUP_MODULES))
@@ -322,8 +337,12 @@ def test_each_mode_loads_only_what_it_runs(tmp_path, mode):
         "oracle": ["oracle", "--m", "3", "--s", "2", "--m", "3", "--s", "2", *out],
         "count": ["count", "--graph", str(graph), "--s", "2", "--s", "2", *out],
         "verify": ["verify", "--graph", str(graph), "--s", "2", "--t", "2", *out],
+        "construct": ["construct", "--s", "2", "--t", "4", "--q", "5", "--m", "3", *out],
+        "sweep": ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "7", *out],
     }[mode]
     loads, skips = STARTUP_MODULES[mode]
     loaded = loaded_modules(argv)
     assert {f"zng.{name}" for name in loads} <= loaded
     assert loaded.isdisjoint(f"zng.{name}" for name in skips)
+    assert loaded.isdisjoint(NEVER_LOADED)
+    assert ("fractions" in loaded) == (mode == "count")

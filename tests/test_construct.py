@@ -8,8 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    certificates,
     flat_blocks,
     graphs_with_sides,
+    reference_certificate_text,
     reference_graph,
     reference_neighborhoods,
     reference_select,
@@ -451,6 +453,13 @@ def test_certificate_json_round_trips():
     assert data["family"]["polys"]
     assert data["bezout_bound"] == 3
     assert text == format_certificate(cert)  # stable serialization
+    assert text == reference_certificate_text(cert)
+
+
+@settings(max_examples=100, deadline=None)
+@given(certificates())
+def test_certificate_text_matches_the_json_encoder(cert):
+    assert format_certificate(cert) == reference_certificate_text(cert)
 
 
 def test_built_graph_text_reverifies(tmp_path):
