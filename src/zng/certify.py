@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
@@ -108,7 +108,13 @@ def format_certificate(cert: FreenessCertificate) -> str:
     return text + "\n"
 
 
-def _json_rows(rows, pad: str, shape, zero, values) -> str:
+def _json_rows(
+    rows: Sequence,
+    pad: str,
+    shape: Callable[[Any], Hashable],
+    zero: Callable[[Any], object],
+    values: Callable[[Any], tuple[int, ...]],
+) -> str:
     """A list of rows as json.dumps(indent=2) writes it on a line indented by pad.
 
     The rows of one shape(row) share a template: the encoding of zero(row),
@@ -118,7 +124,7 @@ def _json_rows(rows, pad: str, shape, zero, values) -> str:
     if not rows:
         return "[]"
     inner = "\n" + pad + "  "
-    templates: dict = {}
+    templates: dict[Hashable, str] = {}
     texts = []
     for row in rows:
         key = shape(row)
