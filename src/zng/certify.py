@@ -90,7 +90,7 @@ def format_certificate(cert: FreenessCertificate) -> str:
             lambda row: {"pattern": [[0] * len(side) for side in row[0]], "size": 0},
             lambda row: (*itertools.chain.from_iterable(row[0]), row[1]),
         )
-    if cert.family is not None and "polys" in cert.family:
+    if cert.family is not None:
         head["family"] = {**cert.family, "polys": "\x00polys"}
         holes['"\\u0000polys"'] = _json_rows(
             cert.family["polys"],
