@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from zng.config import ExperimentConfig, read_config
+from zng.config import COMMON_KEYS, LIST_KEYS, MODE_KEYS, STR_KEYS, ExperimentConfig, read_config
 from zng.errors import BudgetError, ConstructionError
 from zng.hypergraph import GraphFormatError, read_graph, write_atomic, write_graph
 
@@ -51,30 +51,35 @@ def _kwargs(**values) -> dict:
     return {key: value for key, value in values.items() if value is not None}
 
 
-def _build_kwargs(config: ExperimentConfig) -> dict:
-    """Translate the flat budget/retry knobs into build() keyword arguments."""
-    return _kwargs(
-        point_budget=config.budget,
-        pattern_budget=config.budget,
-        position_retry_cap=config.retries,
-        restart_cap=config.restarts,
-    )
-
-
 # ----------------------------------------------------------------------
 # per-mode runners: each imports the modules it runs when it is called, so
 # a start loads only those (and a traced or patched name is read at call time)
 # ----------------------------------------------------------------------
 
-def _run_construct(config: ExperimentConfig) -> int:
+def _build_point(
+    config: ExperimentConfig, q: int, m_list: tuple[int, ...], seed: int, out: Path
+):
+    """derive_params -> build -> out/graph.zng and out/certificate.json."""
     from zng.certify import write_certificate
     from zng.construct import build, derive_params
 
-    out = _outdir(config)
-    params = derive_params(config.s, config.t, config.q[0], config.m)
-    result = build(params, config.seed, **_build_kwargs(config))
+    params = derive_params(config.s, config.t, q, m_list)
+    budgets = _kwargs(
+        point_budget=config.budget,
+        pattern_budget=config.budget,
+        position_retry_cap=config.retries,
+        restart_cap=config.restarts,
+    )
+    result = build(params, seed, **budgets)
+    out.mkdir(parents=True, exist_ok=True)
     write_graph(result.graph, out / "graph.zng")
     write_certificate(result.certificate, out / "certificate.json")
+    return result
+
+
+def _run_construct(config: ExperimentConfig) -> int:
+    out = Path(config.out)
+    result = _build_point(config, config.q[0], config.m, config.seed, out)
     cert = result.certificate
     _status(
         {
@@ -128,8 +133,8 @@ def _run_count(config: ExperimentConfig) -> int:
 def _run_oracle(config: ExperimentConfig) -> int:
     from zng.oracle import ZQuery, append_ledger, exact_z
 
+    query = ZQuery(config.m, config.s)  # checks the sizes before out is made
     out = _outdir(config)
-    query = ZQuery(config.m, config.s)
     started = time.perf_counter()
     result = exact_z(query, **_kwargs(edge_cap=config.budget))
     seconds = time.perf_counter() - started
@@ -161,40 +166,30 @@ def _run_oracle(config: ExperimentConfig) -> int:
 
 def _run_sweep(config: ExperimentConfig) -> int:
     """One construction per field order; partial failures stay per-row."""
-    from zng.certify import write_certificate
-    from zng.construct import build, derive_params
     from zng.seeds import derive_seed
 
     out = _outdir(config)
     s_total = math.prod(config.s)
-    rows = []
+    lines = ["q\tm\tedges\tbound\tratio\tverdict"]
     failures = 0
     for q in config.q:
         m_list = config.m if config.m else (q,) * len(config.s)
         sub_seed = derive_seed(config.seed, "sweep", "q", q)
         bound = math.prod(m_list) * q ** (s_total - 1)
-        point_dir = out / f"q{q}"
+        row = f"{q}\t{','.join(map(str, m_list))}\t"
         started = time.perf_counter()
         try:
-            params = derive_params(config.s, config.t, q, m_list)
-            result = build(params, sub_seed, **_build_kwargs(config))
+            result = _build_point(config, q, m_list, sub_seed, out / f"q{q}")
         except (ValueError, ConstructionError, BudgetError) as err:
             failures += 1
             log.info("sweep q=%d failed in %.3fs: %s", q, time.perf_counter() - started, err)
-            rows.append((q, m_list, "-", str(bound), "-", "failed"))
+            lines.append(f"{row}-\t{bound}\t-\tfailed")
             continue
-        point_dir.mkdir(parents=True, exist_ok=True)
-        write_graph(result.graph, point_dir / "graph.zng")
-        write_certificate(result.certificate, point_dir / "certificate.json")
         edges = result.graph.num_edges
         verdict = "pass" if result.certificate.passed else "failed"
         failures += verdict == "failed"
         log.info("sweep q=%d done in %.3fs", q, time.perf_counter() - started)
-        rows.append((q, m_list, str(edges), str(bound), _ratio_text(edges, bound), verdict))
-    lines = ["q\tm\tedges\tbound\tratio\tverdict"]
-    for q, m_list, edges, bound, ratio, verdict in rows:
-        m_text = ",".join(map(str, m_list))
-        lines.append(f"{q}\t{m_text}\t{edges}\t{bound}\t{ratio}\t{verdict}")
+        lines.append(f"{row}{edges}\t{bound}\t{_ratio_text(edges, bound)}\t{verdict}")
     write_atomic(out / "sweep.tsv", "\n".join(lines) + "\n")
     _status(
         {
@@ -229,49 +224,48 @@ def run(config: ExperimentConfig) -> int:
 # argument parsing
 # ----------------------------------------------------------------------
 
+# one help line per config key; zng.config says which mode takes which key
+_HELP = {
+    "seed": "64-bit master seed",
+    "out": "output directory",
+    "budget": "enumeration cap",
+    "graph": "zng graph file",
+    "s": "side size, repeatable",
+    "m": "part size, repeatable",
+    "q": "field order (sweep takes several)",
+    "t": "forbidden last-part side size",
+    "retries": "per-position resample cap",
+    "restarts": "restart cap",
+}
+
+
+def _add_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
+    for key in keys:
+        parser.add_argument(
+            f"--{key}",
+            type=str if key in STR_KEYS else int,
+            action="append" if key in LIST_KEYS else "store",
+            help=_HELP[key],
+        )
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="64-bit master seed")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--budget", type=int, default=None, help="enumeration cap")
+    _add_flags(common, COMMON_KEYS)
     common.add_argument("--config", default=None, help="key=value config file")
     parser = argparse.ArgumentParser(
         prog="zng",
         description="pattern-free r-partite graph construction and verification",
     )
     sub = parser.add_subparsers(dest="mode", required=True)
-    p = sub.add_parser("construct", parents=[common])
-    p.add_argument("--s", type=int, action="append", help="side size, repeatable")
-    p.add_argument("--t", type=int, help="forbidden last-part side size")
-    p.add_argument("--q", type=int, help="field order")
-    p.add_argument("--m", type=int, action="append", help="part size, repeatable")
-    p.add_argument("--retries", type=int, help="per-position resample cap")
-    p.add_argument("--restarts", type=int, help="restart cap")
-    p = sub.add_parser("verify", parents=[common])
-    p.add_argument("--graph", help="zng graph file")
-    p.add_argument("--s", type=int, action="append", help="side size, repeatable")
-    p.add_argument("--t", type=int, help="forbidden last-part side size")
-    p = sub.add_parser("count", parents=[common])
-    p.add_argument("--graph", help="zng graph file")
-    p.add_argument("--s", type=int, action="append", help="side size, repeatable")
-    p = sub.add_parser("oracle", parents=[common])
-    p.add_argument("--m", type=int, action="append", help="part size, repeatable")
-    p.add_argument("--s", type=int, action="append", help="side size, repeatable")
-    p = sub.add_parser("sweep", parents=[common])
-    p.add_argument("--s", type=int, action="append", help="side size, repeatable")
-    p.add_argument("--t", type=int, help="forbidden last-part side size")
-    p.add_argument(
-        "--q", type=int, action="append", default=None, help="field order, repeatable"
-    )
-    p.add_argument("--m", type=int, action="append", help="part size, repeatable")
-    p.add_argument("--retries", type=int, help="per-position resample cap")
-    p.add_argument("--restarts", type=int, help="restart cap")
+    for mode, (required, optional) in MODE_KEYS.items():
+        _add_flags(sub.add_parser(mode, parents=[common]), required + optional)
     return parser
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     """Overlay explicit CLI flags on top of the config file, if any."""
-    values: dict = {"mode": args.mode}
+    values: dict = {}
     if args.config is not None:
         base = read_config(args.config)
         if base.mode != args.mode:
@@ -279,17 +273,9 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
                 f"config file mode {base.mode!r} does not match subcommand {args.mode!r}"
             )
         values.update(zip(base._fields, base))
-    list_keys = ("s", "m") if args.mode == "construct" else ("s", "m", "q")
-    for key in list_keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = tuple(flag)
-    if args.mode == "construct" and getattr(args, "q", None) is not None:
-        values["q"] = (args.q,)
-    for key in ("t", "seed", "out", "budget", "graph", "retries", "restarts"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    for key, flag in vars(args).items():
+        if flag is not None and key in ExperimentConfig._fields:
+            values[key] = tuple(flag) if key in LIST_KEYS else flag
     return ExperimentConfig(**values)
 
 
@@ -297,15 +283,9 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(
         stream=sys.stderr, level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _config_from_args(args)
-    except (ValueError, OSError) as err:
-        _status({"error": "usage", "reason": str(err)})
-        return EXIT_USAGE
-    try:
-        return run(config)
+        return run(_config_from_args(args))
     except BudgetError as err:
         _status({"error": "budget", "reason": str(err)})
         return EXIT_BUDGET

@@ -11,11 +11,21 @@ from __future__ import annotations
 from pathlib import Path
 from typing import NamedTuple
 
-MODES = ("construct", "verify", "count", "oracle", "sweep")
+LIST_KEYS = frozenset({"s", "m", "q"})
+INT_KEYS = frozenset({"t", "seed", "budget", "retries", "restarts"})
+STR_KEYS = frozenset({"mode", "out", "graph"})
 
-_LIST_KEYS = frozenset({"s", "m", "q"})
-_INT_KEYS = frozenset({"t", "seed", "budget", "retries", "restarts"})
-_STR_KEYS = frozenset({"mode", "out", "graph"})
+# The one place that says which keys each mode takes: every mode takes
+# COMMON_KEYS, and MODE_KEYS maps a mode to its (required keys, optional
+# keys).  The command line makes one flag per key from them, in this order.
+COMMON_KEYS = ("seed", "out", "budget")
+MODE_KEYS = {
+    "construct": (("s", "t", "q", "m"), ("retries", "restarts")),
+    "verify": (("graph", "s", "t"), ()),
+    "count": (("graph", "s"), ()),
+    "oracle": (("m", "s"), ()),
+    "sweep": (("s", "t"), ("q", "m", "retries", "restarts")),
+}
 
 
 class ExperimentConfig(NamedTuple):
@@ -35,30 +45,18 @@ class ExperimentConfig(NamedTuple):
 
     def validate(self) -> None:
         """Check mode-specific required fields; raises ValueError on gaps."""
-        if self.mode not in MODES:
-            raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
+        if self.mode not in MODE_KEYS:
+            raise ValueError(f"unknown mode {self.mode!r}; expected one of {tuple(MODE_KEYS)}")
         for name in ("budget", "retries", "restarts"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be positive, got {value}")
-        need = {
-            "construct": ("s", "t", "q", "m"),
-            "verify": ("graph", "s", "t"),
-            "count": ("graph", "s"),
-            "oracle": ("m", "s"),
-            "sweep": ("s", "t"),
-        }[self.mode]
-        for name in need:
+        for name in MODE_KEYS[self.mode][0]:
             value = getattr(self, name)
             if value is None or value == ():
                 raise ValueError(f"mode {self.mode} requires {name}")
         if self.mode == "construct" and len(self.q) != 1:
             raise ValueError(f"mode construct takes exactly one q, got {list(self.q)}")
-        if self.mode == "oracle" and len(self.m) != len(self.s):
-            raise ValueError(
-                f"mode oracle needs matching m and s lengths, "
-                f"got {len(self.m)} and {len(self.s)}"
-            )
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -78,17 +76,17 @@ def parse_config(text: str) -> ExperimentConfig:
         key, _, item = line.partition("=")
         key = key.strip()
         item = item.strip()
-        if key in _LIST_KEYS:
+        if key in LIST_KEYS:
             values.setdefault(key, []).append(_parse_int(key, item, lineno))
-        elif key in _INT_KEYS:
+        elif key in INT_KEYS:
             values[key] = _parse_int(key, item, lineno)
-        elif key in _STR_KEYS:
+        elif key in STR_KEYS:
             values[key] = item
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     if "mode" not in values:
         raise ValueError("config is missing the mode key")
-    for key in _LIST_KEYS:
+    for key in LIST_KEYS:
         if key in values:
             values[key] = tuple(values[key])
     return ExperimentConfig(**values)

@@ -42,6 +42,7 @@ from zng.hypergraph import (
     prefix_ranks,
 )
 from zng.mpoly import (
+    DEFAULT_BASIS_CAP,
     DEFAULT_POINT_BUDGET,
     MonomialBasis,
     MultiPoly,
@@ -55,6 +56,9 @@ from zng.seeds import derive_seed
 DEFAULT_POSITION_RETRY_CAP = 64
 DEFAULT_RESTART_CAP = 16
 RANGE_OK_BITS = 1 << 20
+# str() of an int with more digits fails (sys.get_int_max_str_digits), and
+# the warnings and the certificate print the capacity
+PRINTABLE_LIMIT = 10**4300
 
 
 class CapacityWarning(UserWarning):
@@ -173,7 +177,8 @@ def derive_params(
     Raises:
         ValueError: empty or sub-unit s_list, s_total < 2, t below the
             hypothesis threshold, q not a prime power.
-        BudgetError: q above the field-order cap.
+        BudgetError: q above the field-order cap, a monomial basis above
+            mpoly.DEFAULT_BASIS_CAP, or a capacity of more than 4300 digits.
     """
     s_list = tuple(int(s) for s in s_list)
     if not s_list or any(s < 1 for s in s_list):
@@ -187,7 +192,17 @@ def derive_params(
     fld = make_field(p, k)
     degree = _ceil_root(t, s_total - 1) - 1
     assert degree >= 1 and degree ** (s_total - 1) < t, (degree, s_total, t)
+    basis_size = math.comb(s_total - 1 + degree, degree)  # what every build makes
+    if basis_size > DEFAULT_BASIS_CAP:
+        raise BudgetError(
+            f"degree {degree} needs a basis of {basis_size} monomials, "
+            f"above the cap {DEFAULT_BASIS_CAP}",
+            required=basis_size,
+            budget=DEFAULT_BASIS_CAP,
+        )
     capacity = integer_root(q ** (degree + 1), s_total - 1) // (2 * degree)
+    if capacity >= PRINTABLE_LIMIT:
+        raise BudgetError(f"the capacity at q={q}, degree {degree} has over 4300 digits")
     n = q**s_total
     if m_list is not None:
         m_list = tuple(int(m) for m in m_list)

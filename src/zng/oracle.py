@@ -273,7 +273,7 @@ LEDGER_HEADER = "query\tz\tnodes\twitness\n"
 
 
 def append_ledger(path: str | Path, result: ZResult, witness_path: str) -> None:
-    """Append one outcome to the results ledger; a new file gets the header.
+    """Append one outcome to the results ledger; a new or empty file gets the header.
 
     The whole ledger is rewritten through write_atomic, so a failed write
     leaves the old ledger as it was instead of a torn last row.
@@ -283,5 +283,5 @@ def append_ledger(path: str | Path, result: ZResult, witness_path: str) -> None:
     try:
         old = path.read_bytes().decode("ascii")  # as stored, line ends too
     except FileNotFoundError:
-        old = LEDGER_HEADER
-    write_atomic(path, old + line)
+        old = ""
+    write_atomic(path, (old or LEDGER_HEADER) + line)

@@ -3,16 +3,18 @@
 import json
 import logging
 import os
+import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import zng
-from zng.cli import _ratio_text, main
-from zng.config import ExperimentConfig, parse_config
+from zng.cli import _config_from_args, _ratio_text, build_parser, main
+from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_config
 from zng.hypergraph import read_graph
 
 
@@ -276,13 +278,106 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert err.value.code == 2
 
 
+# ----------------------------------------------------------------------
+# the key table: config.MODE_KEYS drives the flags, the overlay and validate
+# ----------------------------------------------------------------------
+
+# each subcommand's own flags, besides the common ones, in --help order
+HELP_FLAGS = {
+    "construct": "--s --t --q --m --retries --restarts",
+    "verify": "--graph --s --t",
+    "count": "--graph --s",
+    "oracle": "--m --s",
+    "sweep": "--s --t --q --m --retries --restarts",
+}
+
+
+@pytest.mark.parametrize("mode", list(MODE_KEYS))
+def test_help_names_the_common_flags_and_the_table_keys(mode, capsys):
+    with pytest.raises(SystemExit) as err:
+        main([mode, "--help"])
+    assert err.value.code == 0
+    named = list(dict.fromkeys(re.findall(r"--\w+", capsys.readouterr().out)))
+    required, optional = MODE_KEYS[mode]
+    table = [f"--{key}" for key in required + optional]
+    named.remove("--help")
+    assert named == ["--seed", "--out", "--budget", "--config", *table]
+    assert " ".join(table) == HELP_FLAGS[mode]
+
+
+# a value for every key; two for each list key except construct's q
+SAMPLE_VALUES = {
+    "seed": ["7"], "out": ["o"], "budget": ["500"], "graph": ["g.zng"], "t": ["4"],
+    "retries": ["3"], "restarts": ["2"], "s": ["2", "3"], "m": ["4", "5"], "q": ["5", "7"],
+}
+
+
+@pytest.mark.parametrize("mode", list(MODE_KEYS))
+def test_flags_and_config_file_give_the_same_config(tmp_path, mode):
+    required, optional = MODE_KEYS[mode]
+    keys = COMMON_KEYS + required + optional
+    pairs = [
+        (key, value)
+        for key in keys
+        for value in SAMPLE_VALUES[key][: 1 if (mode, key) == ("construct", "q") else 2]
+    ]
+    path = tmp_path / "run.cfg"
+    path.write_text(f"mode={mode}\n" + "".join(f"{k}={v}\n" for k, v in pairs))
+    parser = build_parser()
+    from_flags = _config_from_args(
+        parser.parse_args([mode, *(x for k, v in pairs for x in (f"--{k}", v))])
+    )
+    from_file = _config_from_args(parser.parse_args([mode, "--config", str(path)]))
+    assert from_flags == from_file == parse_config(path.read_text())
+    defaults = ExperimentConfig(mode)
+    assert {k for k, v in zip(defaults._fields, defaults) if getattr(from_flags, k) != v} == set(keys)
+    from_flags.validate()
+
+
+def test_construct_takes_one_q_from_flags_as_from_a_file(tmp_path, capsys):
+    out = tmp_path / "c"
+    code, status = run_cli(
+        ["construct", "--s", "2", "--t", "4", "--q", "5", "--q", "7", "--m", "3",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == 2 and status["error"] == "usage"
+    assert "exactly one q" in status["reason"]
+    assert not out.exists()
+
+
+def test_oracle_size_errors_leave_no_out_dir(tmp_path, capsys):
+    for sizes in (["--m", "2", "--m", "2", "--s", "2"], ["--m", "0", "--s", "2"]):
+        out = tmp_path / "o"
+        code, status = run_cli(["oracle", *sizes, "--out", str(out)], capsys)
+        assert code == 2 and status["error"] == "usage"
+        assert not out.exists()
+    assert status["reason"] == "all sizes must be >= 1"
+
+
+def test_huge_t_is_a_budget_error_before_its_powers(tmp_path, capsys):
+    argv = ["construct", "--s", "2", "--q", "5", "--m", "3", "--out", str(tmp_path / "c")]
+    for t, reason in ((7000, "4300 digits"), (10**7, "basis")):
+        started = time.perf_counter()
+        code, status = run_cli([*argv, "--t", str(t)], capsys)
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and status["error"] == "budget" and reason in status["reason"]
+    code, status = run_cli([*argv, "--t", "6000"], capsys)
+    assert code == 0 and status["passed"] is True and status["edges"] == 15
+
+
+# a child interpreter imports the zng this suite tests, installed or not
+CHILD_ENV = {**os.environ, "PYTHONPATH": str(Path(zng.__file__).resolve().parent.parent)}
+
+
 def test_module_entry_point_usage():
     result = subprocess.run(
-        [sys.executable, "-m", "zng.cli"], capture_output=True, text=True
+        [sys.executable, "-m", "zng.cli"], capture_output=True, text=True, env=CHILD_ENV
     )
     assert result.returncode == 2  # argparse usage error: no subcommand
     helped = subprocess.run(
-        [sys.executable, "-m", "zng.cli", "--help"], capture_output=True, text=True
+        [sys.executable, "-m", "zng.cli", "--help"], capture_output=True, text=True,
+        env=CHILD_ENV,
     )
     assert helped.returncode == 0
     assert "construct" in helped.stdout and "sweep" in helped.stdout
@@ -302,10 +397,9 @@ LOADED_MODULES = (
 
 def loaded_modules(argv):
     """The modules in sys.modules after a fresh `zng.cli.main(argv)`."""
-    env = {**os.environ, "PYTHONPATH": str(Path(zng.__file__).resolve().parent.parent)}
     done = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES, *argv],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
     )
     assert done.returncode == 0, done.stderr
     return set(done.stdout.strip().splitlines()[-1].split())

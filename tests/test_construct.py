@@ -90,6 +90,19 @@ def test_derive_params_validation():
         derive_params((2,), 4, 5, (10, 10))  # m_list length mismatch
 
 
+def test_derive_params_budgets_huge_t_before_its_powers():
+    # the basis every build makes, checked before q ** (degree + 1)
+    assert derive_params((2, 2), 83**3, 3).degree == 82  # C(85, 3) = 98,770 monomials
+    with pytest.raises(BudgetError, match="102340 monomials"):
+        derive_params((2, 2), 84**3, 3)  # degree 83: C(86, 3) = 102,340
+    with pytest.raises(BudgetError, match="basis"):
+        derive_params((2,), 10**7, 5)
+    # a capacity str() cannot print: 5**6000 // 11998 has 4,191 digits, 5**7000 4,887
+    assert derive_params((2,), 6000, 5, (3,)).capacity == 5**6000 // 11998
+    with pytest.raises(BudgetError, match="4300 digits"):
+        derive_params((2,), 7000, 5, (3,))
+
+
 def test_capacity_overflow_warns_but_derives():
     with pytest.warns(CapacityWarning):
         params = derive_params((2, 2), 4, 3, (2, 2))  # 4 tuples > capacity 1

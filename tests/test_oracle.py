@@ -242,6 +242,13 @@ def test_ledger_appends_with_single_header(tmp_path):
     assert len(lines) == 3
 
 
+def test_ledger_treats_an_empty_file_as_new(tmp_path):
+    path = tmp_path / "oracle.tsv"
+    path.touch()
+    append_ledger(path, exact_z(ZQuery((2, 2), (2, 2))), "w1.zng")
+    assert path.read_bytes() == b"query\tz\tnodes\twitness\nz(2,2;2,2)\t3\t8\tw1.zng\n"
+
+
 def test_failed_ledger_write_leaves_the_old_ledger(tmp_path, monkeypatch):
     path = tmp_path / "oracle.tsv"
     append_ledger(path, exact_z(ZQuery((2, 2), (2, 2))), "w1.zng")
