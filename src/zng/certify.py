@@ -47,39 +47,17 @@ class FreenessCertificate(NamedTuple):
     bezout_bound: int | None = None
     range_ok: bool | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "part_sizes": list(self.part_sizes),
-            "s_list": list(self.s_list),
-            "t": self.t,
-            "pattern_count": self.pattern_count,
-            "max_size": self.max_size,
-            "argmax_pattern": [list(side) for side in self.argmax_pattern]
-            if self.argmax_pattern is not None
-            else None,
-            "table": [
-                {"pattern": [list(side) for side in pat], "size": size}
-                for pat, size in self.table
-            ]
-            if self.table is not None
-            else None,
-            "passed": self.passed,
-            "seed": self.seed,
-            "params": self.params,
-            "family": self.family,
-            "bezout_bound": self.bezout_bound,
-            "range_ok": self.range_ok,
-        }
-
 
 def format_certificate(cert: FreenessCertificate) -> str:
-    """json.dumps(cert.to_dict(), indent=2, sort_keys=True) plus a newline.
+    """The certificate as json.dumps(indent=2, sort_keys=True) plus a newline.
 
-    With an indent, json encodes in pure Python, so the two long lists, the
-    table and the family's polys (in PolyFamily.to_dict's layout), are left
-    out of that call and put in from _json_rows.
+    The keys are the record's fields and tuples are arrays; each table row
+    is a {"pattern", "size"} object.  With an indent, json encodes in pure
+    Python, so the two long lists, the table and the family's polys (in
+    PolyFamily.to_dict's layout), are left out of that call and put in from
+    _json_rows.
     """
-    head = cert._replace(table=None).to_dict()
+    head = cert._replace(table=None)._asdict()
     holes = {}
     if cert.table is not None:
         head["table"] = "\x00table"

@@ -18,7 +18,7 @@ import time
 from pathlib import Path
 
 from zng.config import COMMON_KEYS, LIST_KEYS, MODE_KEYS, STR_KEYS, ExperimentConfig, read_config
-from zng.errors import BudgetError, ConstructionError
+from zng.errors import BudgetError, ConstructionError, int_text
 from zng.hypergraph import GraphFormatError, read_graph, write_atomic, write_graph
 
 log = logging.getLogger("zng")
@@ -85,7 +85,7 @@ def _run_construct(config: ExperimentConfig) -> int:
         {
             "mode": "construct",
             "edges": result.graph.num_edges,
-            "part_sizes": list(result.graph.part_sizes),
+            "part_sizes": result.graph.part_sizes,
             "max_size": cert.max_size,
             "t": cert.t,
             "passed": cert.passed,
@@ -107,9 +107,7 @@ def _run_verify(config: ExperimentConfig) -> int:
             "mode": "verify",
             "graph": config.graph,
             "max_size": cert.max_size,
-            "argmax_pattern": [list(side) for side in cert.argmax_pattern]
-            if cert.argmax_pattern is not None
-            else None,
+            "argmax_pattern": cert.argmax_pattern,
             "t": cert.t,
             "passed": cert.passed,
             "out": str(out),
@@ -183,7 +181,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
         except (ValueError, ConstructionError, BudgetError) as err:
             failures += 1
             log.info("sweep q=%d failed in %.3fs: %s", q, time.perf_counter() - started, err)
-            lines.append(f"{row}-\t{bound}\t-\tfailed")
+            lines.append(f"{row}-\t{int_text(bound, '-')}\t-\tfailed")
             continue
         edges = result.graph.num_edges
         verdict = "pass" if result.certificate.passed else "failed"

@@ -30,7 +30,7 @@ from typing import Iterator, NamedTuple
 # write_certificate is not called here: perfbench/tracing.py times the
 # certificate writes under the name zng.construct.write_certificate.
 from zng.certify import FreenessCertificate, verify_freeness, write_certificate  # noqa: F401
-from zng.errors import BudgetError, ConstructionError
+from zng.errors import BudgetError, ConstructionError, int_text
 from zng.gf import Field, factor_prime_power, make_field
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
@@ -139,18 +139,8 @@ class ConstructionParams(NamedTuple):
         return math.prod(self.m_list)
 
     def to_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "s_list": list(self.s_list),
-            "t": self.t,
-            "q": self.q,
-            "m_list": list(self.m_list) if self.m_list is not None else None,
-            "s_total": self.s_total,
-            "degree": self.degree,
-            "capacity": self.capacity,
-            "n": self.n,
-            "field": self.field.to_dict(),
-        }
+        """The fields, with the Field object as its to_dict."""
+        return {**self._asdict(), "field": self.field.to_dict()}
 
 
 def derive_params(
@@ -213,7 +203,7 @@ def derive_params(
         tuples = math.prod(m_list)
         if tuples > capacity:
             warnings.warn(
-                f"{tuples} tuples exceed the derived capacity {capacity}; "
+                f"{int_text(tuples)} tuples exceed the derived capacity {capacity}; "
                 "the density guarantee does not cover this run "
                 "(freeness is still certified exhaustively)",
                 CapacityWarning,
@@ -312,7 +302,7 @@ def _check_select_args(
     points = params.q ** (params.s_total - 1)
     if points > point_budget:
         raise BudgetError(
-            f"evaluation domain has {points} points, above the budget {point_budget}",
+            f"evaluation domain has {int_text(points)} points, above the budget {point_budget}",
             required=points,
             budget=point_budget,
         )

@@ -167,14 +167,9 @@ class CountReport(NamedTuple):
     bound_holds: bool
 
     def to_dict(self) -> dict:
-        return {
-            "s_list": list(self.s_list),
-            "exact": self.exact,
-            "intermediate": self.intermediate,
-            "lower_bound": str(self.lower_bound),
-            "density": str(self.density),
-            "bound_holds": self.bound_holds,
-        }
+        """The fields, with the fractions as their str (json has no rationals)."""
+        fractions = {"lower_bound": str(self.lower_bound), "density": str(self.density)}
+        return {**self._asdict(), **fractions}
 
 
 def count_report(

@@ -9,6 +9,14 @@ ConstructionError to the verdict code without loading the construction.
 """
 
 
+def int_text(n: int, unprintable: str | None = None) -> str:
+    """str(n) for a message; unprintable (default "at least 2^<bits - 1>") if str() refuses n."""
+    try:
+        return str(n)
+    except ValueError:  # over sys.get_int_max_str_digits() digits, 4300 by default
+        return f"at least 2^{n.bit_length() - 1}" if unprintable is None else unprintable
+
+
 class ZngError(Exception):
     """Base class for package-specific failures."""
 

@@ -23,39 +23,45 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from zng.errors import BudgetError
 
 DEFAULT_ORDER_CAP = 1 << 16
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _factor(n: int) -> Iterator[tuple[int, int]]:
+    """n's (prime, exponent) pairs, smallest prime first, by lazy trial division."""
     f = 2
     while f * f <= n:
-        if n % f == 0:
-            return False
+        k = 0
+        while n % f == 0:
+            n //= f
+            k += 1
+        if k:
+            yield f, k
         f += 1
-    return True
+    if n > 1:
+        yield n, 1
 
 
 # ----------------------------------------------------------------------
 # polynomial helpers over GF(p), coefficient lists from the constant up
 # ----------------------------------------------------------------------
 
-def _poly_divides(div: list[int], num: list[int], p: int) -> bool:
-    """Whether the monic polynomial div divides num over GF(p)."""
+def _poly_rem(num: list[int], div: tuple[int, ...] | list[int], p: int) -> list[int]:
+    """num modulo the monic polynomial div over GF(p), as residues 0..p-1.
+
+    num's coefficients may be any integers; the result has len(div) - 1
+    entries when num has at least that many.
+    """
     rem = list(num)
     while len(rem) >= len(div):
-        lead = rem[-1]
+        lead = rem.pop() % p
         if lead:
-            shift = len(rem) - len(div)
-            for i, c in enumerate(div):
-                rem[shift + i] = (rem[shift + i] - lead * c) % p
-        rem.pop()
-    return not any(rem)
+            for i, c in enumerate(div[:-1], len(rem) + 1 - len(div)):
+                rem[i] -= lead * c
+    return [c % p for c in rem]
 
 
 def _is_irreducible(poly: list[int], p: int) -> bool:
@@ -63,7 +69,7 @@ def _is_irreducible(poly: list[int], p: int) -> bool:
     degree = len(poly) - 1
     for deg in range(1, degree // 2 + 1):
         for tail in itertools.product(range(p), repeat=deg):
-            if _poly_divides([*tail, 1], poly, p):
+            if not any(_poly_rem(poly, [*tail, 1], p)):
                 return False
     return True
 
@@ -151,14 +157,9 @@ class Field:
                 if x:
                     for j, y in enumerate(ys, i):
                         conv[j] += x * y
-            for top in range(2 * k - 2, k - 1, -1):
-                c = conv[top] % p
-                if c:
-                    for i, m in enumerate(modulus):
-                        conv[top - k + i] -= c * m
             out = 0
-            for c in conv[:k]:
-                out = out * p + c % p
+            for c in _poly_rem(conv, modulus, p):
+                out = out * p + c
             return out
 
         def power(a: int, e: int) -> int:
@@ -172,16 +173,8 @@ class Field:
             return out
 
         # the first element of order q-1: g^(n/l) != 1 for every prime l | n
-        factors, rest, f = [], n, 2
-        while f * f <= rest:
-            if rest % f == 0:
-                factors.append(f)
-                while rest % f == 0:
-                    rest //= f
-            f += 1
-        if rest > 1:
-            factors.append(rest)
-        g = next(g for g in range(1, q) if all(power(g, n // l) != one for l in factors))
+        primes = [l for l, _ in _factor(n)]
+        g = next(g for g in range(1, q) if all(power(g, n // l) != one for l in primes))
         powers = [one]  # index of g^e for e in 0..q-2
         x = g
         while x != one:
@@ -249,7 +242,7 @@ def make_field(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> Field:
     """
     if k < 1:
         raise ValueError(f"extension degree must be >= 1, got {k}")
-    if not _is_prime(p):
+    if next(_factor(p), None) != (p, 1):
         raise ValueError(f"{p} is not prime; the characteristic must be prime")
     q = p**k
     if q > order_cap:
@@ -271,16 +264,7 @@ def factor_prime_power(q: int) -> tuple[int, int]:
     """
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            k = 0
-            rest = q
-            while rest % p == 0:
-                rest //= p
-                k += 1
-            if rest != 1:
-                raise ValueError(f"{q} is not a prime power")
-            return p, k
-        p += 1
-    return q, 1
+    p, k = next(_factor(q))  # the smallest prime only: 2 * (a large prime) fails at once
+    if p**k != q:
+        raise ValueError(f"{q} is not a prime power")
+    return p, k

@@ -37,7 +37,7 @@ import os
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from zng.errors import BudgetError, ZngError
+from zng.errors import BudgetError, ZngError, int_text
 
 DEFAULT_PATTERN_BUDGET = 1_000_000
 
@@ -258,7 +258,8 @@ def pattern_count(
     lookups = count * math.prod(s_list)
     if budget is not None and lookups > budget:
         raise BudgetError(
-            f"{lookups} mask lookups for {count} patterns exceed the budget {budget}",
+            f"{int_text(lookups)} mask lookups for {int_text(count)} patterns "
+            f"exceed the budget {budget}",
             required=lookups,
             budget=budget,
         )

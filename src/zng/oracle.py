@@ -33,7 +33,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple
 
-from zng.errors import BudgetError
+from zng.errors import BudgetError, int_text
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     RPartiteHypergraph,
@@ -103,15 +103,15 @@ def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> 
             bitmasks that take more than DEFAULT_PATTERN_BUDGET edge lookups
             to build (hypergraph.pattern_count).
     """
-    pot = list(itertools.product(*(range(m) for m in query.m_list)))
-    n = len(pot)
+    n = query.potential_edges
     if n > edge_cap:
         raise BudgetError(
-            f"{n} potential edges exceed the exhaustion cap {edge_cap}",
+            f"{int_text(n)} potential edges exceed the exhaustion cap {edge_cap}",
             required=n,
             budget=edge_cap,
         )
     pattern_count(query.m_list, query.s_list, DEFAULT_PATTERN_BUDGET)
+    pot = list(itertools.product(*(range(m) for m in query.m_list)))
     bit = {edge: 1 << i for i, edge in enumerate(pot)}
     patterns = [
         sum(bit[edge] for edge in itertools.product(*subsets))
@@ -254,7 +254,7 @@ def exact_z(query: ZQuery, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
     n = query.potential_edges
     if n > edge_cap:
         raise BudgetError(
-            f"{n} potential edges exceed the search cap {edge_cap}",
+            f"{int_text(n)} potential edges exceed the search cap {edge_cap}",
             required=n,
             budget=edge_cap,
         )

@@ -407,8 +407,15 @@ def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction
 
 
 def reference_certificate_text(cert: FreenessCertificate) -> str:
-    """certify.format_certificate by json's own indenting encoder."""
-    return json.dumps(cert.to_dict(), indent=2, sort_keys=True) + "\n"
+    """certify.format_certificate by json's own indenting encoder.
+
+    The layout is spelled out here: the record's fields are the keys, tuples
+    are arrays, and each table row is a {"pattern", "size"} object.
+    """
+    data = cert._asdict()
+    if cert.table is not None:
+        data["table"] = [{"pattern": pattern, "size": size} for pattern, size in cert.table]
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 
 @st.composite

@@ -13,8 +13,11 @@ from pathlib import Path
 import pytest
 
 import zng
+from zng.certify import FreenessCertificate
 from zng.cli import _config_from_args, _ratio_text, build_parser, main
 from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_config
+from zng.construct import CapacityWarning, ConstructionParams, PartSplitAdvisory
+from zng.count import CountReport
 from zng.hypergraph import read_graph
 
 
@@ -362,8 +365,82 @@ def test_huge_t_is_a_budget_error_before_its_powers(tmp_path, capsys):
         code, status = run_cli([*argv, "--t", str(t)], capsys)
         assert time.perf_counter() - started < 1.0
         assert code == 3 and status["error"] == "budget" and reason in status["reason"]
-    code, status = run_cli([*argv, "--t", "6000"], capsys)
+    with pytest.warns(PartSplitAdvisory):  # its capacity has 4191 digits
+        code, status = run_cli([*argv, "--t", "6000"], capsys)
     assert code == 0 and status["passed"] is True and status["edges"] == 15
+
+
+def test_artifact_keys_are_the_record_fields(tmp_path, capsys):
+    graph = tmp_path / "b" / "graph.zng"
+    runs = {
+        "b": ["construct", "--s", "2", "--t", "4", "--q", "5", "--m", "104"],  # no advisory
+        "v": ["verify", "--graph", str(graph), "--s", "2", "--t", "4"],
+        "c": ["count", "--graph", str(graph), "--s", "2", "--s", "2"],
+    }
+    for out, argv in runs.items():
+        assert run_cli([*argv, "--out", str(tmp_path / out)], capsys)[0] == 0
+    built, verified = (
+        json.loads((tmp_path / out / "certificate.json").read_text()) for out in "bv"
+    )
+    counted = json.loads((tmp_path / "c" / "count.json").read_text())
+    assert sorted(built) == sorted(verified) == sorted(FreenessCertificate._fields)
+    assert sorted(built["params"]) == sorted(ConstructionParams._fields)
+    assert sorted(counted) == sorted(CountReport._fields)
+
+
+# counts with more digits than str() prints (4300): each is an exit 3 budget
+# error (or a failed sweep row), not a usage error from the message text
+BIG = str(10**4000)
+
+
+@pytest.mark.parametrize("mode, sides", [("verify", ["--t", "2"]), ("count", ["--s", "1"])])
+def test_unprintable_pattern_count_is_a_budget_error(tmp_path, capsys, mode, sides):
+    graph = tmp_path / "wide.zng"
+    graph.write_text("zng 2 1000000 5\n")  # C(10^6, 3000) patterns, 8868 digits
+    argv = [mode, "--graph", str(graph), "--s", "3000", *sides, "--out", str(tmp_path / "o")]
+    code, status = run_cli(argv, capsys)
+    assert code == 3 and status["error"] == "budget"
+    assert re.fullmatch(
+        r"at least 2\^\d+ mask lookups for at least 2\^\d+ patterns exceed the budget \d+",
+        status["reason"],
+    )
+
+
+def test_unprintable_evaluation_domain_is_a_budget_error(tmp_path, capsys):
+    argv = ["construct", "--s", "3000", "--t", "3000", "--q", "127", "--m", "1"]
+    with pytest.warns(CapacityWarning):  # capacity 0
+        code, status = run_cli([*argv, "--out", str(tmp_path / "c")], capsys)
+    assert code == 3 and status["error"] == "budget"
+    assert status["reason"].startswith("evaluation domain has at least 2^20959 points")
+
+
+def test_unprintable_tuple_count_warns_and_is_a_budget_error(tmp_path, capsys):
+    argv = ["construct", "--s", "2", "--s", "2", "--t", "4", "--q", "5", "--m", BIG, "--m", BIG]
+    with pytest.warns(CapacityWarning, match=r"^at least 2\^26575 tuples exceed"):
+        code, status = run_cli([*argv, "--out", str(tmp_path / "c")], capsys)
+    assert code == 3 and status["error"] == "budget"
+    assert "patterns exceed the budget" in status["reason"]
+
+
+def test_unprintable_oracle_edge_count_is_a_budget_error(tmp_path, capsys):
+    argv = ["oracle", "--m", BIG, "--s", "1", "--m", BIG, "--s", "1"]
+    code, status = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+    assert code == 3 and status["error"] == "budget"
+    assert status["reason"] == "at least 2^26575 potential edges exceed the search cap 36"
+
+
+def test_unprintable_sweep_bound_is_a_failed_row(tmp_path, capsys):
+    out = tmp_path / "s"
+    argv = ["sweep", "--s", "3000", "--t", "3000", "--q", "127", "--q", "5", "--out", str(out)]
+    with pytest.warns(CapacityWarning):
+        code, status = run_cli(argv, capsys)
+    assert code == 1 and status["failed"] == 2
+    # 127 * 127^2999 has 6312 digits and prints as "-"; 5 * 5^2999 has 2097
+    assert (out / "sweep.tsv").read_text().splitlines() == [
+        "q\tm\tedges\tbound\tratio\tverdict",
+        "127\t127\t-\t-\t-\tfailed",
+        f"5\t5\t-\t{5**3000}\t-\tfailed",
+    ]
 
 
 # a child interpreter imports the zng this suite tests, installed or not

@@ -98,7 +98,8 @@ def test_derive_params_budgets_huge_t_before_its_powers():
     with pytest.raises(BudgetError, match="basis"):
         derive_params((2,), 10**7, 5)
     # a capacity str() cannot print: 5**6000 // 11998 has 4,191 digits, 5**7000 4,887
-    assert derive_params((2,), 6000, 5, (3,)).capacity == 5**6000 // 11998
+    with pytest.warns(PartSplitAdvisory):
+        assert derive_params((2,), 6000, 5, (3,)).capacity == 5**6000 // 11998
     with pytest.raises(BudgetError, match="4300 digits"):
         derive_params((2,), 7000, 5, (3,))
 

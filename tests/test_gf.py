@@ -52,6 +52,8 @@ def test_factor_prime_power():
         factor_prime_power(1)
     with pytest.raises(ValueError):
         factor_prime_power(12)
+    with pytest.raises(ValueError):  # at the factor 2, not after sqrt(2^61) divisions
+        factor_prime_power(2 * (2**61 - 1))
 
 
 def test_make_field_rejects_composite_characteristic():

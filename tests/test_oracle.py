@@ -129,6 +129,14 @@ def test_edge_caps_reject_large_queries():
         exhaustive_z(ZQuery((25,), (12,)))  # C(25, 12) pattern bitmasks
 
 
+def test_edge_caps_name_counts_too_long_to_print():
+    # 10^8000 potential edges, which str() refuses; no edge is listed first
+    query = ZQuery((10**4000, 10**4000), (1, 1))
+    for oracle in (exhaustive_z, exact_z):
+        with pytest.raises(BudgetError, match=r"^at least 2\^26575 potential edges exceed"):
+            oracle(query)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.integers(1, 3), min_size=1, max_size=3),
