@@ -78,6 +78,13 @@ BUILDS = {
             "graph.zng": "7a9cb90c073ceb1fbdd9f00724bd2dd0000b6c2aab3b218d1310225cdf6124f6",
         },
     ),
+    "r2-q251": (  # 63,001 edges, 31,375 patterns: no table
+        dict(s=(2,), t=4, q=(251,), m=(251,)),
+        {
+            "certificate.json": "b6624134dcae4562fff124751b73ad348f18411e0f4daa088c0437d7c5c64558",
+            "graph.zng": "6763517e47f68fbe6b0b04845d307f114bfde21fac0d4293a9758e67c492efdb",
+        },
+    ),
     "restarts": (  # 33 resamples over 6 restarts
         dict(s=(2,), t=2, q=(5,), m=(24,), retries=8),
         {
