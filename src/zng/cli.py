@@ -40,12 +40,6 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _outdir(config: ExperimentConfig) -> Path:
-    out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _kwargs(**values) -> dict:
     """The keyword arguments that are set; None leaves the library default."""
     return {key: value for key, value in values.items() if value is not None}
@@ -71,7 +65,6 @@ def _build_point(
         restart_cap=config.restarts,
     )
     result = build(params, seed, **budgets)
-    out.mkdir(parents=True, exist_ok=True)
     write_graph(result.graph, out / "graph.zng")
     write_certificate(result.certificate, out / "certificate.json")
     return result
@@ -98,7 +91,7 @@ def _run_construct(config: ExperimentConfig) -> int:
 def _run_verify(config: ExperimentConfig) -> int:
     from zng.certify import verify_freeness, write_certificate
 
-    out = _outdir(config)
+    out = Path(config.out)
     graph = read_graph(config.graph)
     cert = verify_freeness(graph, config.s, config.t, **_kwargs(pattern_budget=config.budget))
     write_certificate(cert, out / "certificate.json")
@@ -119,7 +112,7 @@ def _run_verify(config: ExperimentConfig) -> int:
 def _run_count(config: ExperimentConfig) -> int:
     from zng.count import count_report
 
-    out = _outdir(config)
+    out = Path(config.out)
     graph = read_graph(config.graph)
     report = count_report(graph, config.s, **_kwargs(pattern_budget=config.budget))
     payload = report.to_dict()
@@ -131,8 +124,8 @@ def _run_count(config: ExperimentConfig) -> int:
 def _run_oracle(config: ExperimentConfig) -> int:
     from zng.oracle import ZQuery, append_ledger, exact_z
 
-    query = ZQuery(config.m, config.s)  # checks the sizes before out is made
-    out = _outdir(config)
+    query = ZQuery(config.m, config.s)
+    out = Path(config.out)
     started = time.perf_counter()
     result = exact_z(query, **_kwargs(edge_cap=config.budget))
     seconds = time.perf_counter() - started
@@ -166,7 +159,7 @@ def _run_sweep(config: ExperimentConfig) -> int:
     """One construction per field order; partial failures stay per-row."""
     from zng.seeds import derive_seed
 
-    out = _outdir(config)
+    out = Path(config.out)
     s_total = math.prod(config.s)
     lines = ["q\tm\tedges\tbound\tratio\tverdict"]
     failures = 0

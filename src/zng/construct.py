@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple
 # certificate writes under the name zng.construct.write_certificate.
 from zng.certify import FreenessCertificate, verify_freeness, write_certificate  # noqa: F401
 from zng.errors import BudgetError, ConstructionError, int_text
-from zng.gf import Field, factor_prime_power, make_field
+from zng.gf import Field, make_field
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
@@ -42,10 +42,10 @@ from zng.hypergraph import (
     prefix_ranks,
 )
 from zng.mpoly import (
-    DEFAULT_BASIS_CAP,
     DEFAULT_POINT_BUDGET,
     MonomialBasis,
     MultiPoly,
+    basis_size,
     graph_mask,
     monomial_basis,
     monomial_rows,
@@ -166,9 +166,10 @@ def derive_params(
 
     Raises:
         ValueError: empty or sub-unit s_list, s_total < 2, t below the
-            hypothesis threshold, q not a prime power.
-        BudgetError: q above the field-order cap, a monomial basis above
-            mpoly.DEFAULT_BASIS_CAP, or a capacity of more than 4300 digits.
+            hypothesis threshold, q not a prime power (gf.make_field).
+        BudgetError: q above 2^16, prime power or not (gf.make_field), a
+            basis above the cap (mpoly.basis_size), or a capacity of more
+            than 4300 digits.
     """
     s_list = tuple(int(s) for s in s_list)
     if not s_list or any(s < 1 for s in s_list):
@@ -178,18 +179,10 @@ def derive_params(
         raise ValueError(f"prod(s_list) = {s_total} < 2; nothing to randomize")
     if t < s_total:
         raise ValueError(f"t = {t} violates the hypothesis t >= prod(s_list) = {s_total}")
-    p, k = factor_prime_power(q)
-    fld = make_field(p, k)
+    fld = make_field(q)
     degree = _ceil_root(t, s_total - 1) - 1
     assert degree >= 1 and degree ** (s_total - 1) < t, (degree, s_total, t)
-    basis_size = math.comb(s_total - 1 + degree, degree)  # what every build makes
-    if basis_size > DEFAULT_BASIS_CAP:
-        raise BudgetError(
-            f"degree {degree} needs a basis of {basis_size} monomials, "
-            f"above the cap {DEFAULT_BASIS_CAP}",
-            required=basis_size,
-            budget=DEFAULT_BASIS_CAP,
-        )
+    basis_size(s_total - 1, degree)  # what every build makes
     capacity = integer_root(q ** (degree + 1), s_total - 1) // (2 * degree)
     if capacity >= PRINTABLE_LIMIT:
         raise BudgetError(f"the capacity at q={q}, degree {degree} has over 4300 digits")

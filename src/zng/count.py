@@ -67,11 +67,7 @@ def _count_pass(
     return exact, intermediate
 
 
-def count_ordered(
-    H: RPartiteHypergraph,
-    s_list: tuple[int, ...],
-    pattern_budget: int = DEFAULT_PATTERN_BUDGET,
-) -> int:
+def count_ordered(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> int:
     """Exact number of ordered complete patterns with side sizes s_list.
 
     A pattern is a tuple of subsets (S_1, ..., S_r), |S_i| = s_i, S_i inside
@@ -82,15 +78,17 @@ def count_ordered(
     Args:
         H: the graph.
         s_list: one side size per part, length r.
-        pattern_budget: cap on the mask lookups of the enumeration.
 
     Returns:
         The exact count, 0 when some s_i exceeds its part.
+
+    Raises:
+        BudgetError: more than DEFAULT_PATTERN_BUDGET mask lookups.
     """
     _check_sides(H, s_list)
     if any(s > m for s, m in zip(s_list, H.part_sizes)):
         return 0
-    return _count_pass(H, s_list, pattern_budget)[0]
+    return _count_pass(H, s_list, DEFAULT_PATTERN_BUDGET)[0]
 
 
 def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction:

@@ -6,8 +6,8 @@ most significant first (Field.residues).  So 0..q-1 lists the residue
 tuples in lexicographic order, zero first, and the field's one has index
 q/p.  Extension fields reduce modulo the lexicographically smallest monic
 irreducible polynomial of degree k, found by an exhaustive trial-division
-scan; the scan is feasible because the whole module is capped at desk-scale
-orders (q <= 2^16 by default).
+scan; the scan is feasible because make_field refuses orders above
+DEFAULT_ORDER_CAP = 2^16.
 
 Field.int_arith is the arithmetic: a log/antilog pair for the first
 primitive element, and an integer field sum that is (a + b) mod p in a prime
@@ -25,7 +25,7 @@ import itertools
 import operator
 from typing import Callable, Iterable, Iterator, NamedTuple
 
-from zng.errors import BudgetError
+from zng.errors import BudgetError, int_text
 
 DEFAULT_ORDER_CAP = 1 << 16
 
@@ -228,43 +228,25 @@ class Field:
         return f"Field(GF({self.q}))"
 
 
-def make_field(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> Field:
-    """Build GF(p^k), scanning for the canonical modulus when k > 1.
+def make_field(q: int) -> Field:
+    """Build GF(q), scanning for the canonical modulus when q is not prime.
 
-    Args:
-        p: characteristic, must be prime.
-        k: extension degree, at least 1.
-        order_cap: refuse fields with q = p**k above this bound.
+    The order cap comes before any trial division, so a huge q is refused
+    at once.
 
     Raises:
-        ValueError: p is not prime, or k < 1.
-        BudgetError: the order exceeds order_cap.
-    """
-    if k < 1:
-        raise ValueError(f"extension degree must be >= 1, got {k}")
-    if next(_factor(p), None) != (p, 1):
-        raise ValueError(f"{p} is not prime; the characteristic must be prime")
-    q = p**k
-    if q > order_cap:
-        raise BudgetError(
-            f"field order {q} exceeds the cap {order_cap}", required=q, budget=order_cap
-        )
-    modulus = _smallest_irreducible(p, k) if k > 1 else None
-    return Field(p, k, modulus)
-
-
-def factor_prime_power(q: int) -> tuple[int, int]:
-    """Write q as p**k with p prime, or reject.
-
-    Returns:
-        (p, k) with q == p**k.
-
-    Raises:
-        ValueError: q is not a prime power.
+        ValueError: q < 2, or q is not a prime power.
+        BudgetError: q exceeds DEFAULT_ORDER_CAP.
     """
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
-    p, k = next(_factor(q))  # the smallest prime only: 2 * (a large prime) fails at once
+    if q > DEFAULT_ORDER_CAP:
+        raise BudgetError(
+            f"field order {int_text(q)} exceeds the cap {DEFAULT_ORDER_CAP}",
+            required=q,
+            budget=DEFAULT_ORDER_CAP,
+        )
+    p, k = next(_factor(q))  # the smallest prime only
     if p**k != q:
         raise ValueError(f"{q} is not a prime power")
-    return p, k
+    return Field(p, k, _smallest_irreducible(p, k) if k > 1 else None)

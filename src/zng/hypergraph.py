@@ -332,11 +332,13 @@ def parse_graph(text: str) -> RPartiteHypergraph:
 def write_atomic(path: str | Path, text: str) -> None:
     """Write ASCII text to path through a temp file in the same directory.
 
-    os.replace then swaps the temp file in, so readers see the old file or
-    the whole new one.  A failure at any point leaves the target as it was
-    and removes the temp file.
+    Missing parent directories are made first, so a directory exists only
+    once a run writes into it.  os.replace then swaps the temp file in, so
+    readers see the old file or the whole new one.  A failure at any point
+    leaves the target as it was and removes the temp file.
     """
     path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="ascii", newline="") as handle:

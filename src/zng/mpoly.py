@@ -54,22 +54,29 @@ class MonomialBasis(NamedTuple):
     exponents: tuple[tuple[int, ...], ...]
 
 
-def monomial_basis(num_vars: int, max_degree: int, size_cap: int = DEFAULT_BASIS_CAP) -> MonomialBasis:
-    """Build the graded monomial basis; size is C(num_vars + max_degree, max_degree).
+def basis_size(num_vars: int, max_degree: int) -> int:
+    """C(num_vars + max_degree, max_degree); BudgetError above DEFAULT_BASIS_CAP."""
+    size = math.comb(num_vars + max_degree, max_degree)
+    if size > DEFAULT_BASIS_CAP:
+        raise BudgetError(
+            f"degree {max_degree} needs a basis of {size} monomials, "
+            f"above the cap {DEFAULT_BASIS_CAP}",
+            required=size,
+            budget=DEFAULT_BASIS_CAP,
+        )
+    return size
+
+
+def monomial_basis(num_vars: int, max_degree: int) -> MonomialBasis:
+    """Build the graded monomial basis of basis_size(num_vars, max_degree) monomials.
 
     Raises:
         ValueError: negative dimensions.
-        BudgetError: the basis would exceed size_cap monomials.
+        BudgetError: the basis would exceed DEFAULT_BASIS_CAP monomials.
     """
     if num_vars < 0 or max_degree < 0:
         raise ValueError("num_vars and max_degree must be nonnegative")
-    size = math.comb(num_vars + max_degree, max_degree)
-    if size > size_cap:
-        raise BudgetError(
-            f"basis has {size} monomials, above the cap {size_cap}",
-            required=size,
-            budget=size_cap,
-        )
+    size = basis_size(num_vars, max_degree)
     exps = tuple(
         exp
         for degree in range(max_degree + 1)

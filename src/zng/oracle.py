@@ -87,7 +87,7 @@ class ZResult(NamedTuple):
     nodes: int
 
 
-def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> ZResult:
+def exhaustive_z(query: ZQuery) -> ZResult:
     """Raw exhaustion over all 2^N edge subsets; the reference oracle.
 
     Bit i of a subset is potential edge i in lexicographic order.  Each
@@ -99,16 +99,16 @@ def exhaustive_z(query: ZQuery, edge_cap: int = DEFAULT_EXHAUSTIVE_EDGE_CAP) -> 
     order.
 
     Raises:
-        BudgetError: more than edge_cap potential edges, or pattern
-            bitmasks that take more than DEFAULT_PATTERN_BUDGET edge lookups
-            to build (hypergraph.pattern_count).
+        BudgetError: more than DEFAULT_EXHAUSTIVE_EDGE_CAP potential edges,
+            or pattern bitmasks that take more than DEFAULT_PATTERN_BUDGET
+            edge lookups to build (hypergraph.pattern_count).
     """
-    n = query.potential_edges
-    if n > edge_cap:
+    n, cap = query.potential_edges, DEFAULT_EXHAUSTIVE_EDGE_CAP
+    if n > cap:
         raise BudgetError(
-            f"{int_text(n)} potential edges exceed the exhaustion cap {edge_cap}",
+            f"{int_text(n)} potential edges exceed the exhaustion cap {cap}",
             required=n,
-            budget=edge_cap,
+            budget=cap,
         )
     pattern_count(query.m_list, query.s_list, DEFAULT_PATTERN_BUDGET)
     pot = list(itertools.product(*(range(m) for m in query.m_list)))

@@ -7,6 +7,7 @@ wrong.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import json
@@ -14,6 +15,7 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
 from zng.certify import FreenessCertificate
@@ -29,6 +31,14 @@ from zng.hypergraph import (
     prefix_ranks,
 )
 from zng.mpoly import DEFAULT_POINT_BUDGET, monomial_basis, random_poly
+
+
+@contextlib.contextmanager
+def warns_exactly(category: type[Warning], count: int):
+    """pytest.warns(category) that also fails on another count or another kind."""
+    with pytest.warns(category) as caught:
+        yield
+    assert [w.category for w in caught] == [category] * count
 
 
 # ----------------------------------------------------------------------

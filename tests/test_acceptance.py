@@ -12,13 +12,13 @@ import random
 import time
 import warnings
 
-from helpers import agreement_set, check_field_axioms, naive_count, random_graph
+from helpers import agreement_set, check_field_axioms, naive_count, random_graph, warns_exactly
 from zng.certify import verify_freeness
 from zng.cli import run
 from zng.config import ExperimentConfig
-from zng.construct import build, derive_params
+from zng.construct import PartSplitAdvisory, build, derive_params
 from zng.count import count_ordered, jensen_lower_bound
-from zng.gf import factor_prime_power, make_field
+from zng.gf import make_field
 from zng.hypergraph import complete_graph, parse_graph, read_graph
 from zng.mpoly import monomial_basis, random_poly
 from zng.oracle import ZQuery, exact_z, exhaustive_z
@@ -184,7 +184,8 @@ def test_acceptance_7_sweep_determinism(tmp_path):
             config = ExperimentConfig(
                 mode="sweep", s=(2,), t=4, q=SWEEP_Q, seed=MASTER_SEED, out=str(out)
             )
-            assert run(config) == 0
+            with warns_exactly(PartSplitAdvisory, len(SWEEP_Q)):  # m = q
+                assert run(config) == 0
             outs.append(out)
         a, b = outs
         rel_paths = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
@@ -208,14 +209,14 @@ def test_acceptance_8_field_and_polynomial_suites():
     try:
         for q in range(2, 65):
             try:
-                p, k = factor_prime_power(q)
+                field = make_field(q)
             except ValueError:
                 continue
-            check_field_axioms(make_field(p, k))
+            check_field_axioms(field)
         for v in range(7):
             for d in range(7):
                 assert len(monomial_basis(v, d).exponents) == math.comb(v + d, d)
-        field = make_field(11, 1)
+        field = make_field(11)
         degree = 4
         basis = monomial_basis(1, degree)
         rng = random.Random(derive_seed(MASTER_SEED, "pairs"))

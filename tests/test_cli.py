@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import zng
+from helpers import warns_exactly
 from zng.certify import FreenessCertificate
 from zng.cli import _config_from_args, _ratio_text, build_parser, main
 from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_config
@@ -34,11 +35,12 @@ def run_cli(args, capsys):
 
 def test_construct_end_to_end(tmp_path, capsys):
     out = tmp_path / "run"
-    code, status = run_cli(
-        ["construct", "--s", "2", "--t", "4", "--q", "5", "--m", "10",
-         "--seed", "1", "--out", str(out)],
-        capsys,
-    )
+    with warns_exactly(PartSplitAdvisory, 1):
+        code, status = run_cli(
+            ["construct", "--s", "2", "--t", "4", "--q", "5", "--m", "10",
+             "--seed", "1", "--out", str(out)],
+            capsys,
+        )
     assert code == 0
     assert status["edges"] == 50 and status["passed"] is True
     graph = read_graph(out / "graph.zng")
@@ -127,11 +129,12 @@ def test_oracle_logs_its_node_rate_and_nothing_else(tmp_path, capsys, caplog):
 
 def test_sweep_ratios_are_exactly_one(tmp_path, capsys):
     out = tmp_path / "s"
-    code, status = run_cli(
-        ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "7", "--q", "9",
-         "--q", "11", "--seed", "42", "--out", str(out)],
-        capsys,
-    )
+    with warns_exactly(PartSplitAdvisory, 4):  # m = q, capacity q^3 / 2
+        code, status = run_cli(
+            ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "7", "--q", "9",
+             "--q", "11", "--seed", "42", "--out", str(out)],
+            capsys,
+        )
     assert code == 0 and status["failed"] == 0
     lines = (out / "sweep.tsv").read_text().splitlines()
     assert lines[0] == "q\tm\tedges\tbound\tratio\tverdict"
@@ -165,11 +168,12 @@ def test_sweep_empty_range(tmp_path, capsys):
 
 def test_sweep_marks_infeasible_rows_and_continues(tmp_path, capsys):
     out = tmp_path / "s"
-    code, status = run_cli(
-        ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "6", "--q", "7",
-         "--seed", "1", "--out", str(out)],
-        capsys,
-    )
+    with warns_exactly(PartSplitAdvisory, 2):  # q = 6 fails before its advisory
+        code, status = run_cli(
+            ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "6", "--q", "7",
+             "--seed", "1", "--out", str(out)],
+            capsys,
+        )
     assert code == 1
     assert status["failed"] == 1
     rows = {
@@ -183,8 +187,9 @@ def test_sweep_marks_infeasible_rows_and_continues(tmp_path, capsys):
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     args = ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "7", "--seed", "9"]
     a, b = tmp_path / "a", tmp_path / "b"
-    assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b)]) == 0
+    with warns_exactly(PartSplitAdvisory, 4):
+        assert main(args + ["--out", str(a)]) == 0
+        assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     for rel in ("sweep.tsv", "q5/graph.zng", "q5/certificate.json", "q7/graph.zng"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
@@ -202,17 +207,19 @@ def test_config_file_round_trip_drives_a_run(tmp_path, capsys):
     )
     path = tmp_path / "run.cfg"
     path.write_text(text)
-    code, status = run_cli(["construct", "--config", str(path)], capsys)
+    with warns_exactly(PartSplitAdvisory, 1):
+        code, status = run_cli(["construct", "--config", str(path)], capsys)
     assert code == 0 and status["edges"] == 30
 
 
 def test_cli_flags_override_config(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(f"mode=construct\ns=2\nm=6\nq=5\nt=4\nseed=3\nout={tmp_path / 'x'}\n")
-    code, status = run_cli(
-        ["construct", "--config", str(path), "--m", "4", "--out", str(tmp_path / "y")],
-        capsys,
-    )
+    with warns_exactly(PartSplitAdvisory, 1):
+        code, status = run_cli(
+            ["construct", "--config", str(path), "--m", "4", "--out", str(tmp_path / "y")],
+            capsys,
+        )
     assert code == 0
     assert status["edges"] == 20  # the flag m=4 wins over the file's m=6
     assert (tmp_path / "y" / "graph.zng").exists()
@@ -262,11 +269,12 @@ def test_budget_violation_exit_code(tmp_path, capsys):
 
 def test_infeasible_construct_is_verdict_failure(tmp_path, capsys):
     # five pairwise-distinct linear polynomials cannot exist over GF(2)
-    code, status = run_cli(
-        ["construct", "--s", "2", "--t", "2", "--q", "2", "--m", "5",
-         "--retries", "8", "--restarts", "2", "--out", str(tmp_path / "f")],
-        capsys,
-    )
+    with warns_exactly(CapacityWarning, 1):
+        code, status = run_cli(
+            ["construct", "--s", "2", "--t", "2", "--q", "2", "--m", "5",
+             "--retries", "8", "--restarts", "2", "--out", str(tmp_path / "f")],
+            capsys,
+        )
     assert code == 1 and status["error"] == "construction"
 
 
@@ -356,6 +364,25 @@ def test_oracle_size_errors_leave_no_out_dir(tmp_path, capsys):
         assert code == 2 and status["error"] == "usage"
         assert not out.exists()
     assert status["reason"] == "all sizes must be >= 1"
+
+
+def test_budget_errors_leave_no_out_dir(tmp_path, capsys):
+    graph = tmp_path / "wide.zng"
+    graph.write_text("zng 2 1000000 5\n")  # C(10^6, 3000) patterns
+    runs = {
+        "v": ["verify", "--graph", str(graph), "--s", "3000", "--t", "2"],
+        "c": ["count", "--graph", str(graph), "--s", "3000", "--s", "1"],
+        "z": ["oracle", "--m", "7", "--s", "2", "--m", "7", "--s", "2"],
+        "b": ["construct", "--s", "2", "--t", "4", "--q", "5", "--m", "104", "--budget", "4"],
+    }
+    reasons = {}
+    for name, argv in runs.items():
+        code, status = run_cli([*argv, "--out", str(tmp_path / "p" / name)], capsys)
+        assert code == 3 and status["error"] == "budget", name
+        reasons[name] = status["reason"]
+    assert not (tmp_path / "p").exists()
+    assert reasons["z"] == "49 potential edges exceed the search cap 36"
+    assert reasons["b"].startswith("evaluation domain has 5 points")
 
 
 def test_huge_t_is_a_budget_error_before_its_powers(tmp_path, capsys):
@@ -458,6 +485,19 @@ def test_module_entry_point_usage():
     )
     assert helped.returncode == 0
     assert "construct" in helped.stdout and "sweep" in helped.stdout
+
+
+def test_field_orders_above_the_cap_exit_3_at_once(tmp_path):
+    # a prime near 10^18 (no trial division to 10^9) and a composite above 2^16
+    for q in ("1000000000000000003", "100000"):
+        done = subprocess.run(
+            [sys.executable, "-m", "zng.cli", "construct", "--s", "2", "--t", "4",
+             "--q", q, "--m", "2", "--out", str(tmp_path / q)],
+            capture_output=True, text=True, env=CHILD_ENV, timeout=5,
+        )
+        assert done.returncode == 3, done.stdout
+        assert json.loads(done.stdout.splitlines()[-1])["error"] == "budget"
+        assert not (tmp_path / q).exists()
 
 
 # ----------------------------------------------------------------------

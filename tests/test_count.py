@@ -11,6 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import graphs_with_sides, naive_count, random_graph, reference_jensen
+import zng.count
 from zng.certify import verify_freeness
 from zng.count import (
     count_ordered,
@@ -67,13 +68,14 @@ def test_count_frozen_examples():
     assert count_ordered(C6, (2, 1)) == 3  # cherries from the left
 
 
-def test_count_validation():
+def test_count_validation(monkeypatch):
     with pytest.raises(ValueError):
         count_ordered(C6, (2,))
     with pytest.raises(ValueError):
         count_ordered(C6, (2, 0))
+    monkeypatch.setattr(zng.count, "DEFAULT_PATTERN_BUDGET", 100)
     with pytest.raises(BudgetError):
-        count_ordered(complete_graph((20, 20)), (2, 2), pattern_budget=100)
+        count_ordered(complete_graph((20, 20)), (2, 2))
 
 
 def test_declared_last_part_size_allocates_nothing():

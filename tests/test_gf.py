@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import check_field_axioms, residue_field
 from zng.errors import BudgetError
 from zng.construct import derive_params
-from zng.gf import DEFAULT_ORDER_CAP, factor_prime_power, make_field
+from zng.gf import DEFAULT_ORDER_CAP, make_field
 
 def _prime_powers(limit: int) -> list[tuple[int, int, int]]:
     out = []
@@ -37,36 +38,36 @@ def test_prime_power_table_is_complete():
 
 @pytest.mark.parametrize("q,p,k", ALL_Q, ids=[f"q{q}" for q, _, _ in ALL_Q])
 def test_field_axioms_exhaustive(q, p, k):
-    field = make_field(p, k)
-    assert field.q == q
+    field = make_field(q)
+    assert (field.p, field.k, field.q) == (p, k, q)
     check_field_axioms(field)
 
 
 def test_factor_prime_power():
-    assert factor_prime_power(9) == (3, 2)
-    assert factor_prime_power(32) == (2, 5)
-    assert factor_prime_power(7) == (7, 1)
-    with pytest.raises(ValueError):
-        factor_prime_power(6)
-    with pytest.raises(ValueError):
-        factor_prime_power(1)
-    with pytest.raises(ValueError):
-        factor_prime_power(12)
-    with pytest.raises(ValueError):  # at the factor 2, not after sqrt(2^61) divisions
-        factor_prime_power(2 * (2**61 - 1))
+    for q, p, k in ((9, 3, 2), (32, 2, 5), (7, 7, 1)):
+        field = make_field(q)
+        assert (field.p, field.k, field.q) == (p, k, q)
+    for q in (6, 1, 12):
+        with pytest.raises(ValueError):
+            make_field(q)
+    with pytest.raises(BudgetError):  # at the cap, not after sqrt(2^61) divisions
+        make_field(2 * (2**61 - 1))
 
 
 def test_make_field_rejects_composite_characteristic():
-    with pytest.raises(ValueError, match="is not prime"):
-        make_field(4, 1)
     with pytest.raises(ValueError):
-        make_field(1, 1)
+        make_field(1)  # characteristic 1; a composite one cannot be asked for
 
 
 def test_order_cap_budget():
     with pytest.raises(BudgetError):
-        make_field(2, 17)  # 2^17 > 2^16
-    make_field(2, 16, order_cap=DEFAULT_ORDER_CAP)  # exactly at the cap
+        make_field(2**17)
+    assert make_field(DEFAULT_ORDER_CAP).q == 2**16  # exactly at the cap
+    started = time.perf_counter()
+    for q in (1_000_000_000_000_000_003, 100_000, 10**5000):  # prime, composite, unprintable
+        with pytest.raises(BudgetError):
+            make_field(q)
+    assert time.perf_counter() - started < 1.0  # refused before any trial division
 
 
 # ----------------------------------------------------------------------
@@ -74,29 +75,29 @@ def test_order_cap_budget():
 # ----------------------------------------------------------------------
 
 def test_smallest_irreducible_moduli_frozen():
-    assert make_field(3, 2).modulus == (1, 0, 1)  # x^2 + 1
-    assert make_field(2, 2).modulus == (1, 1, 1)  # x^2 + x + 1
+    assert make_field(9).modulus == (1, 0, 1)  # x^2 + 1
+    assert make_field(4).modulus == (1, 1, 1)  # x^2 + x + 1
     # lex order is on the stored coefficient list, constant term first,
     # so x^3 + x^2 + 1 precedes x^3 + x + 1
-    assert make_field(2, 3).modulus == (1, 0, 1, 1)
-    assert make_field(5, 1).modulus is None  # prime fields carry no modulus
+    assert make_field(8).modulus == (1, 0, 1, 1)
+    assert make_field(5).modulus is None  # prime fields carry no modulus
 
 
 def test_modulus_is_irreducible_over_prime_subfield():
     # a reducible modulus would make some nonzero element non-invertible
     for p, k in [(2, 4), (3, 3), (5, 2), (7, 2)]:
-        ref = residue_field(make_field(p, k))
+        ref = residue_field(make_field(p**k))
         for a in ref.elements[1:]:
             assert any(ref.mul(a, b) == ref.one for b in ref.elements)
 
 
 def test_residues_are_the_lexicographic_tuples():
     for p, k in [(2, 1), (5, 1), (2, 3), (3, 2), (5, 2), (2, 6)]:
-        field = make_field(p, k)
+        field = make_field(p**k)
         assert [field.residues(a) for a in range(field.q)] == list(
             itertools.product(range(p), repeat=k)
         )
-    assert make_field(3, 2).residues(5) == (1, 2)  # 1 + 2x, constant term first
+    assert make_field(9).residues(5) == (1, 2)  # 1 + 2x, constant term first
 
 
 def _times(field):
@@ -115,7 +116,7 @@ def _power(field, a: int, e: int) -> int:
 
 def test_frobenius_fixes_every_element():
     for p, k in [(2, 3), (3, 2), (5, 2), (2, 6)]:
-        field = make_field(p, k)
+        field = make_field(p**k)
         total = field.int_arith().total
         frob = [_power(field, a, p) for a in range(field.q)]
         for a in range(field.q):
@@ -126,7 +127,7 @@ def test_frobenius_fixes_every_element():
 
 
 def test_pow_edge_cases():
-    field = make_field(7, 2)
+    field = make_field(49)
     log, exp, _ = field.int_arith()
     one = field.q // field.p
     assert exp[0] == one and log[one] == 0  # a^0 = 1
@@ -137,10 +138,10 @@ def test_pow_edge_cases():
 
 
 def test_serialization_round_trip():
-    field = make_field(3, 2)
+    field = make_field(9)
     data = field.to_dict()
     assert data == {"p": 3, "k": 2, "modulus": [1, 0, 1]}  # x^2 + 1
-    clone = make_field(data["p"], data["k"])
+    clone = make_field(data["p"] ** data["k"])
     assert clone == field
     assert list(clone.modulus) == data["modulus"]
 
@@ -148,21 +149,21 @@ def test_serialization_round_trip():
 @settings(max_examples=200)
 @given(st.integers(0, 48), st.integers(0, 20), st.integers(0, 20))
 def test_pow_is_a_homomorphism_in_the_exponent(a, i, j):
-    field = make_field(7, 2)
+    field = make_field(49)
     times = _times(field)
     assert times(_power(field, a, i), _power(field, a, j)) == _power(field, a, i + j)
 
 
 def test_small_field_arithmetic_examples():
-    gf2 = make_field(2, 1)
+    gf2 = make_field(2)
     assert gf2.int_arith().total((1, 1)) == 0  # characteristic 2
 
-    gf5 = make_field(5, 1)
+    gf5 = make_field(5)
     assert _times(gf5)(2, 3) == 1  # 2 * 3 = 6 = 1 mod 5
     assert [gf5.residues(a) for a in range(5)] == [(a,) for a in range(5)]
 
     # GF(9) has modulus x^2 + 1, so x * x reduces to -1 = 2
-    gf9 = make_field(3, 2)
+    gf9 = make_field(9)
     x = 1  # residues (0, 1)
     assert gf9.residues(_times(gf9)(x, x)) == (2, 0)
 
@@ -173,7 +174,7 @@ def test_small_field_arithmetic_examples():
 
 @pytest.mark.parametrize("q,p,k", ALL_Q, ids=[f"q{q}" for q, _, _ in ALL_Q])
 def test_int_arith_matches_tuple_arithmetic(q, p, k):
-    field = make_field(p, k)
+    field = make_field(q)
     ref = residue_field(field)
     log, exp, total = field.int_arith()
     elems, index = ref.elements, ref.index
@@ -207,22 +208,22 @@ def _first_primitive(field) -> int:
 
 @pytest.mark.parametrize("q,p,k", ALL_Q, ids=[f"q{q}" for q, _, _ in ALL_Q])
 def test_int_arith_uses_the_first_primitive_element(q, p, k):
-    field = make_field(p, k)
+    field = make_field(q)
     _, exp, _ = field.int_arith()
     assert exp[1] == _first_primitive(field)
-    assert make_field(p, k).int_arith()[:2] == field.int_arith()[:2]
+    assert make_field(q).int_arith()[:2] == field.int_arith()[:2]
 
 
 def test_primitive_elements_are_frozen():
-    assert make_field(5, 1).int_arith().exp[1] == 2
-    assert make_field(7, 1).int_arith().exp[1] == 3
-    assert make_field(2, 2).int_arith().exp[1] == 1  # x, modulus x^2 + x + 1
-    assert make_field(3, 2).int_arith().exp[1] == 4  # 1 + x, modulus x^2 + 1
+    assert make_field(5).int_arith().exp[1] == 2
+    assert make_field(7).int_arith().exp[1] == 3
+    assert make_field(4).int_arith().exp[1] == 1  # x, modulus x^2 + x + 1
+    assert make_field(9).int_arith().exp[1] == 4  # 1 + x, modulus x^2 + 1
 
 
 def test_make_field_builds_no_tables():
     for p, k in [(2, 1), (61, 1), (2, 5), (3, 3), (2, 8)]:
-        assert make_field(p, k)._arith is None
+        assert make_field(p**k)._arith is None
     assert derive_params((2,), 4, 61).field._arith is None
-    field = make_field(5, 2)
+    field = make_field(25)
     assert field.int_arith() is field.int_arith()

@@ -1,4 +1,5 @@
-"""Every definition in the package is reached from somewhere but its own body.
+"""Every definition in the package is reached from somewhere but its own body,
+and every parameter with a default is set by some call.
 
 The search reads `src/zng/*.py`, the acceptance gate `tests/test_acceptance.py`
 and the references it uses in `tests/helpers.py`.  A top-level function or
@@ -52,3 +53,59 @@ def test_every_package_definition_is_referenced():
             if not any(id(node) not in inside for node in uses.get(definition.name, ())):
                 unreached.append(f"{path.name}:{definition.lineno} {definition.name}")
     assert unreached == []
+
+
+def _defaulted(definition: ast.FunctionDef, method: bool):
+    """(name, positional index at a call or None) of each parameter with a default.
+
+    A method's call does not pass self or cls (the package has no staticmethod).
+    """
+    args = definition.args
+    first = len(args.args) - len(args.defaults)
+    for index, arg in enumerate(args.args[first:], first - method):
+        yield arg.arg, index
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _passes(call: ast.Call, name: str, index: int | None) -> bool:
+    """Whether call sets the parameter: by keyword, at its position, or through * or **."""
+    if any(kw.arg in (name, None) for kw in call.keywords):
+        return True
+    if index is None:
+        return False
+    for at, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            return at <= index
+    return index < len(call.args)
+
+
+def test_every_default_is_overridden_somewhere():
+    """A parameter with a default that no call sets is a setting only tests use.
+
+    Calls are matched to definitions by name, as above; the search adds
+    perfbench/*.py to the files read above.  A call with **mapping sets
+    every parameter, and *sequence every position from its own on.
+    """
+    searched = [*SEARCHED, *sorted((ROOT / "perfbench").glob("*.py"))]
+    calls: dict[str, list[ast.Call]] = {}
+    for path in searched:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in PACKAGE:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        methods = {
+            id(member) for node in tree.body if isinstance(node, ast.ClassDef) for member in node.body
+        }
+        for definition in _definitions(tree):
+            if isinstance(definition, ast.ClassDef):
+                continue
+            for name, index in _defaulted(definition, id(definition) in methods):
+                if not any(_passes(call, name, index) for call in calls.get(definition.name, ())):
+                    unset.append(f"{path.name}:{definition.lineno} {definition.name}({name})")
+    assert unset == []
