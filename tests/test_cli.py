@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -121,6 +122,54 @@ def test_oracle_logs_its_node_rate_and_nothing_else(tmp_path, capsys, caplog):
     assert (out / "oracle.tsv").read_text().splitlines()[1] == (
         "z(3,3;2,2)\t6\t74\twitness_3x3_2x2.zng"
     )
+
+
+# (argv, exit code, PartSplitAdvisory count, exact status line), --out relative
+STATUS_LINES = {
+    "construct": (
+        "construct --s 2 --t 4 --q 5 --m 6 --seed 1 --out c", 0, 1,
+        '{"edges": 30, "max_size": 2, "mode": "construct", "out": "c", '
+        '"part_sizes": [6, 25], "passed": true, "t": 4}',
+    ),
+    "verify-pass": (
+        "verify --graph c6.zng --s 2 --t 2 --out v", 0, 0,
+        '{"argmax_pattern": [[0, 1]], "graph": "c6.zng", "max_size": 1, '
+        '"mode": "verify", "out": "v", "passed": true, "t": 2}',
+    ),
+    "verify-fail": (
+        "verify --graph k22.zng --s 2 --t 2 --out w", 1, 0,
+        '{"argmax_pattern": [[0, 1]], "graph": "k22.zng", "max_size": 2, '
+        '"mode": "verify", "out": "w", "passed": false, "t": 2}',
+    ),
+    "count": (
+        "count --graph c6.zng --s 2 --s 2 --out n", 0, 0,
+        '{"bound_holds": true, "density": "2/3", "exact": 0, "graph": "c6.zng", '
+        '"intermediate": 3, "lower_bound": "0", "mode": "count", "out": "n", '
+        '"s_list": [2, 2]}',
+    ),
+    "oracle": (
+        "oracle --m 3 --m 3 --s 2 --s 2 --out o", 0, 0,
+        '{"mode": "oracle", "nodes": 74, "out": "o", "query": "z(3,3;2,2)", '
+        '"witness": "witness_3x3_2x2.zng", "z": 6}',
+    ),
+    "sweep": (  # q = 6 fails before its advisory
+        "sweep --s 2 --t 4 --q 5 --q 6 --q 7 --seed 1 --out s", 1, 2,
+        '{"failed": 1, "mode": "sweep", "out": "s", "points": 3}',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATUS_LINES))
+def test_status_lines_are_pinned(tmp_path, monkeypatch, capsys, name):
+    argv, code, advisories, line = STATUS_LINES[name]
+    monkeypatch.chdir(tmp_path)
+    Path("c6.zng").write_text("zng 2 3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n")
+    Path("k22.zng").write_text("zng 2 2 2\n0 0\n0 1\n1 0\n1 1\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv.split()) == code
+    assert [w.category for w in caught] == [PartSplitAdvisory] * advisories
+    assert capsys.readouterr().out.splitlines()[-1] == line
 
 
 # ----------------------------------------------------------------------
