@@ -2,7 +2,9 @@
 
 Every run is a pure function of (config, seed): artifacts (graphs,
 certificates, reports, tables) are byte-identical across reruns, and wall
-times go only to the stderr log so they never perturb an artifact.
+times go only to the stderr log so they never perturb an artifact.  A run
+ends with one JSON status line on stdout, which run prints from the fields
+its mode's runner returns.
 
 Exit codes: 0 pass, 1 verdict fail, 2 usage, 3 budget.
 """
@@ -47,7 +49,8 @@ def _kwargs(**values) -> dict:
 
 # ----------------------------------------------------------------------
 # per-mode runners: each imports the modules it runs when it is called, so
-# a start loads only those (and a traced or patched name is read at call time)
+# a start loads only those (and a traced or patched name is read at call
+# time), and returns (passed, the mode's fields of the status line)
 # ----------------------------------------------------------------------
 
 def _build_point(
@@ -70,62 +73,47 @@ def _build_point(
     return result
 
 
-def _run_construct(config: ExperimentConfig) -> int:
-    out = Path(config.out)
+def _run_construct(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
     result = _build_point(config, config.q[0], config.m, config.seed, out)
     cert = result.certificate
-    _status(
-        {
-            "mode": "construct",
-            "edges": result.graph.num_edges,
-            "part_sizes": result.graph.part_sizes,
-            "max_size": cert.max_size,
-            "t": cert.t,
-            "passed": cert.passed,
-            "out": str(out),
-        }
-    )
-    return EXIT_PASS if cert.passed else EXIT_VERDICT
+    return cert.passed, {
+        "edges": result.graph.num_edges,
+        "part_sizes": result.graph.part_sizes,
+        "max_size": cert.max_size,
+        "t": cert.t,
+        "passed": cert.passed,
+    }
 
 
-def _run_verify(config: ExperimentConfig) -> int:
+def _run_verify(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
     from zng.certify import verify_freeness, write_certificate
 
-    out = Path(config.out)
     graph = read_graph(config.graph)
     cert = verify_freeness(graph, config.s, config.t, **_kwargs(pattern_budget=config.budget))
     write_certificate(cert, out / "certificate.json")
-    _status(
-        {
-            "mode": "verify",
-            "graph": config.graph,
-            "max_size": cert.max_size,
-            "argmax_pattern": cert.argmax_pattern,
-            "t": cert.t,
-            "passed": cert.passed,
-            "out": str(out),
-        }
-    )
-    return EXIT_PASS if cert.passed else EXIT_VERDICT
+    return cert.passed, {
+        "graph": config.graph,
+        "max_size": cert.max_size,
+        "argmax_pattern": cert.argmax_pattern,
+        "t": cert.t,
+        "passed": cert.passed,
+    }
 
 
-def _run_count(config: ExperimentConfig) -> int:
+def _run_count(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
     from zng.count import count_report
 
-    out = Path(config.out)
     graph = read_graph(config.graph)
     report = count_report(graph, config.s, **_kwargs(pattern_budget=config.budget))
     payload = report.to_dict()
     write_atomic(out / "count.json", json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _status({"mode": "count", "graph": config.graph, "out": str(out), **payload})
-    return EXIT_PASS if report.bound_holds else EXIT_VERDICT
+    return report.bound_holds, {"graph": config.graph, **payload}
 
 
-def _run_oracle(config: ExperimentConfig) -> int:
+def _run_oracle(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
     from zng.oracle import ZQuery, append_ledger, exact_z
 
     query = ZQuery(config.m, config.s)
-    out = Path(config.out)
     started = time.perf_counter()
     result = exact_z(query, **_kwargs(edge_cap=config.budget))
     seconds = time.perf_counter() - started
@@ -142,24 +130,18 @@ def _run_oracle(config: ExperimentConfig) -> int:
     )
     write_graph(result.witness, out / name)
     append_ledger(out / "oracle.tsv", result, name)
-    _status(
-        {
-            "mode": "oracle",
-            "query": query.label(),
-            "z": result.z,
-            "nodes": result.nodes,
-            "witness": name,
-            "out": str(out),
-        }
-    )
-    return EXIT_PASS
+    return True, {
+        "query": query.label(),
+        "z": result.z,
+        "nodes": result.nodes,
+        "witness": name,
+    }
 
 
-def _run_sweep(config: ExperimentConfig) -> int:
+def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
     """One construction per field order; partial failures stay per-row."""
     from zng.seeds import derive_seed
 
-    out = Path(config.out)
     s_total = math.prod(config.s)
     lines = ["q\tm\tedges\tbound\tratio\tverdict"]
     failures = 0
@@ -182,15 +164,10 @@ def _run_sweep(config: ExperimentConfig) -> int:
         log.info("sweep q=%d done in %.3fs", q, time.perf_counter() - started)
         lines.append(f"{row}{edges}\t{bound}\t{_ratio_text(edges, bound)}\t{verdict}")
     write_atomic(out / "sweep.tsv", "\n".join(lines) + "\n")
-    _status(
-        {
-            "mode": "sweep",
-            "points": len(config.q),
-            "failed": failures,
-            "out": str(out),
-        }
-    )
-    return EXIT_PASS if failures == 0 else EXIT_VERDICT
+    return failures == 0, {
+        "points": len(config.q),
+        "failed": failures,
+    }
 
 
 _RUNNERS = {
@@ -203,12 +180,14 @@ _RUNNERS = {
 
 
 def run(config: ExperimentConfig) -> int:
-    """Validate and dispatch; returns the process exit code."""
+    """Validate, dispatch and print the status line; returns the process exit code."""
     config.validate()
+    out = Path(config.out)
     started = time.perf_counter()
-    code = _RUNNERS[config.mode](config)
+    passed, status = _RUNNERS[config.mode](config, out)
+    _status({"mode": config.mode, **status, "out": str(out)})
     log.info("mode %s finished in %.3fs", config.mode, time.perf_counter() - started)
-    return code
+    return EXIT_PASS if passed else EXIT_VERDICT
 
 
 # ----------------------------------------------------------------------

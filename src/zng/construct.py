@@ -108,8 +108,7 @@ class ConstructionParams(NamedTuple):
         s_list: forbidden side sizes on the first r-1 parts.
         t: forbidden last-part side size.
         q: field order.
-        m_list: requested first r-1 part sizes, or None when only the
-            derived constants are wanted.
+        m_list: requested first r-1 part sizes.
         s_total: product of s_list; polynomials live in s_total - 1 variables.
         degree: maximum total degree of the family polynomials.
         capacity: how many tuples the theory supports at this (q, degree).
@@ -121,7 +120,7 @@ class ConstructionParams(NamedTuple):
     s_list: tuple[int, ...]
     t: int
     q: int
-    m_list: tuple[int, ...] | None
+    m_list: tuple[int, ...]
     s_total: int
     degree: int
     capacity: int
@@ -133,11 +132,6 @@ class ConstructionParams(NamedTuple):
         """degree**(s_total-1), the guaranteed agreement-set ceiling."""
         return self.degree ** (self.s_total - 1)
 
-    def tuple_count(self) -> int:
-        if self.m_list is None:
-            raise ValueError("params carry no m_list")
-        return math.prod(self.m_list)
-
     def to_dict(self) -> dict:
         """The fields, with the Field object as its to_dict."""
         return {**self._asdict(), "field": self.field.to_dict()}
@@ -147,7 +141,7 @@ def derive_params(
     s_list: tuple[int, ...],
     t: int,
     q: int,
-    m_list: tuple[int, ...] | None = None,
+    m_list: tuple[int, ...],
 ) -> ConstructionParams:
     """Derive (degree, capacity, n) from the pattern shape and field order.
 
@@ -160,13 +154,14 @@ def derive_params(
         s_list: side sizes for the first r-1 parts, each >= 1.
         t: forbidden last-part side size, must satisfy t >= prod(s_list).
         q: field order, a prime power within the supported range.
-        m_list: optional requested part sizes; when present they are checked
+        m_list: requested part sizes, one per side; they are checked
             against capacity (warning, not error) and against a balanced
             split advisory.
 
     Raises:
         ValueError: empty or sub-unit s_list, s_total < 2, t below the
-            hypothesis threshold, q not a prime power (gf.make_field).
+            hypothesis threshold, q not a prime power (gf.make_field), or
+            m_list of another length than s_list or with a part below 1.
         BudgetError: q above 2^16, prime power or not (gf.make_field), a
             basis above the cap (mpoly.basis_size), or a capacity of more
             than 4300 digits.
@@ -187,30 +182,29 @@ def derive_params(
     if capacity >= PRINTABLE_LIMIT:
         raise BudgetError(f"the capacity at q={q}, degree {degree} has over 4300 digits")
     n = q**s_total
-    if m_list is not None:
-        m_list = tuple(int(m) for m in m_list)
-        if len(m_list) != len(s_list):
-            raise ValueError(f"m_list has {len(m_list)} parts, expected {len(s_list)}")
-        if any(m < 1 for m in m_list):
-            raise ValueError(f"part sizes must be >= 1, got {m_list}")
-        tuples = math.prod(m_list)
-        if tuples > capacity:
+    m_list = tuple(int(m) for m in m_list)
+    if len(m_list) != len(s_list):
+        raise ValueError(f"m_list has {len(m_list)} parts, expected {len(s_list)}")
+    if any(m < 1 for m in m_list):
+        raise ValueError(f"part sizes must be >= 1, got {m_list}")
+    tuples = math.prod(m_list)
+    if tuples > capacity:
+        warnings.warn(
+            f"{int_text(tuples)} tuples exceed the derived capacity {capacity}; "
+            "the density guarantee does not cover this run "
+            "(freeness is still certified exhaustively)",
+            CapacityWarning,
+            stacklevel=2,
+        )
+    else:
+        balanced = integer_root(capacity, len(m_list))
+        if tuples < balanced ** len(m_list):
             warnings.warn(
-                f"{int_text(tuples)} tuples exceed the derived capacity {capacity}; "
-                "the density guarantee does not cover this run "
-                "(freeness is still certified exhaustively)",
-                CapacityWarning,
+                f"capacity {capacity} would allow a balanced split with "
+                f"{balanced} vertices per part ({tuples} tuples requested)",
+                PartSplitAdvisory,
                 stacklevel=2,
             )
-        else:
-            balanced = integer_root(capacity, len(m_list))
-            if tuples < balanced ** len(m_list):
-                warnings.warn(
-                    f"capacity {capacity} would allow a balanced split with "
-                    f"{balanced} vertices per part ({tuples} tuples requested)",
-                    PartSplitAdvisory,
-                    stacklevel=2,
-                )
     return ConstructionParams(
         r=len(s_list) + 1,
         s_list=s_list,
@@ -235,9 +229,7 @@ def _range_ok(params: ConstructionParams) -> bool | None:
     x exactly).  Each step doubles the precision; once P^(c 2^j) would pass
     RANGE_OK_BITS bits a tie still open is reported as None.
     """
-    if params.m_list is None:
-        return None
-    prod_m, n, t = params.tuple_count(), params.n, params.t
+    prod_m, n, t = math.prod(params.m_list), params.n, params.t
     k = params.s_total - 1
     c = params.s_total * k
     j = 0
@@ -296,8 +288,6 @@ def _check_select_args(
     if points > point_budget:
         raise BudgetError(
             f"evaluation domain has {int_text(points)} points, above the budget {point_budget}",
-            required=points,
-            budget=point_budget,
         )
 
 
@@ -327,8 +317,6 @@ def sequential_select(
         ConstructionError: some position exhausted its retries; the message
             names the position and the violating pattern.
     """
-    if params.m_list is None:
-        raise ValueError("sequential_select needs params with m_list")
     _check_select_args(params, position_retry_cap, point_budget)
     rng = random.Random(seed)
     basis = monomial_basis(params.s_total - 1, params.degree)
@@ -421,8 +409,6 @@ def build(
         ConstructionError: every restart exhausted its retries; the error
             carries the best attempt (most positions filled first).
     """
-    if params.m_list is None:
-        raise ValueError("build needs params with m_list")
     if restart_cap < 1:
         raise ValueError(f"restart_cap must be >= 1, got {restart_cap}")
     _check_select_args(params, position_retry_cap, point_budget)

@@ -86,8 +86,6 @@ def count_ordered(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> int:
         BudgetError: more than DEFAULT_PATTERN_BUDGET mask lookups.
     """
     _check_sides(H, s_list)
-    if any(s > m for s, m in zip(s_list, H.part_sizes)):
-        return 0
     return _count_pass(H, s_list, DEFAULT_PATTERN_BUDGET)[0]
 
 
@@ -181,10 +179,7 @@ def count_report(
     r-1 parts, so one pass of pattern_blocks sums both.
     """
     _check_sides(H, s_list)
-    if any(s > m for s, m in zip(s_list[:-1] + (1,), H.part_sizes)):
-        exact = intermediate = 0
-    else:
-        exact, intermediate = _count_pass(H, s_list, pattern_budget)
+    exact, intermediate = _count_pass(H, s_list, pattern_budget)
     lower = jensen_lower_bound(H, s_list)
     cells = math.prod(H.part_sizes)
     density = Fraction(H.num_edges, cells) if cells else Fraction(0)

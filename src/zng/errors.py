@@ -3,7 +3,8 @@
 Every enumerative kernel in the package is budgeted: callers state up front
 how many items (domain points, patterns, potential edges) they are willing to
 touch, and the kernel refuses with BudgetError instead of starting a run that
-cannot finish at desk scale.  The command line maps BudgetError to its own
+cannot finish at desk scale.  A BudgetError carries only its message, which
+names the count and the budget it exceeds.  The command line maps BudgetError to its own
 exit code so scripted callers can tell "too big" apart from "failed", and
 ConstructionError to the verdict code without loading the construction.
 """
@@ -24,11 +25,6 @@ class ZngError(Exception):
 class BudgetError(ZngError):
     """An enumeration or search would exceed the configured budget."""
 
-    def __init__(self, message: str, required: int | None = None, budget: int | None = None):
-        super().__init__(message)
-        self.required = required
-        self.budget = budget
-
 
 class ConstructionError(ZngError):
     """The greedy selection ran out of retries.
@@ -38,6 +34,6 @@ class ConstructionError(ZngError):
     first.
     """
 
-    def __init__(self, message: str, attempts: list[tuple] | None = None):
+    def __init__(self, message: str, attempts: list[tuple]):
         super().__init__(message)
-        self.attempts = attempts or []
+        self.attempts = attempts

@@ -241,11 +241,7 @@ def make_field(q: int) -> Field:
     if q < 2:
         raise ValueError(f"field order must be >= 2, got {q}")
     if q > DEFAULT_ORDER_CAP:
-        raise BudgetError(
-            f"field order {int_text(q)} exceeds the cap {DEFAULT_ORDER_CAP}",
-            required=q,
-            budget=DEFAULT_ORDER_CAP,
-        )
+        raise BudgetError(f"field order {int_text(q)} exceeds the cap {DEFAULT_ORDER_CAP}")
     p, k = next(_factor(q))  # the smallest prime only
     if p**k != q:
         raise ValueError(f"{q} is not a prime power")

@@ -1,12 +1,14 @@
 """Ordered r-partite r-graphs with exact, desk-scale queries.
 
 An edge is an r-tuple of zero-based vertex indices, coordinate i indexing
-part i.  The container is immutable by convention and keeps one derived
-index: for every (r-1)-prefix, the set of last-part vertices completing it,
-stored as an int bitmask so common neighborhoods are AND + popcount.  The
-prefixes are numbered by lexicographic rank, their index in
+part i.  The container is immutable by convention and keeps no derived
+index: each pattern_blocks call builds, for every (r-1)-prefix, the set of
+last-part vertices completing it, stored as an int bitmask so common
+neighborhoods are AND + popcount.  The prefixes are numbered by
+lexicographic rank, their index in
 itertools.product(range(m_1), ..., range(m_{r-1})), and the masks are a flat
-list indexed by that rank, built on the first query that needs it.
+list indexed by that rank.  A run calls pattern_blocks at most once per
+graph, so nothing is cached.
 
 The pattern kernel lives here too.  A pattern picks s_i vertices in each of
 the first r-1 parts; prefix_ranks numbers its transversal prefixes (for
@@ -61,7 +63,7 @@ class RPartiteHypergraph:
         edges: edges in lexicographic order.
     """
 
-    __slots__ = ("part_sizes", "r", "edges", "_prefix_masks")
+    __slots__ = ("part_sizes", "r", "edges")
 
     def __init__(self, part_sizes: Sequence[int], edges: Iterable[Edge]):
         sizes = tuple(int(m) for m in part_sizes)
@@ -93,19 +95,6 @@ class RPartiteHypergraph:
         self.part_sizes = part_sizes
         self.r = len(part_sizes)
         self.edges = edges
-        self._prefix_masks: list[int] | None = None
-
-    def _masks(self) -> list[int]:
-        """Neighbour masks indexed by prefix rank, built on first use."""
-        if self._prefix_masks is None:
-            sizes = self.part_sizes[:-1]
-            masks = [0] * math.prod(sizes)
-            # edges are sorted, so each prefix's edges are consecutive, and
-            # distinct, so the sum of their bits is their OR
-            for prefix, group in itertools.groupby(self.edges, _PREFIX):
-                masks[_prefix_rank(prefix, sizes)] = sum(map((1).__lshift__, map(_LAST, group)))
-            self._prefix_masks = masks
-        return self._prefix_masks
 
     # -- queries ---------------------------------------------------------
 
@@ -128,14 +117,18 @@ class RPartiteHypergraph:
         prefix masks once into a column of m_{r-1} masks; a head ANDs its
         columns once, and its sizes are the popcounts of that AND with each
         later column.  Every AND starts from -1, so no int grows wider than
-        the masks.  The mask table is built at the first block, so a shape
-        with no pattern (some s_i > m_i) allocates nothing however large its
-        declared parts.
+        the masks.  The mask table is built by each call, at its first
+        block, so a shape with no pattern (some s_i > m_i) allocates nothing
+        however large its declared parts.
         """
         sizes = self.part_sizes[:-1]
         if any(s > m for m, s in zip(sizes, s_list)):
             return
-        masks = self._masks()
+        masks = [0] * math.prod(sizes)
+        # edges are sorted, so each prefix's edges are consecutive, and
+        # distinct, so the sum of their bits is their OR
+        for prefix, group in itertools.groupby(self.edges, _PREFIX):
+            masks[_prefix_rank(prefix, sizes)] = sum(map((1).__lshift__, map(_LAST, group)))
         if not sizes:  # one part: the empty pattern, completed by every edge
             yield (), [masks[0].bit_count()]
             return
@@ -260,8 +253,6 @@ def pattern_count(
         raise BudgetError(
             f"{int_text(lookups)} mask lookups for {int_text(count)} patterns "
             f"exceed the budget {budget}",
-            required=lookups,
-            budget=budget,
         )
     return count
 

@@ -61,8 +61,6 @@ def basis_size(num_vars: int, max_degree: int) -> int:
         raise BudgetError(
             f"degree {max_degree} needs a basis of {size} monomials, "
             f"above the cap {DEFAULT_BASIS_CAP}",
-            required=size,
-            budget=DEFAULT_BASIS_CAP,
         )
     return size
 

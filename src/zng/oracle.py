@@ -105,11 +105,7 @@ def exhaustive_z(query: ZQuery) -> ZResult:
     """
     n, cap = query.potential_edges, DEFAULT_EXHAUSTIVE_EDGE_CAP
     if n > cap:
-        raise BudgetError(
-            f"{int_text(n)} potential edges exceed the exhaustion cap {cap}",
-            required=n,
-            budget=cap,
-        )
+        raise BudgetError(f"{int_text(n)} potential edges exceed the exhaustion cap {cap}")
     pattern_count(query.m_list, query.s_list, DEFAULT_PATTERN_BUDGET)
     pot = list(itertools.product(*(range(m) for m in query.m_list)))
     bit = {edge: 1 << i for i, edge in enumerate(pot)}
@@ -253,11 +249,7 @@ def exact_z(query: ZQuery, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
     """
     n = query.potential_edges
     if n > edge_cap:
-        raise BudgetError(
-            f"{int_text(n)} potential edges exceed the search cap {edge_cap}",
-            required=n,
-            budget=edge_cap,
-        )
+        raise BudgetError(f"{int_text(n)} potential edges exceed the search cap {edge_cap}")
     best, best_bits, nodes = _search(query)
     pot = itertools.product(*(range(m) for m in query.m_list))
     edges = [edge for edge, bit in zip(pot, best_bits) if bit]

@@ -10,13 +10,12 @@ import json
 import math
 import random
 import time
-import warnings
 
 from helpers import agreement_set, check_field_axioms, naive_count, random_graph, warns_exactly
 from zng.certify import verify_freeness
 from zng.cli import run
 from zng.config import ExperimentConfig
-from zng.construct import PartSplitAdvisory, build, derive_params
+from zng.construct import CapacityWarning, PartSplitAdvisory, build, derive_params
 from zng.count import count_ordered, jensen_lower_bound
 from zng.gf import make_field
 from zng.hypergraph import complete_graph, parse_graph, read_graph
@@ -36,8 +35,7 @@ def _sweep_builds():
     """One construction per sweep point, seeded exactly like the CLI sweep."""
     results = {}
     for q in SWEEP_Q:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warns_exactly(PartSplitAdvisory, 1):  # m = q, capacity q^3 / 2
             params = derive_params((2,), 4, q, (q,))
         seed = derive_seed(MASTER_SEED, "sweep", "q", q)
         started = time.perf_counter()
@@ -78,8 +76,7 @@ def test_acceptance_2_freeness_certificates(tmp_path):
             )
             again = verify_freeness(parse_graph(path.read_text()), (2,), 4)
             assert again.passed and again.max_size == cert.max_size
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warns_exactly(CapacityWarning, 1):  # 4 tuples, capacity 1
             params3 = derive_params((2, 2), 4, 3, (2, 2))
         assert params3.t > params3.bezout_bound  # t chosen above d^(s-1)
         result3 = build(params3, seed=derive_seed(MASTER_SEED, "r3"))
@@ -103,8 +100,7 @@ def test_acceptance_3_bezout_consequence():
         for a, b in itertools.combinations(sorted(polys), 2):
             agree = agreement_set([polys[a], polys[b]])
             assert len(agree) <= bound, (a, b)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+        with warns_exactly(CapacityWarning, 1):  # 4 tuples, capacity 1
             params3 = derive_params((2, 2), 4, 3, (2, 2))
         result3 = build(params3, seed=derive_seed(MASTER_SEED, "r3"))
         assert result3.certificate.max_size <= params3.bezout_bound == 1

@@ -7,7 +7,6 @@ import re
 import subprocess
 import sys
 import time
-import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -165,10 +164,8 @@ def test_status_lines_are_pinned(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)
     Path("c6.zng").write_text("zng 2 3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n")
     Path("k22.zng").write_text("zng 2 2 2\n0 0\n0 1\n1 0\n1 1\n")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with warns_exactly(PartSplitAdvisory, advisories):
         assert main(argv.split()) == code
-    assert [w.category for w in caught] == [PartSplitAdvisory] * advisories
     assert capsys.readouterr().out.splitlines()[-1] == line
 
 

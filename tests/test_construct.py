@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from helpers import (
     reference_graph,
     reference_neighborhoods,
     reference_select,
+    warns_exactly,
 )
 from zng.certify import TABLE_CAP, format_certificate, verify_freeness
 from zng.construct import (
@@ -67,7 +69,13 @@ def test_integer_root_is_the_floor_root(n, k):
     ],
 )
 def test_derive_params_frozen_values(s_list, t, q, degree, capacity):
-    params = derive_params(s_list, t, q)
+    parts = len(s_list)
+    if capacity:  # the balanced split at capacity: no warning
+        with warns_exactly(Warning, 0):
+            params = derive_params(s_list, t, q, (integer_root(capacity, parts),) * parts)
+    else:
+        with warns_exactly(CapacityWarning, 1):
+            params = derive_params(s_list, t, q, (1,) * parts)
     assert params.degree == degree
     assert params.capacity == capacity
     assert params.n == q ** math.prod(s_list)
@@ -77,49 +85,50 @@ def test_derive_params_frozen_values(s_list, t, q, degree, capacity):
 
 def test_derive_params_validation():
     with pytest.raises(ValueError, match="hypothesis"):
-        derive_params((2,), 1, 5)  # t below prod(s_list)
+        derive_params((2,), 1, 5, (5,))  # t below prod(s_list)
     with pytest.raises(ValueError):
-        derive_params((1,), 4, 5)  # prod(s) < 2: nothing to randomize
+        derive_params((1,), 4, 5, (5,))  # prod(s) < 2: nothing to randomize
     with pytest.raises(ValueError):
-        derive_params((), 4, 5)
+        derive_params((), 4, 5, ())
     with pytest.raises(ValueError):
-        derive_params((2,), 4, 6)  # not a prime power
+        derive_params((2,), 4, 6, (6,))  # not a prime power
     with pytest.raises(BudgetError):
-        derive_params((2,), 4, 1 << 17)
+        derive_params((2,), 4, 1 << 17, (5,))
     with pytest.raises(ValueError):
         derive_params((2,), 4, 5, (10, 10))  # m_list length mismatch
+    with pytest.raises(ValueError):
+        derive_params((2,), 4, 5, (0,))  # a part below 1
 
 
 def test_derive_params_budgets_huge_t_before_its_powers():
     # the basis every build makes, checked before q ** (degree + 1)
-    assert derive_params((2, 2), 83**3, 3).degree == 82  # C(85, 3) = 98,770 monomials
+    with warns_exactly(PartSplitAdvisory, 1):
+        params = derive_params((2, 2), 83**3, 3, (1, 1))
+    assert params.degree == 82  # C(85, 3) = 98,770 monomials
     with pytest.raises(BudgetError, match="102340 monomials"):
-        derive_params((2, 2), 84**3, 3)  # degree 83: C(86, 3) = 102,340
+        derive_params((2, 2), 84**3, 3, (1, 1))  # degree 83: C(86, 3) = 102,340
     with pytest.raises(BudgetError, match="basis"):
-        derive_params((2,), 10**7, 5)
+        derive_params((2,), 10**7, 5, (1,))
     # a capacity str() cannot print: 5**6000 // 11998 has 4,191 digits, 5**7000 4,887
-    with pytest.warns(PartSplitAdvisory):
+    with warns_exactly(PartSplitAdvisory, 1):
         assert derive_params((2,), 6000, 5, (3,)).capacity == 5**6000 // 11998
     with pytest.raises(BudgetError, match="4300 digits"):
         derive_params((2,), 7000, 5, (3,))
 
 
 def test_capacity_overflow_warns_but_derives():
-    with pytest.warns(CapacityWarning):
+    with warns_exactly(CapacityWarning, 1):
         params = derive_params((2, 2), 4, 3, (2, 2))  # 4 tuples > capacity 1
     assert params.m_list == (2, 2)
 
 
 def test_balanced_split_advisory():
-    with pytest.warns(PartSplitAdvisory):
+    with warns_exactly(PartSplitAdvisory, 1):
         derive_params((2,), 4, 5, (10,))  # capacity 104 allows more
 
 
 def test_capacity_exact_fit_is_silent():
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
+    with warns_exactly(Warning, 0):
         derive_params((2,), 4, 5, (104,))
 
 
@@ -141,18 +150,25 @@ def test_derive_seed_is_deterministic_and_label_sensitive():
 # ----------------------------------------------------------------------
 
 def _params(s_list, t, q, m_list):
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        return derive_params(s_list, t, q, m_list)
+    """derive_params, asserting the one warning its capacity calls for, if any."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = derive_params(s_list, t, q, m_list)
+    tuples, parts = math.prod(m_list), len(m_list)
+    if tuples > params.capacity:
+        expected = [CapacityWarning]
+    elif tuples < integer_root(params.capacity, parts) ** parts:
+        expected = [PartSplitAdvisory]
+    else:
+        expected = []
+    assert [w.category for w in caught] == expected
+    return params
 
 
 def test_range_ok_is_exact_when_t_is_a_perfect_power():
     # s = 3, t = 4: the limit n^(2/6) is q itself
     assert _range_ok(_params((3,), 4, 5, (5,))) is True
     assert _range_ok(_params((3,), 4, 5, (6,))) is False
-    assert _range_ok(derive_params((3,), 4, 5)) is None  # no part sizes
 
 
 def test_range_ok_decides_the_analyze_shape_in_integers():
@@ -293,14 +309,6 @@ def test_build_budget_checks():
         build(params, seed=0, point_budget=4)  # domain has 5 points
     with pytest.raises(BudgetError):
         build(params, seed=0, pattern_budget=10)  # C(10,2) = 45 patterns
-
-
-def test_build_requires_part_sizes():
-    params = derive_params((2,), 4, 5)
-    with pytest.raises(ValueError):
-        build(params, seed=0)
-    with pytest.raises(ValueError):
-        sequential_select(params, seed=0)
 
 
 def test_sequential_select_enforces_the_point_budget():

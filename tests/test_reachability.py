@@ -1,5 +1,6 @@
 """Every definition in the package is reached from somewhere but its own body,
-and every parameter with a default is set by some call.
+every parameter with a default is set by some call, and every attribute
+stored on self is read.
 
 The search reads `src/zng/*.py`, the acceptance gate `tests/test_acceptance.py`
 and the references it uses in `tests/helpers.py`.  A top-level function or
@@ -18,6 +19,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "zng").glob("*.py"))
 SEARCHED = [*PACKAGE, ROOT / "tests" / "test_acceptance.py", ROOT / "tests" / "helpers.py"]
+WITH_PERFBENCH = [*SEARCHED, *sorted((ROOT / "perfbench").glob("*.py"))]
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
 
 
 def _definitions(tree: ast.Module):
@@ -41,7 +47,7 @@ def _references(tree: ast.AST):
 
 
 def test_every_package_definition_is_referenced():
-    trees = {path: ast.parse(path.read_text(), filename=str(path)) for path in SEARCHED}
+    trees = {path: _parse(path) for path in SEARCHED}
     uses: dict[str, list[ast.AST]] = {}
     for tree in trees.values():
         for name, node in _references(tree):
@@ -88,17 +94,16 @@ def test_every_default_is_overridden_somewhere():
     perfbench/*.py to the files read above.  A call with **mapping sets
     every parameter, and *sequence every position from its own on.
     """
-    searched = [*SEARCHED, *sorted((ROOT / "perfbench").glob("*.py"))]
     calls: dict[str, list[ast.Call]] = {}
-    for path in searched:
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+    for path in WITH_PERFBENCH:
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Call):
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 calls.setdefault(name, []).append(node)
     unset = []
     for path in PACKAGE:
-        tree = ast.parse(path.read_text(), filename=str(path))
+        tree = _parse(path)
         methods = {
             id(member) for node in tree.body if isinstance(node, ast.ClassDef) for member in node.body
         }
@@ -109,3 +114,31 @@ def test_every_default_is_overridden_somewhere():
                 if not any(_passes(call, name, index) for call in calls.get(definition.name, ())):
                     unset.append(f"{path.name}:{definition.lineno} {definition.name}({name})")
     assert unset == []
+
+
+def test_every_attribute_stored_on_self_is_read():
+    """An attribute that no code reads is state kept for nothing.
+
+    Each `self.<attr>` that the package stores to must be loaded, as an
+    attribute of any object, in the files the defaults check reads.  Like
+    the checks above this works on names: an attribute read under the same
+    name elsewhere lets the store through, as config.budget did for the
+    BudgetError.budget that nothing read.
+    """
+    loaded = {
+        node.attr
+        for path in WITH_PERFBENCH
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{path.name}:{node.lineno} self.{node.attr}"
+        for path in PACKAGE
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "self"
+        and node.attr not in loaded
+    ]
+    assert unread == []
