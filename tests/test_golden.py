@@ -3,13 +3,14 @@
 The acceptance gate checks that reruns are byte-identical; these digests
 check that artifacts stay identical from one version of the code to the
 next.  They cover the acceptance sweep (MASTER_SEED, q = 5..13), an r=3
-build and its pattern count, a three-variable build over GF(9), two r=2
-builds at q = 61 (with the full pattern table) and q = 127 (above the table
-cap), and two builds that exercise rejection: one with resamples only, one
-with restarts, two exact_z runs (r=2 and r=3) with their search-node counts,
-and exact_z's value, node count and witness on every small shape.  A change
-that moves any digest changes what the pipeline selects, emits, certifies,
-counts or searches.
+build and its pattern count, a 121-prefix r=3 build at q = 11, a
+three-variable build over GF(9), three r=2 builds at q = 61 (with the full
+pattern table), q = 127 and q = 251 (above the table cap), and two builds
+that exercise rejection: one with resamples only, one with restarts, two
+exact_z runs (r=2 and r=3) with their search-node counts, and exact_z's
+value, node count and witness on every small shape.  A change that moves
+any digest changes what the pipeline selects, emits, certifies, counts or
+searches.
 """
 
 import hashlib
@@ -90,6 +91,14 @@ BUILDS = {
         {
             "certificate.json": "b6624134dcae4562fff124751b73ad348f18411e0f4daa088c0437d7c5c64558",
             "graph.zng": "6763517e47f68fbe6b0b04845d307f114bfde21fac0d4293a9758e67c492efdb",
+        },
+    ),
+    "r3-q11": (  # 161,051 edges on 121 prefixes, above capacity
+        dict(s=(2, 2), t=16, q=(11,), m=(11, 11)),
+        (CapacityWarning, 1),
+        {
+            "certificate.json": "749830e09da7eaa6f36dd334e0c2bb1730553eb6a67e6e4cbf53078f14733fd2",
+            "graph.zng": "c4f3b041f1f99b5a495c18dfb46c317cb423df9c56b8c30fd036be4052abf08c",
         },
     ),
     "restarts": (  # 33 resamples over 6 restarts
