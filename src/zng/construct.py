@@ -8,11 +8,13 @@ every complete pattern it completes has an agreement set of fewer than t
 points, so the forbidden complete pattern with t last-part vertices can
 never appear.  That size is the popcount of the AND of the tuples'
 last-part neighbour masks (mpoly.graph_mask, read from monomial rows that
-are computed once per selection), which also make up the emitted graph.  A
-final exhaustive verification pass (certify.verify_freeness) certifies the
-result independently of how the family was chosen.  Coefficients are field
-element indices 0..q-1; the certificate (PolyFamily.to_dict) writes each as
-its residue tuple, constant term first (gf.Field.residues).
+are computed once per selection).  Those masks, one per tuple in rank order,
+are the emitted graph's mask table as they stand: the graph's edges are
+derived from them, never built here.  A final exhaustive verification pass
+(certify.verify_freeness) certifies the result independently of how the
+family was chosen.  Coefficients are field element indices 0..q-1; the
+certificate (PolyFamily.to_dict) writes each as its residue tuple, constant
+term first (gf.Field.residues).
 
 Derived quantities (polynomial degree, tuple capacity) use exact integer
 root-and-floor arithmetic throughout; no floating point touches anything
@@ -25,7 +27,7 @@ import itertools
 import math
 import random
 import warnings
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 # write_certificate is not called here: perfbench/tracing.py times the
 # certificate writes under the name zng.construct.write_certificate.
@@ -73,8 +75,6 @@ def integer_root(n: int, k: int) -> int:
     """Largest a with a**k <= n, by pure integer bisection."""
     if n < 0 or k < 1:
         raise ValueError("integer_root needs n >= 0 and k >= 1")
-    if n == 0:
-        return 0
     if k == 1:
         return n
     hi = 1
@@ -256,12 +256,9 @@ class PolyFamily(NamedTuple):
     field: Field
     basis: MonomialBasis
     polys: dict[tuple[int, ...], MultiPoly]
-    masks: list[int]  # one per position, in positions() order
+    masks: list[int]  # one per position, in lexicographic order like polys
     resamples: int = 0
     restarts: int = 0
-
-    def positions(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(*(range(m) for m in self.m_list))
 
     def to_dict(self) -> dict:
         return {
@@ -270,9 +267,9 @@ class PolyFamily(NamedTuple):
             "polys": [
                 {
                     "tuple": list(pos),
-                    "coeffs": [list(self.field.residues(c)) for c in self.polys[pos].coeffs],
+                    "coeffs": [list(self.field.residues(c)) for c in poly.coeffs],
                 }
-                for pos in self.positions()
+                for pos, poly in self.polys.items()
             ],
             "resamples": self.resamples,
             "restarts": self.restarts,
@@ -368,26 +365,6 @@ class BuildResult(NamedTuple):
     certificate: FreenessCertificate
 
 
-def family_graph(params: ConstructionParams, family: PolyFamily) -> RPartiteHypergraph:
-    """The r-graph joining every tuple to the graph points of its polynomial.
-
-    Last-part vertices are the points of F_q^s_total, each coordinate an
-    element index, numbered lexicographically; a tuple's edges are the set
-    bits of its neighbour mask (mpoly.graph_mask).  They come out in range,
-    distinct and in lexicographic order, so the graph is built without the
-    constructor's checks.
-    """
-    edges = []
-    for position, mask in zip(family.positions(), family.masks):
-        # bit v of the mask is character v of its reversed binary text
-        bits = format(mask, "b")[::-1]
-        v = bits.find("1")
-        while v >= 0:
-            edges.append((*position, v))
-            v = bits.find("1", v + 1)
-    return RPartiteHypergraph._checked((*family.m_list, params.n), tuple(edges))
-
-
 def build(
     params: ConstructionParams,
     seed: int,
@@ -436,7 +413,7 @@ def build(
             "too small for this shape",
             attempts=attempts,
         )
-    graph = family_graph(params, family)
+    graph = RPartiteHypergraph.from_masks((*params.m_list, params.n), dict(enumerate(family.masks)))
     cert = verify_freeness(graph, params.s_list, params.t, pattern_budget)
     cert = cert._replace(
         seed=seed,

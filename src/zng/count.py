@@ -19,9 +19,9 @@ import itertools
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
-from zng.hypergraph import DEFAULT_PATTERN_BUDGET, RPartiteHypergraph, pattern_count
+from zng.hypergraph import DEFAULT_PATTERN_BUDGET, RPartiteHypergraph, pattern_count, set_bits
 
 Rational = int | Fraction
 
@@ -97,35 +97,27 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
     and for more parts the intermediate count is bounded per link, exactly,
     before one final averaging step over the last part:
         t_a >= sum over last-part vertices v of LB(link(v), s_list[:-1]).
+    The link of v is the (r-1)-partite graph of the prefixes whose mask has
+    bit v.  A two-part bound depends only on its edge count, so with three
+    parts the vertices are grouped by link size, counted from the mask bits,
+    and each size is evaluated once; with more, one pass over the edges
+    groups the nonempty links and each recurses as a graph, and the empty
+    link is evaluated once for all vertices without edges.
 
     Always <= count_ordered(H, s_list), with equality on complete graphs.
     """
     _check_sides(H, s_list)
+    part_sizes = H.part_sizes
     if H.r == 1:
         # every edge is a vertex of the single part; the count is a binomial
         return gen_binom(H.num_edges, s_list[0])
-    return _jensen(H.part_sizes, H.edges, s_list)
-
-
-def _jensen(
-    part_sizes: tuple[int, ...], edges: Sequence[tuple[int, ...]], s_list: tuple[int, ...]
-) -> Fraction:
-    """jensen_lower_bound for r >= 2 parts, on the edge list alone.
-
-    The link of a last-part vertex v is the list of prefixes of the edges
-    ending at v.  A two-part bound depends only on its edge count, so with
-    three parts the vertices are grouped by link size and each size is
-    evaluated once; with more, one pass groups the nonempty links and each
-    recurses as its list, and the empty link is evaluated once for all
-    vertices without edges.
-    """
-    if len(part_sizes) == 2:
-        return _jensen_two(part_sizes, len(edges), s_list)
+    if H.r == 2:
+        return _jensen_two(part_sizes, H.num_edges, s_list)
     choices = pattern_count(part_sizes[:-1], s_list[:-1])
     if choices == 0:
         return Fraction(0)
-    if len(part_sizes) == 3:
-        degrees = Counter(e[-1] for e in edges)
+    if H.r == 3:
+        degrees = Counter(itertools.chain.from_iterable(map(set_bits, H.masks.values())))
         link_sizes = Counter(degrees.values())
         link_sizes[0] += part_sizes[-1] - len(degrees)
         t_a = Fraction(0)
@@ -133,12 +125,12 @@ def _jensen(
             t_a += vertices * _jensen_two(part_sizes[:-1], size, s_list[:-1])
     else:
         links: dict[int, list[tuple[int, ...]]] = {}
-        for e in edges:
+        for e in H.edges:
             links.setdefault(e[-1], []).append(e[:-1])
         edgeless = part_sizes[-1] - len(links)
-        t_a = edgeless * _jensen(part_sizes[:-1], [], s_list[:-1])
+        t_a = edgeless * jensen_lower_bound(RPartiteHypergraph(part_sizes[:-1], []), s_list[:-1])
         for prefixes in links.values():
-            t_a += _jensen(part_sizes[:-1], prefixes, s_list[:-1])
+            t_a += jensen_lower_bound(RPartiteHypergraph(part_sizes[:-1], prefixes), s_list[:-1])
     return choices * gen_binom(t_a / choices, s_list[-1])
 
 

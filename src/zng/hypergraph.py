@@ -1,14 +1,15 @@
 """Ordered r-partite r-graphs with exact, desk-scale queries.
 
 An edge is an r-tuple of zero-based vertex indices, coordinate i indexing
-part i.  The container is immutable by convention and keeps no derived
-index: each pattern_blocks call builds, for every (r-1)-prefix, the set of
-last-part vertices completing it, stored as an int bitmask so common
-neighborhoods are AND + popcount.  The prefixes are numbered by
+part i.  A graph is its prefix-mask table: for every (r-1)-prefix with an
+edge, the set of last-part vertices completing it, stored as an int bitmask
+so common neighborhoods are AND + popcount.  The prefixes are numbered by
 lexicographic rank, their index in
-itertools.product(range(m_1), ..., range(m_{r-1})), and the masks are a flat
-list indexed by that rank.  A run calls pattern_blocks at most once per
-graph, so nothing is cached.
+itertools.product(range(m_1), ..., range(m_{r-1})), and the table is a dict
+from rank to nonzero mask, so memory follows the edges however large the
+declared parts.  The edges are derived from the masks: ranks in ascending
+order, then bits in ascending order, which is lexicographic order.  The
+container is immutable by convention.
 
 The pattern kernel lives here too.  A pattern picks s_i vertices in each of
 the first r-1 parts; prefix_ranks numbers its transversal prefixes (for
@@ -32,10 +33,11 @@ lexicographic order so equal graphs produce byte-identical files.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-import operator
 import os
+import re
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -43,8 +45,7 @@ from zng.errors import BudgetError, ZngError, int_text
 
 DEFAULT_PATTERN_BUDGET = 1_000_000
 
-_PREFIX = operator.itemgetter(slice(0, -1))
-_LAST = operator.itemgetter(-1)
+_ONE = re.compile("1")
 
 Edge = tuple[int, ...]
 Pattern = tuple[tuple[int, ...], ...]  # one vertex subset per part
@@ -60,10 +61,11 @@ class RPartiteHypergraph:
     Attributes:
         part_sizes: tuple (m_1, ..., m_r).
         r: number of parts.
-        edges: edges in lexicographic order.
+        masks: dict from the lexicographic rank of each (r-1)-prefix with an
+            edge to its nonzero last-part mask, bit v for vertex v.
     """
 
-    __slots__ = ("part_sizes", "r", "edges")
+    __slots__ = ("part_sizes", "r", "masks")
 
     def __init__(self, part_sizes: Sequence[int], edges: Iterable[Edge]):
         sizes = tuple(int(m) for m in part_sizes)
@@ -71,36 +73,50 @@ class RPartiteHypergraph:
             raise ValueError("need at least one part")
         if any(m < 0 for m in sizes):
             raise ValueError(f"part sizes must be nonnegative, got {sizes}")
-        seen: set[Edge] = set()
+        indices: set[int] = set()
         for e in edges:
             e = tuple(e)
             if len(e) != len(sizes):
                 raise ValueError(f"edge {e} has arity {len(e)}, expected {len(sizes)}")
+            index = 0
             for i, v in enumerate(e):
-                if not 0 <= v < sizes[i]:
+                m = sizes[i]
+                if not 0 <= v < m:
                     raise ValueError(f"edge {e}: index {v} out of range for part {i + 1}")
-            if e in seen:
+                index = index * m + v
+            if index in indices:
                 raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        self._fill(sizes, tuple(sorted(seen)))
+            indices.add(index)
+        self.part_sizes, self.r = sizes, len(sizes)
+        self.masks = _index_masks(sorted(indices), sizes[-1])
 
     @classmethod
-    def _checked(cls, part_sizes: tuple[int, ...], edges: tuple[Edge, ...]) -> RPartiteHypergraph:
-        """A graph whose caller has already validated and sorted its edges."""
+    def from_masks(cls, part_sizes: tuple[int, ...], masks: dict[int, int]) -> RPartiteHypergraph:
+        """The graph of a trusted mask table: ranks ascending, masks nonzero, below 1 << m_r."""
         graph = cls.__new__(cls)
-        graph._fill(part_sizes, edges)
+        graph.part_sizes, graph.r, graph.masks = part_sizes, len(part_sizes), masks
         return graph
-
-    def _fill(self, part_sizes: tuple[int, ...], edges: tuple[Edge, ...]) -> None:
-        self.part_sizes = part_sizes
-        self.r = len(part_sizes)
-        self.edges = edges
 
     # -- queries ---------------------------------------------------------
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.masks.values()))
+
+    @property
+    def edges(self) -> tuple[Edge, ...]:
+        """The edges in lexicographic order, derived from the masks on each access."""
+        return tuple((*prefix, v) for prefix, bits in self._rows() for v in bits)
+
+    def _rows(self) -> Iterator[tuple[Edge, list[int]]]:
+        """(prefix, its last-part vertices in ascending order) per mask, in rank order."""
+        sizes = self.part_sizes[::-1][1:]
+        for rank, mask in self.masks.items():  # ascending, as both constructors insert
+            prefix = ()
+            for m in sizes:
+                rank, v = divmod(rank, m)
+                prefix = (v, *prefix)
+            yield prefix, set_bits(mask)
 
     def pattern_blocks(self, s_list: Sequence[int]) -> Iterator[tuple[Pattern, list[int]]]:
         """Common-neighbourhood sizes of every pattern with sides s_list, in blocks.
@@ -117,18 +133,16 @@ class RPartiteHypergraph:
         prefix masks once into a column of m_{r-1} masks; a head ANDs its
         columns once, and its sizes are the popcounts of that AND with each
         later column.  Every AND starts from -1, so no int grows wider than
-        the masks.  The mask table is built by each call, at its first
-        block, so a shape with no pattern (some s_i > m_i) allocates nothing
-        however large its declared parts.
+        the masks.  Each call copies the mask table into a list indexed by
+        rank, at its first block, so a shape with no pattern (some
+        s_i > m_i) allocates nothing however large its declared parts.
         """
         sizes = self.part_sizes[:-1]
         if any(s > m for m, s in zip(sizes, s_list)):
             return
         masks = [0] * math.prod(sizes)
-        # edges are sorted, so each prefix's edges are consecutive, and
-        # distinct, so the sum of their bits is their OR
-        for prefix, group in itertools.groupby(self.edges, _PREFIX):
-            masks[_prefix_rank(prefix, sizes)] = sum(map((1).__lshift__, map(_LAST, group)))
+        for rank, mask in self.masks.items():
+            masks[rank] = mask
         if not sizes:  # one part: the empty pattern, completed by every edge
             yield (), [masks[0].bit_count()]
             return
@@ -152,11 +166,11 @@ class RPartiteHypergraph:
         return (
             isinstance(other, RPartiteHypergraph)
             and self.part_sizes == other.part_sizes
-            and self.edges == other.edges
+            and self.masks == other.masks
         )
 
     def __hash__(self) -> int:
-        return hash((self.part_sizes, self.edges))
+        return hash((self.part_sizes, frozenset(self.masks.items())))
 
     def __repr__(self) -> str:
         return f"RPartiteHypergraph(parts={self.part_sizes}, edges={self.num_edges})"
@@ -168,33 +182,46 @@ def complete_graph(part_sizes: Sequence[int]) -> RPartiteHypergraph:
     return RPartiteHypergraph(part_sizes, edges)
 
 
+def _index_masks(indices: Sequence[int], m_last: int) -> dict[int, int]:
+    """The mask table of sorted, distinct edge indices, prefix rank * m_r + v.
+
+    Each mask is set bit by bit in a bytearray and read once, as ORing a bit
+    into an int would copy the whole int.
+    """
+    masks, lo = {}, 0
+    while lo < len(indices):
+        base = indices[lo] - indices[lo] % m_last  # the rank's first index
+        hi = bisect.bisect_left(indices, base + m_last, lo)
+        buf = bytearray((indices[hi - 1] - base >> 3) + 1)
+        for v in map(base.__rsub__, indices[lo:hi]):
+            buf[v >> 3] |= 1 << (v & 7)
+        masks[base // m_last] = int.from_bytes(buf, "little")
+        lo = hi
+    return masks
+
+
+def set_bits(mask: int) -> list[int]:
+    """The set bits of mask in ascending order."""
+    # bit v of the mask is character v of its reversed binary text
+    return [match.start() for match in _ONE.finditer(format(mask, "b")[::-1])]
+
+
 # ----------------------------------------------------------------------
 # the pattern kernel
 # ----------------------------------------------------------------------
 
-def _prefix_rank(prefix: Sequence[int], part_sizes: Sequence[int]) -> int:
-    """The index of prefix in itertools.product(range(m_1), ..., range(m_k)).
-
-    Coordinates beyond part_sizes are ignored, so an edge gives the rank of
-    its (r-1)-prefix.
-    """
-    rank = 0
-    for v, m in zip(prefix, part_sizes):
-        rank = rank * m + v
-    return rank
-
-
-def prefix_ranks(pattern: Pattern, part_sizes: Sequence[int]) -> Sequence[int]:
+def prefix_ranks(pattern: Pattern, part_sizes: Sequence[int]) -> list[int]:
     """Lexicographic ranks of pattern's transversal prefixes, in product order.
 
     A prefix (p_1, ..., p_k) on parts of sizes m_1, ..., m_k has rank
     (...(p_1 * m_2 + p_2) * m_3 ...) + p_k, its index in
-    itertools.product(range(m_1), ..., range(m_k)).  With one part the ranks
-    are the pattern's only side; with none there is one prefix, rank 0.
+    itertools.product(range(m_1), ..., range(m_k)).  With no part there is
+    one prefix, rank 0.
     """
-    if len(pattern) == 1:
-        return pattern[0]
-    return tuple(_prefix_rank(prefix, part_sizes) for prefix in itertools.product(*pattern))
+    ranks = [0]
+    for side, m in zip(pattern, part_sizes):
+        ranks = [rank * m + v for rank in ranks for v in side]
+    return ranks
 
 
 def block_pattern(first: Pattern, k: int) -> Pattern:
@@ -263,7 +290,9 @@ def pattern_count(
 
 def format_graph(graph: RPartiteHypergraph) -> str:
     lines = ["zng " + " ".join(str(m) for m in (graph.r, *graph.part_sizes))]
-    lines.extend(" ".join(str(v) for v in e) for e in graph.edges)
+    for prefix, bits in graph._rows():
+        head = "".join(f"{p} " for p in prefix)
+        lines.extend(map(head.__add__, map(str, bits)))
     return "\n".join(lines) + "\n"
 
 
@@ -274,7 +303,7 @@ def parse_graph(text: str) -> RPartiteHypergraph:
     is built without running them a second time.
     """
     part_sizes: tuple[int, ...] | None = None
-    seen: dict[Edge, int] = {}
+    seen: dict[int, int] = {}  # edge index -> its line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.partition("#")[0].split()
         if not tokens:
@@ -299,17 +328,17 @@ def parse_graph(text: str) -> RPartiteHypergraph:
             edge = tuple(map(int, tokens))
         except ValueError:
             raise GraphFormatError(f"line {lineno}: edge fields must be integers") from None
-        if len(edge) != len(part_sizes):
-            raise GraphFormatError(
-                f"line {lineno}: edge has {len(edge)} indices, expected {len(part_sizes)}"
-            )
+        if len(edge) != r:
+            raise GraphFormatError(f"line {lineno}: edge has {len(edge)} indices, expected {r}")
+        index = 0
         for i, v in enumerate(edge):
-            if not 0 <= v < part_sizes[i]:
+            m = part_sizes[i]
+            if not 0 <= v < m:
                 raise GraphFormatError(
-                    f"line {lineno}: index {v} out of range for part {i + 1} "
-                    f"(size {part_sizes[i]})"
+                    f"line {lineno}: index {v} out of range for part {i + 1} (size {m})"
                 )
-        first = seen.setdefault(edge, lineno)
+            index = index * m + v
+        first = seen.setdefault(index, lineno)
         if first != lineno:
             raise GraphFormatError(
                 f"line {lineno}: duplicate edge {' '.join(map(str, edge))} "
@@ -317,7 +346,7 @@ def parse_graph(text: str) -> RPartiteHypergraph:
             )
     if part_sizes is None:
         raise GraphFormatError("line 1: missing 'zng' header")
-    return RPartiteHypergraph._checked(part_sizes, tuple(sorted(seen)))
+    return RPartiteHypergraph.from_masks(part_sizes, _index_masks(sorted(seen), part_sizes[-1]))
 
 
 def write_atomic(path: str | Path, text: str) -> None:

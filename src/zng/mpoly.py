@@ -157,8 +157,8 @@ def graph_mask(f: MultiPoly, rows: MonomialRows) -> int:
     """Bitmask of the graph points {(x, f(x))} of f inside F_q^(num_vars+1).
 
     Bit i*q + f(x_i) is set for the i-th point x_i of F_q^num_vars in
-    lexicographic order: the point numbering that construct.family_graph
-    uses for the last part.  rows holds the monomial values of f's basis
+    lexicographic order: the numbering of the last part of the built graph,
+    whose mask table these masks are.  rows holds the monomial values of f's basis
     over f's field.
 
     Raises:

@@ -151,6 +151,13 @@ def naive_count(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> int:
     return total
 
 
+def reference_format_graph(graph: RPartiteHypergraph) -> str:
+    """hypergraph.format_graph written edge by edge from the sorted edge tuples."""
+    lines = ["zng " + " ".join(str(m) for m in (graph.r, *graph.part_sizes))]
+    lines.extend(" ".join(str(v) for v in e) for e in sorted(graph.edges))
+    return "\n".join(lines) + "\n"
+
+
 def reference_closing_patterns(position, s_list, part_sizes):
     """Every pattern on parts of the given sizes whose per-part maxima are position."""
     return [

@@ -25,7 +25,6 @@ from zng.construct import (
     _range_ok,
     build,
     derive_params,
-    family_graph,
     integer_root,
     sequential_select,
 )
@@ -363,7 +362,7 @@ def test_select_matches_agreement_set_reference(shape):
         polys, resamples = reference_select(params, seed)
         assert family.polys == polys
         assert family.resamples == resamples
-        assert family_graph(params, family) == reference_graph(params, polys)
+        assert dict(enumerate(family.masks)) == reference_graph(params, polys).masks
         total_resamples += resamples
     assert (total_resamples > 0) == resamples_expected
 
@@ -379,7 +378,8 @@ def test_select_failure_matches_reference():
 def test_family_graph_matches_build_and_is_reproducible():
     params = _params((2,), 4, 5, (6,))
     result = build(params, seed=11)
-    assert family_graph(params, result.family) == result.graph
+    assert reference_graph(params, result.family.polys) == result.graph
+    assert build(params, seed=11).graph == result.graph
     polys = result.family.to_dict()["polys"]
     assert [p["tuple"] for p in polys] == sorted(p["tuple"] for p in polys)
 
@@ -388,6 +388,7 @@ def test_family_graph_matches_build_and_is_reproducible():
 GOLDEN_BUILDS = [
     *(((2,), 4, q, (q,), 64) for q in (5, 7, 9, 11, 13)),
     ((2, 2), 16, 7, (5, 5), 64),
+    ((2, 2), 16, 11, (11, 11), 64),
     ((3,), 9, 9, (6,), 64),
     ((2, 2), 5, 5, (5, 5), 64),
     ((2,), 2, 5, (24,), 8),

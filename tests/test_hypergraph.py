@@ -6,7 +6,7 @@ import tracemalloc
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -15,6 +15,7 @@ from helpers import (
     random_graph,
     reference_closing_patterns,
     reference_common_mask,
+    reference_format_graph,
     reference_neighborhoods,
 )
 from zng import hypergraph
@@ -95,15 +96,22 @@ def test_neighbor_mask_three_parts():
 
 
 def test_no_patterns_build_no_mask_table():
-    # s_2 > m_2 leaves no pattern, so the 4,000,000 prefix masks are never built
-    g = RPartiteHypergraph((2000, 2000, 3), [])
-    tracemalloc.start()
-    try:
-        assert list(g.pattern_blocks((1, 2001))) == []
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
+    # s_2 > m_2 leaves no pattern, so no table of one mask per prefix is
+    # built: not for 4,000,000 prefixes, nor for 10^10 declared in a file
+    cases = [
+        (lambda: RPartiteHypergraph((2000, 2000, 3), []), (1, 2001)),
+        (lambda: parse_graph("zng 3 100000 100000 3\n0 0 0\n99999 99999 2\n"), (1, 100001)),
+    ]
+    for make, s_list in cases:
+        tracemalloc.start()
+        try:
+            g = make()
+            assert list(g.pattern_blocks(s_list)) == []
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+    assert g.edges == ((0, 0, 0), (99999, 99999, 2))
 
 
 def test_complete_graph_has_all_transversals():
@@ -147,6 +155,9 @@ PARSE_ERRORS = [
     ("zng 2 2 2\n0 0\n1 1\n0 0\n", "line 4: duplicate edge 0 0 (first seen on line 2)"),
     ("zng 3 2 2 2\n1 0 1\n# c\n1 0 1 # again\n",
      "line 4: duplicate edge 1 0 1 (first seen on line 2)"),
+    ("zng 2 2 2\n0 0\n0 0\n0 5\n", "line 3: duplicate edge 0 0 (first seen on line 2)"),
+    ("zng 2 2 2\n1 0\n# c\n\n0 1\n\n1 0\n",
+     "line 7: duplicate edge 1 0 (first seen on line 2)"),
     ("", "line 1: missing 'zng' header"),
     ("# only a comment\n\n", "line 1: missing 'zng' header"),
 ]
@@ -207,6 +218,31 @@ def test_random_graphs_round_trip_through_text(part_sizes, data):
     again = parse_graph(format_graph(g))
     assert again == g
     assert format_graph(again) == format_graph(g)
+
+
+@settings(max_examples=200)
+@given(
+    st.lists(st.integers(0, 4), min_size=1, max_size=4).map(tuple),
+    st.floats(0, 1),
+    st.randoms(use_true_random=False),
+)
+@example((0,), 1.0, random.Random(0))
+@example((3, 0), 1.0, random.Random(0))
+@example((2, 1, 3, 0), 1.0, random.Random(0))
+@example((3, 3), 0.0, random.Random(0))
+def test_format_graph_matches_the_edge_tuple_reference(part_sizes, density, rng):
+    # random_graph's edges, in shuffled order
+    edges = [
+        cell
+        for cell in itertools.product(*(range(m) for m in part_sizes))
+        if rng.random() < density
+    ]
+    rng.shuffle(edges)
+    g = RPartiteHypergraph(part_sizes, edges)
+    assert g.edges == tuple(sorted(set(edges)))
+    assert g.num_edges == len(edges)
+    assert format_graph(g) == reference_format_graph(g)
+    assert parse_graph(format_graph(g)) == g
 
 
 @settings(max_examples=100)
