@@ -2,9 +2,9 @@
 
 Every run is a pure function of (config, seed): artifacts (graphs,
 certificates, reports, tables) are byte-identical across reruns, and wall
-times go only to the stderr log so they never perturb an artifact.  A run
-ends with one JSON status line on stdout, which run prints from the fields
-its mode's runner returns.
+times go only to stderr, one line each, so they never perturb an artifact.
+A run ends with one JSON status line on stdout, which run prints from the
+fields its mode's runner returns.
 
 Exit codes: 0 pass, 1 verdict fail, 2 usage, 3 budget.
 """
@@ -12,8 +12,8 @@ Exit codes: 0 pass, 1 verdict fail, 2 usage, 3 budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import logging
 import math
 import sys
 import time
@@ -23,8 +23,6 @@ from zng.config import COMMON_KEYS, LIST_KEYS, MODE_KEYS, STR_KEYS, ExperimentCo
 from zng.errors import BudgetError, ConstructionError, int_text
 from zng.hypergraph import GraphFormatError, read_graph, write_atomic, write_graph
 
-log = logging.getLogger("zng")
-
 EXIT_PASS = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
@@ -33,6 +31,14 @@ EXIT_BUDGET = 3
 
 def _status(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
+
+
+def _log(message: str) -> None:
+    """Write `YYYY-mm-dd HH:MM:SS,mmm zng message` to stderr; drop what it cannot take."""
+    now = time.time()
+    stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(now))
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # None, broken or closed
+        sys.stderr.write(f"{stamp},{int((now - int(now)) * 1000):03d} zng {message}\n")
 
 
 def _ratio_text(num: int, den: int) -> str:
@@ -117,13 +123,10 @@ def _run_oracle(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
     started = time.perf_counter()
     result = exact_z(query, **_kwargs(edge_cap=config.budget))
     seconds = time.perf_counter() - started
-    log.info(
-        "oracle %s: z=%d, %d nodes in %.3fs (%.0f nodes/s)",
-        query.label(),
-        result.z,
-        result.nodes,
-        seconds,
-        result.nodes / seconds if seconds else 0.0,
+    rate = result.nodes / seconds if seconds else 0.0
+    _log(
+        f"oracle {query.label()}: z={result.z}, {result.nodes} nodes in {seconds:.3f}s"
+        f" ({rate:.0f} nodes/s)"
     )
     name = "witness_{}_{}.zng".format(
         "x".join(map(str, config.m)), "x".join(map(str, config.s))
@@ -155,13 +158,13 @@ def _run_sweep(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
             result = _build_point(config, q, m_list, sub_seed, out / f"q{q}")
         except (ValueError, ConstructionError, BudgetError) as err:
             failures += 1
-            log.info("sweep q=%d failed in %.3fs: %s", q, time.perf_counter() - started, err)
+            _log(f"sweep q={q} failed in {time.perf_counter() - started:.3f}s: {err}")
             lines.append(f"{row}-\t{int_text(bound, '-')}\t-\tfailed")
             continue
         edges = result.graph.num_edges
         verdict = "pass" if result.certificate.passed else "failed"
         failures += verdict == "failed"
-        log.info("sweep q=%d done in %.3fs", q, time.perf_counter() - started)
+        _log(f"sweep q={q} done in {time.perf_counter() - started:.3f}s")
         lines.append(f"{row}{edges}\t{bound}\t{_ratio_text(edges, bound)}\t{verdict}")
     write_atomic(out / "sweep.tsv", "\n".join(lines) + "\n")
     return failures == 0, {
@@ -186,7 +189,7 @@ def run(config: ExperimentConfig) -> int:
     started = time.perf_counter()
     passed, status = _RUNNERS[config.mode](config, out)
     _status({"mode": config.mode, **status, "out": str(out)})
-    log.info("mode %s finished in %.3fs", config.mode, time.perf_counter() - started)
+    _log(f"mode {config.mode} finished in {time.perf_counter() - started:.3f}s")
     return EXIT_PASS if passed else EXIT_VERDICT
 
 
@@ -250,9 +253,6 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.INFO, format="%(asctime)s %(name)s %(message)s"
-    )
     args = build_parser().parse_args(argv)
     try:
         return run(_config_from_args(args))

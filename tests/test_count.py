@@ -225,3 +225,16 @@ def test_jensen_matches_link_based_reference(parts, sides, density, seed):
     g = random_graph(random.Random(seed), tuple(parts), density)
     s_list = tuple(sides[: len(parts)])
     assert jensen_lower_bound(g, s_list) == reference_jensen(g, s_list)
+
+
+def test_jensen_r3_link_sizes_carry_into_a_new_plane():
+    # last-part vertex 0 has degree 8 (carries into bit plane 3 at the 8th
+    # prefix), 1 has degree 0, 2 has degree 3 and 3 has degree 9
+    prefixes = list(itertools.product(range(3), range(3)))
+    edges = [(*p, 0) for p in prefixes[:8]]
+    edges += [(0, 0, 2), (1, 1, 2), (2, 2, 2)] + [(*p, 3) for p in prefixes]
+    g = RPartiteHypergraph((3, 3, 4), edges)
+    for s_list in ((1, 1, 1), (2, 2, 2), (1, 2, 3), (3, 3, 4)):
+        bound = jensen_lower_bound(g, s_list)
+        assert bound == reference_jensen(g, s_list)
+        assert bound <= count_ordered(g, s_list)
