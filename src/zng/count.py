@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from zng.hypergraph import DEFAULT_PATTERN_BUDGET, RPartiteHypergraph, pattern_count
+from zng.hypergraph import DEFAULT_PATTERN_BUDGET, RPartiteHypergraph, pattern_count, set_bits
 
 Rational = int | Fraction
 
@@ -98,10 +99,10 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
         t_a >= sum over last-part vertices v of LB(link(v), s_list[:-1]).
     The link of v is the (r-1)-partite graph of the prefixes whose mask has
     bit v.  A two-part bound depends only on its edge count, so with three
-    parts the link sizes are summed as bit planes of the masks, and each
-    size is evaluated once; with more, one pass over the edges groups the
-    nonempty links and each recurses as a graph, and the empty link is
-    evaluated once for all vertices without edges.
+    parts the vertices are grouped by link size, counted from the mask bits,
+    and each size is evaluated once; with more, one pass over the edges
+    groups the nonempty links and each recurses as a graph, and the empty
+    link is evaluated once for all vertices without edges.
 
     Always <= count_ordered(H, s_list), with equality on complete graphs.
     """
@@ -116,23 +117,12 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
     if choices == 0:
         return Fraction(0)
     if H.r == 3:
-        planes = [0] * len(H.masks).bit_length()  # bit k of each vertex's link size
-        for carry in H.masks.values():
-            k = 0
-            while carry:
-                planes[k], carry = planes[k] ^ carry, planes[k] & carry
-                k += 1
-        link_sizes = {0: (1 << part_sizes[-1]) - 1}  # link size -> mask of its vertices
-        for plane in reversed(planes):
-            link_sizes = {
-                2 * size + bit: part
-                for size, vertices in link_sizes.items()
-                for bit, part in enumerate((vertices & ~plane, vertices & plane))
-                if part
-            }
+        degrees = Counter(itertools.chain.from_iterable(map(set_bits, H.masks.values())))
+        link_sizes = Counter(degrees.values())
+        link_sizes[0] += part_sizes[-1] - len(degrees)
         t_a = Fraction(0)
         for size, vertices in link_sizes.items():
-            t_a += vertices.bit_count() * _jensen_two(part_sizes[:-1], size, s_list[:-1])
+            t_a += vertices * _jensen_two(part_sizes[:-1], size, s_list[:-1])
     else:
         links: dict[int, list[tuple[int, ...]]] = {}
         for e in H.edges:
