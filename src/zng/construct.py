@@ -12,9 +12,9 @@ are computed once per selection).  Those masks, one per tuple in rank order,
 are the emitted graph's mask table as they stand: the graph's edges are
 derived from them, never built here.  A final exhaustive verification pass
 (certify.verify_freeness) certifies the result independently of how the
-family was chosen.  Coefficients are field element indices 0..q-1; the
-certificate (PolyFamily.to_dict) writes each as its residue tuple, constant
-term first (gf.Field.residues).
+family was chosen.  A polynomial is its tuple of coefficients, field element
+indices 0..q-1 on PolyFamily.basis; the certificate (PolyFamily.to_dict)
+writes each as its residue tuple, constant term first (gf.Field.residues).
 
 Derived quantities (polynomial degree, tuple capacity) use exact integer
 root-and-floor arithmetic throughout; no floating point touches anything
@@ -46,7 +46,6 @@ from zng.hypergraph import (
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
     MonomialBasis,
-    MultiPoly,
     basis_size,
     graph_mask,
     monomial_basis,
@@ -250,12 +249,11 @@ def _range_ok(params: ConstructionParams) -> bool | None:
 # ----------------------------------------------------------------------
 
 class PolyFamily(NamedTuple):
-    """One polynomial per tuple of first-part indices, its graph_mask, and stats."""
+    """One coefficient tuple per tuple of first-part indices, its graph_mask, and stats."""
 
-    m_list: tuple[int, ...]
     field: Field
     basis: MonomialBasis
-    polys: dict[tuple[int, ...], MultiPoly]
+    polys: dict[tuple[int, ...], tuple[int, ...]]
     masks: list[int]  # one per position, in lexicographic order like polys
     resamples: int = 0
     restarts: int = 0
@@ -267,9 +265,9 @@ class PolyFamily(NamedTuple):
             "polys": [
                 {
                     "tuple": list(pos),
-                    "coeffs": [list(self.field.residues(c)) for c in poly.coeffs],
+                    "coeffs": [list(self.field.residues(c)) for c in coeffs],
                 }
-                for pos, poly in self.polys.items()
+                for pos, coeffs in self.polys.items()
             ],
             "resamples": self.resamples,
             "restarts": self.restarts,
@@ -318,7 +316,7 @@ def sequential_select(
     rng = random.Random(seed)
     basis = monomial_basis(params.s_total - 1, params.degree)
     rows = monomial_rows(basis, params.field)
-    chosen: dict[tuple[int, ...], MultiPoly] = {}
+    chosen: dict[tuple[int, ...], tuple[int, ...]] = {}
     masks: list[int] = []  # indexed by position rank, as positions come in lex order
     resamples = 0
     for position in itertools.product(*(range(m) for m in params.m_list)):
@@ -346,7 +344,6 @@ def sequential_select(
                 attempts=[(seed, len(chosen), position, pattern)],
             )
     return PolyFamily(
-        m_list=params.m_list,
         field=params.field,
         basis=basis,
         polys=chosen,

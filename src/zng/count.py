@@ -21,7 +21,13 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from zng.hypergraph import DEFAULT_PATTERN_BUDGET, RPartiteHypergraph, pattern_count, set_bits
+from zng.hypergraph import (
+    DEFAULT_PATTERN_BUDGET,
+    RPartiteHypergraph,
+    index_masks,
+    pattern_count,
+    set_bits,
+)
 
 Rational = int | Fraction
 
@@ -98,11 +104,11 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
     before one final averaging step over the last part:
         t_a >= sum over last-part vertices v of LB(link(v), s_list[:-1]).
     The link of v is the (r-1)-partite graph of the prefixes whose mask has
-    bit v.  A two-part bound depends only on its edge count, so with three
-    parts the vertices are grouped by link size, counted from the mask bits,
-    and each size is evaluated once; with more, one pass over the edges
-    groups the nonempty links and each recurses as a graph, and the empty
-    link is evaluated once for all vertices without edges.
+    bit v; an empty link bounds 0, so only vertices with edges are visited.
+    A two-part bound depends only on its edge count, so with three parts the
+    vertices are grouped by link size, counted from the mask bits, and each
+    size is evaluated once; with more, each vertex's prefix ranks, grouped
+    in one pass over the mask bits, recurse as the mask table of its link.
 
     Always <= count_ordered(H, s_list), with equality on complete graphs.
     """
@@ -113,25 +119,24 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
         return gen_binom(H.num_edges, s_list[0])
     if H.r == 2:
         return _jensen_two(part_sizes, H.num_edges, s_list)
-    choices = pattern_count(part_sizes[:-1], s_list[:-1])
+    sizes, sides = part_sizes[:-1], s_list[:-1]
+    choices = pattern_count(sizes, sides)
     if choices == 0:
         return Fraction(0)
     if H.r == 3:
         degrees = Counter(itertools.chain.from_iterable(map(set_bits, H.masks.values())))
         link_sizes = Counter(degrees.values())
-        link_sizes[0] += part_sizes[-1] - len(degrees)
-        t_a = Fraction(0)
-        for size, vertices in link_sizes.items():
-            t_a += vertices * _jensen_two(part_sizes[:-1], size, s_list[:-1])
+        t_a = sum(n * _jensen_two(sizes, size, sides) for size, n in link_sizes.items())
     else:
-        links: dict[int, list[tuple[int, ...]]] = {}
-        for e in H.edges:
-            links.setdefault(e[-1], []).append(e[:-1])
-        edgeless = part_sizes[-1] - len(links)
-        t_a = edgeless * jensen_lower_bound(RPartiteHypergraph(part_sizes[:-1], []), s_list[:-1])
-        for prefixes in links.values():
-            t_a += jensen_lower_bound(RPartiteHypergraph(part_sizes[:-1], prefixes), s_list[:-1])
-    return choices * gen_binom(t_a / choices, s_list[-1])
+        links: dict[int, list[int]] = {}  # vertex -> its prefix ranks, ascending
+        for rank, mask in H.masks.items():
+            for v in set_bits(mask):
+                links.setdefault(v, []).append(rank)
+        t_a = Fraction(0)
+        for ranks in links.values():
+            link = RPartiteHypergraph.from_masks(sizes, index_masks(ranks, sizes[-1]))
+            t_a += jensen_lower_bound(link, sides)
+    return choices * gen_binom(Fraction(t_a, choices), s_list[-1])
 
 
 def _jensen_two(part_sizes: tuple[int, ...], num_edges: int, s_list: tuple[int, ...]) -> Fraction:

@@ -81,6 +81,8 @@ class RPartiteHypergraph:
             index = 0
             for i, v in enumerate(e):
                 m = sizes[i]
+                if not isinstance(v, int):
+                    raise ValueError(f"edge {e}: index {v!r} is not an integer")
                 if not 0 <= v < m:
                     raise ValueError(f"edge {e}: index {v} out of range for part {i + 1}")
                 index = index * m + v
@@ -88,7 +90,7 @@ class RPartiteHypergraph:
                 raise ValueError(f"duplicate edge {e}")
             indices.add(index)
         self.part_sizes, self.r = sizes, len(sizes)
-        self.masks = _index_masks(sorted(indices), sizes[-1])
+        self.masks = index_masks(sorted(indices), sizes[-1])
 
     @classmethod
     def from_masks(cls, part_sizes: tuple[int, ...], masks: dict[int, int]) -> RPartiteHypergraph:
@@ -182,7 +184,7 @@ def complete_graph(part_sizes: Sequence[int]) -> RPartiteHypergraph:
     return RPartiteHypergraph(part_sizes, edges)
 
 
-def _index_masks(indices: Sequence[int], m_last: int) -> dict[int, int]:
+def index_masks(indices: Sequence[int], m_last: int) -> dict[int, int]:
     """The mask table of sorted, distinct edge indices, prefix rank * m_r + v.
 
     Each mask is set bit by bit in a bytearray and read once, as ORing a bit
@@ -346,7 +348,7 @@ def parse_graph(text: str) -> RPartiteHypergraph:
             )
     if part_sizes is None:
         raise GraphFormatError("line 1: missing 'zng' header")
-    return RPartiteHypergraph.from_masks(part_sizes, _index_masks(sorted(seen), part_sizes[-1]))
+    return RPartiteHypergraph.from_masks(part_sizes, index_masks(sorted(seen), part_sizes[-1]))
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -1,12 +1,14 @@
 """Dense multivariate polynomials of bounded total degree over a finite field.
 
-A polynomial lives on a fixed monomial basis: all exponent tuples of total
-degree at most max_degree, in graded order (degree first, lexicographically
-descending inside a degree), so coefficient tuples line up across the whole
-family and serialization is positional.  Coefficients are field element
-indices (gf.Field).  graph_mask turns a polynomial into the bitmask of its
-graph points; several polynomials agree on as many points as the AND of
-their masks has bits.
+A polynomial is the tuple of its coefficients on a fixed monomial basis:
+all exponent tuples of total degree at most max_degree, in graded order
+(degree first, lexicographically descending inside a degree), so
+coefficient tuples line up across the whole family and serialization is
+positional.  Coefficients are field element indices (gf.Field); the tuple
+names neither its basis nor its field, which its caller holds once.
+graph_mask turns a polynomial into the bitmask of its graph points, and is
+where coefficients are checked; several polynomials agree on as many
+points as the AND of their masks has bits.
 
 graph_mask reads the monomial values of the domain F_q^num_vars, whose
 points are numbered lexicographically in element order, from MonomialRows,
@@ -84,39 +86,13 @@ def monomial_basis(num_vars: int, max_degree: int) -> MonomialBasis:
     return MonomialBasis(num_vars, max_degree, exps)
 
 
-class _MultiPoly(NamedTuple):
-    field: Field
-    basis: MonomialBasis
-    coeffs: tuple[int, ...]
-
-
-class MultiPoly(_MultiPoly):
-    """A polynomial as a dense tuple of coefficient indices on a shared basis.
-
-    The constructor checks the coefficients; _make and _replace would skip
-    that check, so nothing calls them.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, field: Field, basis: MonomialBasis, coeffs: tuple[int, ...]) -> MultiPoly:
-        if len(coeffs) != len(basis.exponents):
-            raise ValueError(
-                f"{len(coeffs)} coefficients for a {len(basis.exponents)}-monomial basis"
-            )
-        if coeffs and not 0 <= min(coeffs) <= max(coeffs) < field.q:
-            raise ValueError(f"coefficients {coeffs} outside 0..{field.q - 1}")
-        return super().__new__(cls, field, basis, coeffs)
-
-
-def random_poly(basis: MonomialBasis, field: Field, rng: Random) -> MultiPoly:
-    """Draw each coefficient independently and uniformly from the field.
+def random_poly(basis: MonomialBasis, field: Field, rng: Random) -> tuple[int, ...]:
+    """The coefficients of a uniform random polynomial on basis, in basis order.
 
     The draw consumes exactly one randrange(q) per monomial, in basis order,
     so a seeded rng reproduces the same polynomial bit for bit.
     """
-    coeffs = tuple(rng.randrange(field.q) for _ in range(len(basis.exponents)))
-    return MultiPoly(field, basis, coeffs)
+    return tuple(rng.randrange(field.q) for _ in range(len(basis.exponents)))
 
 
 class MonomialRows(NamedTuple):
@@ -124,7 +100,7 @@ class MonomialRows(NamedTuple):
 
     logs[i][j] is the log (in field.int_arith()) of monomial j of basis at
     the i-th point of F_q^num_vars in lexicographic order; a zero value has
-    the zero log.
+    the zero log.  graph_mask reads coefficient tuples on this basis and field.
     """
 
     field: Field
@@ -153,27 +129,29 @@ def monomial_rows(basis: MonomialBasis, field: Field) -> MonomialRows:
     return MonomialRows(field, basis, logs)
 
 
-def graph_mask(f: MultiPoly, rows: MonomialRows) -> int:
-    """Bitmask of the graph points {(x, f(x))} of f inside F_q^(num_vars+1).
+def graph_mask(coeffs: tuple[int, ...], rows: MonomialRows) -> int:
+    """Bitmask of the graph points {(x, f(x))} inside F_q^(num_vars+1).
 
-    Bit i*q + f(x_i) is set for the i-th point x_i of F_q^num_vars in
-    lexicographic order: the numbering of the last part of the built graph,
-    whose mask table these masks are.  rows holds the monomial values of f's basis
-    over f's field.
+    f is the polynomial with coefficient indices coeffs on rows.basis over
+    rows.field.  Bit i*q + f(x_i) is set for the i-th point x_i of
+    F_q^num_vars in lexicographic order: the numbering of the last part of
+    the built graph, whose mask table these masks are.
 
     Raises:
-        ValueError: rows belong to another basis or field.
+        ValueError: not one coefficient per monomial, or one outside 0..q-1.
     """
-    field, q = f.field, f.field.q
-    if rows.basis != f.basis or rows.field != field:
-        raise ValueError("monomial rows of another basis or field")
+    field, q, size = rows.field, rows.field.q, len(rows.basis.exponents)
+    if len(coeffs) != size:
+        raise ValueError(f"{len(coeffs)} coefficients for a {size}-monomial basis")
+    if not 0 <= min(coeffs) <= max(coeffs) < q:  # a basis has at least one monomial
+        raise ValueError(f"coefficients {coeffs} outside 0..{q - 1}")
     log, exp, total = field.int_arith()
     term = exp.__getitem__
-    coeffs = [log[c] for c in f.coeffs]
+    coeff_logs = [log[c] for c in coeffs]
     bits = bytearray((q * len(rows.logs) + 7) // 8)
     offset = 0  # i*q for the i-th point
     for row in rows.logs:
-        vertex = offset + total(map(term, map(operator.add, coeffs, row)))
+        vertex = offset + total(map(term, map(operator.add, coeff_logs, row)))
         bits[vertex >> 3] |= 1 << (vertex & 7)
         offset += q
     return int.from_bytes(bits, "little")

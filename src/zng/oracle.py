@@ -38,6 +38,7 @@ from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     RPartiteHypergraph,
     closing_patterns,
+    index_masks,
     pattern_count,
     prefix_ranks,
     write_atomic,
@@ -251,9 +252,8 @@ def exact_z(query: ZQuery, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
     if n > edge_cap:
         raise BudgetError(f"{int_text(n)} potential edges exceed the search cap {edge_cap}")
     best, best_bits, nodes = _search(query)
-    pot = itertools.product(*(range(m) for m in query.m_list))
-    edges = [edge for edge, bit in zip(pot, best_bits) if bit]
-    witness = RPartiteHypergraph(query.m_list, edges)
+    edges = [pos for pos, bit in enumerate(best_bits) if bit]  # sorted edge indices
+    witness = RPartiteHypergraph.from_masks(query.m_list, index_masks(edges, query.m_list[-1]))
     return ZResult(query=query, z=best, witness=witness, nodes=nodes)
 
 

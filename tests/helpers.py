@@ -90,19 +90,28 @@ def domain(field, num_vars: int):
     return itertools.product(residue_field(field).elements, repeat=num_vars)
 
 
-def evaluate(f, point):
-    """f at a point of residue tuples, term by term; returns a residue tuple."""
-    ref = residue_field(f.field)
-    if len(point) != f.basis.num_vars:
-        raise ValueError(f"point has {len(point)} coordinates, expected {f.basis.num_vars}")
+def evaluate(field, basis, coeffs, point):
+    """The polynomial coeffs on basis at a point of residue tuples, term by term.
+
+    Returns a residue tuple.
+
+    Raises:
+        ValueError: not one coefficient per monomial, or not one coordinate
+            per variable.
+    """
+    ref = residue_field(field)
+    if len(coeffs) != len(basis.exponents):
+        raise ValueError(f"{len(coeffs)} coefficients for a {len(basis.exponents)}-monomial basis")
+    if len(point) != basis.num_vars:
+        raise ValueError(f"point has {len(point)} coordinates, expected {basis.num_vars}")
     powers = []  # powers[v][e] = point[v]^e
     for x in point:
         column = [ref.one]
-        for _ in range(f.basis.max_degree):
+        for _ in range(basis.max_degree):
             column.append(ref.mul(column[-1], x))
         powers.append(column)
     acc = ref.zero
-    for exps, c in zip(f.basis.exponents, f.coeffs):
+    for exps, c in zip(basis.exponents, coeffs):
         if c:
             term = ref.elements[c]
             for column, e in zip(powers, exps):
@@ -112,27 +121,26 @@ def evaluate(f, point):
     return acc
 
 
-def agreement_set(fs, point_budget: int = DEFAULT_POINT_BUDGET) -> set:
-    """Points where all polynomials in fs take one common value, by evaluate.
+def agreement_set(field, basis, fs, point_budget: int = DEFAULT_POINT_BUDGET) -> set:
+    """Points where all coefficient tuples fs on basis take one common value.
 
-    The reference for the popcount of the AND of graph_mask values.
+    Evaluated point by point with evaluate: the reference for the popcount
+    of the AND of graph_mask values.
 
     Raises:
-        ValueError: empty input, or mismatched bases.
+        ValueError: empty input, or a tuple of another length than basis
+            (evaluate).
         BudgetError: the domain has more than point_budget points.
     """
     if not fs:
         raise ValueError("agreement_set needs at least one polynomial")
-    field, basis = fs[0].field, fs[0].basis
-    if any(f.basis != basis or f.field != field for f in fs):
-        raise ValueError("polynomials live on different bases or fields")
     size = field.q**basis.num_vars
     if size > point_budget:
         raise BudgetError(f"domain has {size} points, above the budget {point_budget}")
     return {
         point
         for point in domain(field, basis.num_vars)
-        if len({evaluate(f, point) for f in fs}) == 1
+        if len({evaluate(field, basis, f, point) for f in fs}) == 1
     }
 
 
@@ -357,7 +365,7 @@ def reference_select(
                     candidate if tup == position else chosen[tup]
                     for tup in itertools.product(*pattern)
                 ]
-                size = len(agreement_set(fs, point_budget))
+                size = len(agreement_set(params.field, basis, fs, point_budget))
                 if size > params.t - 1:
                     last_violation = pattern, size
                     break
@@ -375,23 +383,24 @@ def reference_select(
     return chosen, resamples
 
 
-def reference_graph_mask(f) -> int:
+def reference_graph_mask(field, basis, coeffs) -> int:
     """mpoly.graph_mask by per-point evaluation: one evaluate per domain point."""
-    ref = residue_field(f.field)
+    ref = residue_field(field)
     mask = 0
-    for i, x in enumerate(domain(f.field, f.basis.num_vars)):
-        mask |= 1 << (i * ref.q + ref.index[evaluate(f, x)])
+    for i, x in enumerate(domain(field, basis.num_vars)):
+        mask |= 1 << (i * ref.q + ref.index[evaluate(field, basis, coeffs, x)])
     return mask
 
 
 def reference_graph(params, polys) -> RPartiteHypergraph:
     """Graph points by per-point evaluation, numbered coordinate by coordinate."""
     ref = residue_field(params.field)
+    basis = monomial_basis(params.s_total - 1, params.degree)
     edges = []
     for position, f in polys.items():
-        for x in domain(params.field, params.s_total - 1):
+        for x in domain(params.field, basis.num_vars):
             vertex = 0
-            for coord in (*x, evaluate(f, x)):
+            for coord in (*x, evaluate(params.field, basis, f, x)):
                 vertex = vertex * params.q + ref.index[coord]
             edges.append((*position, vertex))
     return RPartiteHypergraph((*params.m_list, params.n), edges)

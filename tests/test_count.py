@@ -88,8 +88,8 @@ def test_declared_last_part_size_allocates_nothing():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
-    # the bound too: empty links are evaluated once, not once per vertex, and
-    # no mask is as wide as the declared last part
+    # the bound too: a vertex without edges is not visited (its empty link
+    # bounds 0), and no mask is as wide as the declared last part
     for part_sizes, edges in [
         ((2, 2, 10**8), []),
         ((2, 2, 10**8), [(1, 0, 0)]),
@@ -222,11 +222,14 @@ def test_count_on_complete_graphs_is_the_product_of_binomials():
 
 @settings(max_examples=80, deadline=None)
 @given(
-    parts=st.lists(st.integers(0, 4), min_size=3, max_size=4),
-    sides=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+    parts=st.lists(st.integers(0, 4), min_size=3, max_size=5),
+    sides=st.lists(st.integers(1, 3), min_size=5, max_size=5),
     density=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
+# r = 5 links that recurse two levels on mask tables, with a fractional bound
+@example(parts=[3, 2, 2, 2, 4], sides=[2, 1, 1, 2, 2], density=0.9, seed=0)
+@example(parts=[4, 4, 4, 4, 4], sides=[2, 2, 1, 1, 2], density=0.9, seed=0)
 def test_jensen_matches_link_based_reference(parts, sides, density, seed):
     g = random_graph(random.Random(seed), tuple(parts), density)
     s_list = tuple(sides[: len(parts)])

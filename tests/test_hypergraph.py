@@ -54,6 +54,8 @@ def test_constructor_validation():
         RPartiteHypergraph((2, 2), [(0, 0, 0)])  # arity
     with pytest.raises(ValueError):
         RPartiteHypergraph((2, 2), [(0, 2)])  # range
+    with pytest.raises(ValueError, match=r"^edge \(0\.5, 1\): index 0\.5 is not an integer$"):
+        RPartiteHypergraph((2, 3), [(0.5, 1)])
     with pytest.raises(ValueError):
         RPartiteHypergraph((2, 2), [(0, 0), (0, 0)])  # duplicate
 

@@ -1,6 +1,6 @@
 """Every definition in the package is reached from somewhere but its own body,
-every parameter with a default is set by some call, and every attribute
-stored on self is read.
+every parameter with a default is set by some call, every attribute stored
+on self is read, and no module imports another module's private name.
 
 The search reads `src/zng/*.py`, the acceptance gate `tests/test_acceptance.py`
 and the references it uses in `tests/helpers.py`.  A top-level function or
@@ -142,3 +142,21 @@ def test_every_attribute_stored_on_self_is_read():
         and node.attr not in loaded
     ]
     assert unread == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """A `_`-prefixed name is its module's own: no `from zng... import _name`.
+
+    The walk reads every `ast.ImportFrom` of the package, relative ones too.
+    A helper two modules share is public, as hypergraph.index_masks is.
+    """
+    imported = [
+        f"{path.name}:{node.lineno} {alias.name} from {node.module}"
+        for path in PACKAGE
+        for node in ast.walk(_parse(path))
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").partition(".")[0] == "zng")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert imported == []
