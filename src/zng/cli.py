@@ -67,6 +67,8 @@ def _build_point(
     from zng.construct import build, derive_params
 
     params = derive_params(config.s, config.t, q, m_list)
+    if params.advice:
+        _log(params.advice)
     budgets = _kwargs(
         point_budget=config.budget,
         pattern_budget=config.budget,

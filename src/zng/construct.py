@@ -26,7 +26,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-import warnings
 from typing import NamedTuple
 
 # write_certificate is not called here: perfbench/tracing.py times the
@@ -58,16 +57,8 @@ DEFAULT_POSITION_RETRY_CAP = 64
 DEFAULT_RESTART_CAP = 16
 RANGE_OK_BITS = 1 << 20
 # str() of an int with more digits fails (sys.get_int_max_str_digits), and
-# the warnings and the certificate print the capacity
+# the advice and the certificate print the capacity
 PRINTABLE_LIMIT = 10**4300
-
-
-class CapacityWarning(UserWarning):
-    """Requested part sizes fall outside the derived tuple capacity."""
-
-
-class PartSplitAdvisory(UserWarning):
-    """A balanced split of the tuple capacity would allow larger parts."""
 
 
 def integer_root(n: int, k: int) -> int:
@@ -87,12 +78,6 @@ def integer_root(n: int, k: int) -> int:
         else:
             hi = mid
     return lo
-
-
-def _ceil_root(n: int, k: int) -> int:
-    """Smallest a with a**k >= n."""
-    floor = integer_root(n, k)
-    return floor if floor**k == n else floor + 1
 
 
 # ----------------------------------------------------------------------
@@ -131,6 +116,29 @@ class ConstructionParams(NamedTuple):
         """degree**(s_total-1), the guaranteed agreement-set ceiling."""
         return self.degree ** (self.s_total - 1)
 
+    @property
+    def advice(self) -> str | None:
+        """Why m_list sits badly against the capacity, or None where it fits.
+
+        Too many tuples leave the density guarantee behind; too few, when a
+        balanced split of the capacity would give every part more vertices,
+        are worth a note too.  Neither stops a build.
+        """
+        tuples = math.prod(self.m_list)
+        if tuples > self.capacity:
+            return (
+                f"{int_text(tuples)} tuples exceed the derived capacity {self.capacity}; "
+                "the density guarantee does not cover this run "
+                "(freeness is still certified exhaustively)"
+            )
+        balanced = integer_root(self.capacity, len(self.m_list))
+        if tuples < balanced ** len(self.m_list):
+            return (
+                f"capacity {self.capacity} would allow a balanced split with "
+                f"{balanced} vertices per part ({tuples} tuples requested)"
+            )
+        return None
+
     def to_dict(self) -> dict:
         """The fields, with the Field object as its to_dict."""
         return {**self._asdict(), "field": self.field.to_dict()}
@@ -144,8 +152,8 @@ def derive_params(
 ) -> ConstructionParams:
     """Derive (degree, capacity, n) from the pattern shape and field order.
 
-    degree is the largest d with d**(s_total-1) < t, computed as the exact
-    integer ceil of t^(1/(s_total-1)) minus one; capacity is
+    degree is the largest d with d**(s_total-1) < t, which is the integer
+    (s_total-1)-th root of t - 1; capacity is
     floor(floor((q**(degree+1))^(1/(s_total-1))) / (2*degree)).  Both use
     integer root extraction only.
 
@@ -153,9 +161,8 @@ def derive_params(
         s_list: side sizes for the first r-1 parts, each >= 1.
         t: forbidden last-part side size, must satisfy t >= prod(s_list).
         q: field order, a prime power within the supported range.
-        m_list: requested part sizes, one per side; they are checked
-            against capacity (warning, not error) and against a balanced
-            split advisory.
+        m_list: requested part sizes, one per side; how they sit against
+            the capacity is the returned record's advice, not an error.
 
     Raises:
         ValueError: empty or sub-unit s_list, s_total < 2, t below the
@@ -174,7 +181,7 @@ def derive_params(
     if t < s_total:
         raise ValueError(f"t = {t} violates the hypothesis t >= prod(s_list) = {s_total}")
     fld = make_field(q)
-    degree = _ceil_root(t, s_total - 1) - 1
+    degree = integer_root(t - 1, s_total - 1)
     assert degree >= 1 and degree ** (s_total - 1) < t, (degree, s_total, t)
     basis_size(s_total - 1, degree)  # what every build makes
     capacity = integer_root(q ** (degree + 1), s_total - 1) // (2 * degree)
@@ -186,24 +193,6 @@ def derive_params(
         raise ValueError(f"m_list has {len(m_list)} parts, expected {len(s_list)}")
     if any(m < 1 for m in m_list):
         raise ValueError(f"part sizes must be >= 1, got {m_list}")
-    tuples = math.prod(m_list)
-    if tuples > capacity:
-        warnings.warn(
-            f"{int_text(tuples)} tuples exceed the derived capacity {capacity}; "
-            "the density guarantee does not cover this run "
-            "(freeness is still certified exhaustively)",
-            CapacityWarning,
-            stacklevel=2,
-        )
-    else:
-        balanced = integer_root(capacity, len(m_list))
-        if tuples < balanced ** len(m_list):
-            warnings.warn(
-                f"capacity {capacity} would allow a balanced split with "
-                f"{balanced} vertices per part ({tuples} tuples requested)",
-                PartSplitAdvisory,
-                stacklevel=2,
-            )
     return ConstructionParams(
         r=len(s_list) + 1,
         s_list=s_list,

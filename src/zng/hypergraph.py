@@ -171,9 +171,6 @@ class RPartiteHypergraph:
             and self.masks == other.masks
         )
 
-    def __hash__(self) -> int:
-        return hash((self.part_sizes, frozenset(self.masks.items())))
-
     def __repr__(self) -> str:
         return f"RPartiteHypergraph(parts={self.part_sizes}, edges={self.num_edges})"
 

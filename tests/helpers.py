@@ -7,13 +7,11 @@ wrong.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
 import math
 import random
-import warnings
 from fractions import Fraction
 
 from hypothesis import strategies as st
@@ -33,13 +31,19 @@ from zng.hypergraph import (
 from zng.mpoly import DEFAULT_POINT_BUDGET, monomial_basis, random_poly
 
 
-@contextlib.contextmanager
-def warns_exactly(category: type[Warning], count: int):
-    """Assert that the block warns count times, each a category; 0 means it never warns."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        yield
-    assert [w.category for w in caught] == [category] * count
+# the two kinds of ConstructionParams.advice, each by a phrase of its text
+OVER_CAPACITY = "tuples exceed the derived capacity"
+BALANCED_SPLIT = "would allow a balanced split"
+
+
+def advice_kind(text: str | None) -> str | None:
+    """OVER_CAPACITY or BALANCED_SPLIT, whichever text gives; None for neither."""
+    return next((kind for kind in (OVER_CAPACITY, BALANCED_SPLIT) if kind in (text or "")), None)
+
+
+def logged_advice(err: str) -> list[str]:
+    """The advice_kind of each line of a CLI run's stderr that gives advice, in order."""
+    return [kind for kind in map(advice_kind, err.splitlines()) if kind]
 
 
 # ----------------------------------------------------------------------

@@ -5,17 +5,28 @@ Run with -s to see the verdict lines on passing runs:
     pytest tests/test_acceptance.py -s
 """
 
+import contextlib
+import io
 import itertools
 import json
 import math
 import random
 import time
 
-from helpers import agreement_set, check_field_axioms, naive_count, random_graph, warns_exactly
+from helpers import (
+    BALANCED_SPLIT,
+    OVER_CAPACITY,
+    advice_kind,
+    agreement_set,
+    check_field_axioms,
+    logged_advice,
+    naive_count,
+    random_graph,
+)
 from zng.certify import verify_freeness
 from zng.cli import run
 from zng.config import ExperimentConfig
-from zng.construct import CapacityWarning, PartSplitAdvisory, build, derive_params
+from zng.construct import build, derive_params
 from zng.count import count_ordered, jensen_lower_bound
 from zng.gf import make_field
 from zng.hypergraph import complete_graph, parse_graph, read_graph
@@ -35,8 +46,8 @@ def _sweep_builds():
     """One construction per sweep point, seeded exactly like the CLI sweep."""
     results = {}
     for q in SWEEP_Q:
-        with warns_exactly(PartSplitAdvisory, 1):  # m = q, capacity q^3 / 2
-            params = derive_params((2,), 4, q, (q,))
+        params = derive_params((2,), 4, q, (q,))
+        assert advice_kind(params.advice) == BALANCED_SPLIT  # m = q, capacity q^3 / 2
         seed = derive_seed(MASTER_SEED, "sweep", "q", q)
         started = time.perf_counter()
         result = build(params, seed)
@@ -76,8 +87,8 @@ def test_acceptance_2_freeness_certificates(tmp_path):
             )
             again = verify_freeness(parse_graph(path.read_text()), (2,), 4)
             assert again.passed and again.max_size == cert.max_size
-        with warns_exactly(CapacityWarning, 1):  # 4 tuples, capacity 1
-            params3 = derive_params((2, 2), 4, 3, (2, 2))
+        params3 = derive_params((2, 2), 4, 3, (2, 2))
+        assert advice_kind(params3.advice) == OVER_CAPACITY  # 4 tuples, capacity 1
         assert params3.t > params3.bezout_bound  # t chosen above d^(s-1)
         result3 = build(params3, seed=derive_seed(MASTER_SEED, "r3"))
         assert result3.certificate.passed
@@ -100,8 +111,8 @@ def test_acceptance_3_bezout_consequence():
         for a, b in itertools.combinations(sorted(polys), 2):
             agree = agreement_set(field, basis, [polys[a], polys[b]])
             assert len(agree) <= bound, (a, b)
-        with warns_exactly(CapacityWarning, 1):  # 4 tuples, capacity 1
-            params3 = derive_params((2, 2), 4, 3, (2, 2))
+        params3 = derive_params((2, 2), 4, 3, (2, 2))
+        assert advice_kind(params3.advice) == OVER_CAPACITY  # 4 tuples, capacity 1
         result3 = build(params3, seed=derive_seed(MASTER_SEED, "r3"))
         assert result3.certificate.max_size <= params3.bezout_bound == 1
         ok = True
@@ -180,8 +191,10 @@ def test_acceptance_7_sweep_determinism(tmp_path):
             config = ExperimentConfig(
                 mode="sweep", s=(2,), t=4, q=SWEEP_Q, seed=MASTER_SEED, out=str(out)
             )
-            with warns_exactly(PartSplitAdvisory, len(SWEEP_Q)):  # m = q
+            err = io.StringIO()  # not capsys, which would take the verdict line too
+            with contextlib.redirect_stderr(err):
                 assert run(config) == 0
+            assert logged_advice(err.getvalue()) == [BALANCED_SPLIT] * len(SWEEP_Q)  # m = q
             outs.append(out)
         a, b = outs
         rel_paths = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())

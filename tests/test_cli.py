@@ -14,20 +14,26 @@ from pathlib import Path
 import pytest
 
 import zng
-from helpers import warns_exactly
+from helpers import BALANCED_SPLIT, OVER_CAPACITY, advice_kind, logged_advice
 from zng.certify import FreenessCertificate
 from zng.cli import _config_from_args, _ratio_text, build_parser, main
 from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_config
-from zng.construct import CapacityWarning, ConstructionParams, PartSplitAdvisory
+from zng.construct import ConstructionParams, derive_params
 from zng.count import CountReport
 from zng.hypergraph import read_graph
 
 
-def run_cli(args, capsys):
+def run_advised(args, capsys):
+    """main(args): its exit code, its status line and the logged_advice of its stderr."""
     code = main(args)
-    out = capsys.readouterr().out.strip().splitlines()
-    status = json.loads(out[-1]) if out else {}
-    return code, status
+    captured = capsys.readouterr()
+    out = captured.out.strip().splitlines()
+    stderr_messages(captured.err)  # every line has the log prefix
+    return code, json.loads(out[-1]) if out else {}, logged_advice(captured.err)
+
+
+def run_cli(args, capsys):
+    return run_advised(args, capsys)[:2]
 
 
 # ----------------------------------------------------------------------
@@ -36,13 +42,12 @@ def run_cli(args, capsys):
 
 def test_construct_end_to_end(tmp_path, capsys):
     out = tmp_path / "run"
-    with warns_exactly(PartSplitAdvisory, 1):
-        code, status = run_cli(
-            ["construct", "--s", "2", "--t", "4", "--q", "5", "--m", "10",
-             "--seed", "1", "--out", str(out)],
-            capsys,
-        )
-    assert code == 0
+    code, status, advice = run_advised(
+        ["construct", "--s", "2", "--t", "4", "--q", "5", "--m", "10",
+         "--seed", "1", "--out", str(out)],
+        capsys,
+    )
+    assert code == 0 and advice == [BALANCED_SPLIT]
     assert status["edges"] == 50 and status["passed"] is True
     graph = read_graph(out / "graph.zng")
     assert graph.num_edges == 50
@@ -156,7 +161,7 @@ def test_closed_stderr_changes_neither_stdout_nor_the_exit_code(tmp_path):
     assert status["mode"] == "oracle" and status["z"] == 3
 
 
-# (argv, exit code, PartSplitAdvisory count, exact status line), --out relative
+# (argv, exit code, balanced-split advice lines, exact status line), --out relative
 STATUS_LINES = {
     "construct": (
         "construct --s 2 --t 4 --q 5 --m 6 --seed 1 --out c", 0, 1,
@@ -184,7 +189,7 @@ STATUS_LINES = {
         '{"mode": "oracle", "nodes": 74, "out": "o", "query": "z(3,3;2,2)", '
         '"witness": "witness_3x3_2x2.zng", "z": 6}',
     ),
-    "sweep": (  # q = 6 fails before its advisory
+    "sweep": (  # q = 6 fails before its advice
         "sweep --s 2 --t 4 --q 5 --q 6 --q 7 --seed 1 --out s", 1, 2,
         '{"failed": 1, "mode": "sweep", "out": "s", "points": 3}',
     ),
@@ -197,9 +202,10 @@ def test_status_lines_are_pinned(tmp_path, monkeypatch, capsys, name):
     monkeypatch.chdir(tmp_path)
     Path("c6.zng").write_text("zng 2 3 3\n0 0\n0 1\n1 1\n1 2\n2 0\n2 2\n")
     Path("k22.zng").write_text("zng 2 2 2\n0 0\n0 1\n1 0\n1 1\n")
-    with warns_exactly(PartSplitAdvisory, advisories):
-        assert main(argv.split()) == code
-    assert capsys.readouterr().out.splitlines()[-1] == line
+    assert main(argv.split()) == code
+    captured = capsys.readouterr()
+    assert logged_advice(captured.err) == [BALANCED_SPLIT] * advisories
+    assert captured.out.splitlines()[-1] == line
 
 
 # ----------------------------------------------------------------------
@@ -208,13 +214,13 @@ def test_status_lines_are_pinned(tmp_path, monkeypatch, capsys, name):
 
 def test_sweep_ratios_are_exactly_one(tmp_path, capsys):
     out = tmp_path / "s"
-    with warns_exactly(PartSplitAdvisory, 4):  # m = q, capacity q^3 / 2
-        code, status = run_cli(
-            ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "7", "--q", "9",
-             "--q", "11", "--seed", "42", "--out", str(out)],
-            capsys,
-        )
+    code, status, advice = run_advised(
+        ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "7", "--q", "9",
+         "--q", "11", "--seed", "42", "--out", str(out)],
+        capsys,
+    )
     assert code == 0 and status["failed"] == 0
+    assert advice == [BALANCED_SPLIT] * 4  # m = q, capacity q^3 / 2
     lines = (out / "sweep.tsv").read_text().splitlines()
     assert lines[0] == "q\tm\tedges\tbound\tratio\tverdict"
     assert len(lines) == 5
@@ -247,13 +253,13 @@ def test_sweep_empty_range(tmp_path, capsys):
 
 def test_sweep_marks_infeasible_rows_and_continues(tmp_path, capsys):
     out = tmp_path / "s"
-    with warns_exactly(PartSplitAdvisory, 2):  # q = 6 fails before its advisory
-        code, status = run_cli(
-            ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "6", "--q", "7",
-             "--seed", "1", "--out", str(out)],
-            capsys,
-        )
+    code, status, advice = run_advised(
+        ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "6", "--q", "7",
+         "--seed", "1", "--out", str(out)],
+        capsys,
+    )
     assert code == 1
+    assert advice == [BALANCED_SPLIT] * 2  # q = 6 fails before its advice
     assert status["failed"] == 1
     rows = {
         line.split("\t")[0]: line.split("\t")[5]
@@ -266,12 +272,22 @@ def test_sweep_marks_infeasible_rows_and_continues(tmp_path, capsys):
 def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
     args = ["sweep", "--s", "2", "--t", "4", "--q", "5", "--q", "7", "--seed", "9"]
     a, b = tmp_path / "a", tmp_path / "b"
-    with warns_exactly(PartSplitAdvisory, 4):
-        assert main(args + ["--out", str(a)]) == 0
-        assert main(args + ["--out", str(b)]) == 0
-    capsys.readouterr()
+    assert main(args + ["--out", str(a)]) == 0
+    assert main(args + ["--out", str(b)]) == 0
+    assert logged_advice(capsys.readouterr().err) == [BALANCED_SPLIT] * 4
     for rel in ("sweep.tsv", "q5/graph.zng", "q5/certificate.json", "q7/graph.zng"):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), rel
+
+
+def test_every_stderr_line_is_a_log_line_and_carries_the_advice(tmp_path):
+    done = subprocess.run(
+        [sys.executable, "-m", "zng.cli", "sweep", "--s", "2", "--t", "4", "--q", "5",
+         "--q", "7", "--out", str(tmp_path / "s")],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert done.returncode == 0
+    advice = [line for line in stderr_messages(done.stderr) if advice_kind(line)]
+    assert advice == [derive_params((2,), 4, q, (q,)).advice for q in (5, 7)]
 
 
 # ----------------------------------------------------------------------
@@ -286,20 +302,18 @@ def test_config_file_round_trip_drives_a_run(tmp_path, capsys):
     )
     path = tmp_path / "run.cfg"
     path.write_text(text)
-    with warns_exactly(PartSplitAdvisory, 1):
-        code, status = run_cli(["construct", "--config", str(path)], capsys)
-    assert code == 0 and status["edges"] == 30
+    code, status, advice = run_advised(["construct", "--config", str(path)], capsys)
+    assert code == 0 and status["edges"] == 30 and advice == [BALANCED_SPLIT]
 
 
 def test_cli_flags_override_config(tmp_path, capsys):
     path = tmp_path / "run.cfg"
     path.write_text(f"mode=construct\ns=2\nm=6\nq=5\nt=4\nseed=3\nout={tmp_path / 'x'}\n")
-    with warns_exactly(PartSplitAdvisory, 1):
-        code, status = run_cli(
-            ["construct", "--config", str(path), "--m", "4", "--out", str(tmp_path / "y")],
-            capsys,
-        )
-    assert code == 0
+    code, status, advice = run_advised(
+        ["construct", "--config", str(path), "--m", "4", "--out", str(tmp_path / "y")],
+        capsys,
+    )
+    assert code == 0 and advice == [BALANCED_SPLIT]
     assert status["edges"] == 20  # the flag m=4 wins over the file's m=6
     assert (tmp_path / "y" / "graph.zng").exists()
 
@@ -348,13 +362,40 @@ def test_budget_violation_exit_code(tmp_path, capsys):
 
 def test_infeasible_construct_is_verdict_failure(tmp_path, capsys):
     # five pairwise-distinct linear polynomials cannot exist over GF(2)
-    with warns_exactly(CapacityWarning, 1):
-        code, status = run_cli(
-            ["construct", "--s", "2", "--t", "2", "--q", "2", "--m", "5",
-             "--retries", "8", "--restarts", "2", "--out", str(tmp_path / "f")],
-            capsys,
-        )
+    code, status, advice = run_advised(
+        ["construct", "--s", "2", "--t", "2", "--q", "2", "--m", "5",
+         "--retries", "8", "--restarts", "2", "--out", str(tmp_path / "f")],
+        capsys,
+    )
     assert code == 1 and status["error"] == "construction"
+    assert advice == [OVER_CAPACITY]
+
+
+# (config text, the status line's reason): parse_config's and validate's refusals
+CONFIG_ERRORS = {
+    "no-equals": ("# a comment\n\nmode=construct\ns 2\n", "line 4: expected key=value, got 's 2'"),
+    "not-an-int": ("mode=construct\nt=four  # ?\n", "line 2: t needs an integer, got 'four'"),
+    "no-mode": ("s=2\nt=4\n", "config is missing the mode key"),
+    "not-positive": ("mode=construct\ns=2\nretries=0\n", "retries must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_ERRORS))
+def test_config_file_errors_are_usage_errors(tmp_path, capsys, name):
+    text, reason = CONFIG_ERRORS[name]
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    code, status = run_cli(["construct", "--config", str(path)], capsys)
+    assert code == 2 and status == {"error": "usage", "reason": reason}
+
+
+def test_unknown_mode_is_refused_by_validate():
+    # argparse and the mode-mismatch check stop it before validate on the CLI
+    with pytest.raises(ValueError) as err:
+        ExperimentConfig(mode="plot").validate()
+    assert str(err.value) == (
+        "unknown mode 'plot'; expected one of ('construct', 'verify', 'count', 'oracle', 'sweep')"
+    )
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
@@ -471,8 +512,8 @@ def test_huge_t_is_a_budget_error_before_its_powers(tmp_path, capsys):
         code, status = run_cli([*argv, "--t", str(t)], capsys)
         assert time.perf_counter() - started < 1.0
         assert code == 3 and status["error"] == "budget" and reason in status["reason"]
-    with pytest.warns(PartSplitAdvisory):  # its capacity has 4191 digits
-        code, status = run_cli([*argv, "--t", "6000"], capsys)
+    code, status, advice = run_advised([*argv, "--t", "6000"], capsys)
+    assert advice == [BALANCED_SPLIT]  # its capacity has 4191 digits
     assert code == 0 and status["passed"] is True and status["edges"] == 15
 
 
@@ -514,16 +555,19 @@ def test_unprintable_pattern_count_is_a_budget_error(tmp_path, capsys, mode, sid
 
 def test_unprintable_evaluation_domain_is_a_budget_error(tmp_path, capsys):
     argv = ["construct", "--s", "3000", "--t", "3000", "--q", "127", "--m", "1"]
-    with pytest.warns(CapacityWarning):  # capacity 0
-        code, status = run_cli([*argv, "--out", str(tmp_path / "c")], capsys)
+    code, status, advice = run_advised([*argv, "--out", str(tmp_path / "c")], capsys)
+    assert advice == [OVER_CAPACITY]  # capacity 0
     assert code == 3 and status["error"] == "budget"
     assert status["reason"].startswith("evaluation domain has at least 2^20959 points")
 
 
-def test_unprintable_tuple_count_warns_and_is_a_budget_error(tmp_path, capsys):
+def test_unprintable_tuple_count_is_advised_and_is_a_budget_error(tmp_path, capsys):
     argv = ["construct", "--s", "2", "--s", "2", "--t", "4", "--q", "5", "--m", BIG, "--m", BIG]
-    with pytest.warns(CapacityWarning, match=r"^at least 2\^26575 tuples exceed"):
-        code, status = run_cli([*argv, "--out", str(tmp_path / "c")], capsys)
+    code = main([*argv, "--out", str(tmp_path / "c")])
+    captured = capsys.readouterr()
+    status = json.loads(captured.out.splitlines()[-1])
+    advice = [line for line in stderr_messages(captured.err) if advice_kind(line)]
+    assert len(advice) == 1 and advice[0].startswith("at least 2^26575 tuples exceed")
     assert code == 3 and status["error"] == "budget"
     assert "patterns exceed the budget" in status["reason"]
 
@@ -538,8 +582,8 @@ def test_unprintable_oracle_edge_count_is_a_budget_error(tmp_path, capsys):
 def test_unprintable_sweep_bound_is_a_failed_row(tmp_path, capsys):
     out = tmp_path / "s"
     argv = ["sweep", "--s", "3000", "--t", "3000", "--q", "127", "--q", "5", "--out", str(out)]
-    with pytest.warns(CapacityWarning):
-        code, status = run_cli(argv, capsys)
+    code, status, advice = run_advised(argv, capsys)
+    assert advice == [OVER_CAPACITY] * 2  # capacity 0 at both orders
     assert code == 1 and status["failed"] == 2
     # 127 * 127^2999 has 6312 digits and prints as "-"; 5 * 5^2999 has 2097
     assert (out / "sweep.tsv").read_text().splitlines() == [
@@ -612,11 +656,13 @@ STARTUP_MODULES = {
 }
 
 # No mode loads dataclasses (with inspect, ast and dis: about 11 ms per start
-# without a bytecode cache) or logging (with traceback, linecache, tokenize
+# without a bytecode cache), logging (with traceback, linecache, tokenize
 # and string: about 10 ms per start over a json/pathlib baseline, median of
-# 21 fresh interpreters on one CPU), and only count, whose bound is an exact
-# rational, loads fractions (with decimal and numbers: about 3 ms).
-NEVER_LOADED = ("dataclasses", "inspect", "logging")
+# 21 fresh interpreters on one CPU) or linecache and tokenize on their own
+# (2.0-7.5 ms in -X importtime; the warnings module loads them to print a
+# warning's source line), and only count, whose bound is an exact rational,
+# loads fractions (with decimal and numbers: about 3 ms).
+NEVER_LOADED = ("dataclasses", "inspect", "logging", "linecache", "tokenize")
 
 
 @pytest.mark.parametrize("mode", list(STARTUP_MODULES))

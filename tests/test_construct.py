@@ -2,13 +2,15 @@
 
 import json
 import math
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BALANCED_SPLIT,
+    OVER_CAPACITY,
+    advice_kind,
     certificates,
     flat_blocks,
     graphs_with_sides,
@@ -16,12 +18,9 @@ from helpers import (
     reference_graph,
     reference_neighborhoods,
     reference_select,
-    warns_exactly,
 )
 from zng.certify import TABLE_CAP, format_certificate, verify_freeness
 from zng.construct import (
-    CapacityWarning,
-    PartSplitAdvisory,
     _range_ok,
     build,
     derive_params,
@@ -69,12 +68,12 @@ def test_integer_root_is_the_floor_root(n, k):
 )
 def test_derive_params_frozen_values(s_list, t, q, degree, capacity):
     parts = len(s_list)
-    if capacity:  # the balanced split at capacity: no warning
-        with warns_exactly(Warning, 0):
-            params = derive_params(s_list, t, q, (integer_root(capacity, parts),) * parts)
+    if capacity:  # the balanced split at capacity: no advice
+        params = derive_params(s_list, t, q, (integer_root(capacity, parts),) * parts)
+        assert params.advice is None
     else:
-        with warns_exactly(CapacityWarning, 1):
-            params = derive_params(s_list, t, q, (1,) * parts)
+        params = derive_params(s_list, t, q, (1,) * parts)
+        assert advice_kind(params.advice) == OVER_CAPACITY
     assert params.degree == degree
     assert params.capacity == capacity
     assert params.n == q ** math.prod(s_list)
@@ -101,34 +100,40 @@ def test_derive_params_validation():
 
 def test_derive_params_budgets_huge_t_before_its_powers():
     # the basis every build makes, checked before q ** (degree + 1)
-    with warns_exactly(PartSplitAdvisory, 1):
-        params = derive_params((2, 2), 83**3, 3, (1, 1))
+    params = derive_params((2, 2), 83**3, 3, (1, 1))
+    assert advice_kind(params.advice) == BALANCED_SPLIT
     assert params.degree == 82  # C(85, 3) = 98,770 monomials
     with pytest.raises(BudgetError, match="102340 monomials"):
         derive_params((2, 2), 84**3, 3, (1, 1))  # degree 83: C(86, 3) = 102,340
     with pytest.raises(BudgetError, match="basis"):
         derive_params((2,), 10**7, 5, (1,))
     # a capacity str() cannot print: 5**6000 // 11998 has 4,191 digits, 5**7000 4,887
-    with warns_exactly(PartSplitAdvisory, 1):
-        assert derive_params((2,), 6000, 5, (3,)).capacity == 5**6000 // 11998
+    params = derive_params((2,), 6000, 5, (3,))
+    assert params.capacity == 5**6000 // 11998
+    assert advice_kind(params.advice) == BALANCED_SPLIT
     with pytest.raises(BudgetError, match="4300 digits"):
         derive_params((2,), 7000, 5, (3,))
 
 
-def test_capacity_overflow_warns_but_derives():
-    with warns_exactly(CapacityWarning, 1):
-        params = derive_params((2, 2), 4, 3, (2, 2))  # 4 tuples > capacity 1
+def test_capacity_overflow_advises_but_derives():
+    params = derive_params((2, 2), 4, 3, (2, 2))  # 4 tuples > capacity 1
     assert params.m_list == (2, 2)
+    assert params.advice == (
+        "4 tuples exceed the derived capacity 1; the density guarantee does not "
+        "cover this run (freeness is still certified exhaustively)"
+    )
 
 
 def test_balanced_split_advisory():
-    with warns_exactly(PartSplitAdvisory, 1):
-        derive_params((2,), 4, 5, (10,))  # capacity 104 allows more
+    params = derive_params((2,), 4, 5, (10,))  # capacity 104 allows more
+    assert params.advice == (
+        "capacity 104 would allow a balanced split with 104 vertices per part "
+        "(10 tuples requested)"
+    )
 
 
 def test_capacity_exact_fit_is_silent():
-    with warns_exactly(Warning, 0):
-        derive_params((2,), 4, 5, (104,))
+    assert derive_params((2,), 4, 5, (104,)).advice is None
 
 
 # ----------------------------------------------------------------------
@@ -149,18 +154,16 @@ def test_derive_seed_is_deterministic_and_label_sensitive():
 # ----------------------------------------------------------------------
 
 def _params(s_list, t, q, m_list):
-    """derive_params, asserting the one warning its capacity calls for, if any."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        params = derive_params(s_list, t, q, m_list)
+    """derive_params, asserting the advice its capacity calls for, if any."""
+    params = derive_params(s_list, t, q, m_list)
     tuples, parts = math.prod(m_list), len(m_list)
     if tuples > params.capacity:
-        expected = [CapacityWarning]
+        expected = OVER_CAPACITY
     elif tuples < integer_root(params.capacity, parts) ** parts:
-        expected = [PartSplitAdvisory]
+        expected = BALANCED_SPLIT
     else:
-        expected = []
-    assert [w.category for w in caught] == expected
+        expected = None
+    assert advice_kind(params.advice) == expected
     return params
 
 

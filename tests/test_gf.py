@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_field_axioms, residue_field, warns_exactly
+from helpers import check_field_axioms, residue_field
 from zng.errors import BudgetError
-from zng.construct import PartSplitAdvisory, derive_params
+from zng.construct import derive_params
 from zng.gf import DEFAULT_ORDER_CAP, make_field
 
 def _prime_powers(limit: int) -> list[tuple[int, int, int]]:
@@ -224,7 +224,11 @@ def test_primitive_elements_are_frozen():
 def test_make_field_builds_no_tables():
     for p, k in [(2, 1), (61, 1), (2, 5), (3, 3), (2, 8)]:
         assert make_field(p**k)._arith is None
-    with warns_exactly(PartSplitAdvisory, 1):
-        assert derive_params((2,), 4, 61, (61,)).field._arith is None
+    params = derive_params((2,), 4, 61, (61,))
+    assert params.field._arith is None
+    assert params.advice == (
+        "capacity 2307640 would allow a balanced split with 2307640 vertices per part "
+        "(61 tuples requested)"
+    )
     field = make_field(25)
     assert field.int_arith() is field.int_arith()

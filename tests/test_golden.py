@@ -18,10 +18,9 @@ from pathlib import Path
 
 import pytest
 
-from helpers import small_shapes, warns_exactly
+from helpers import BALANCED_SPLIT, OVER_CAPACITY, logged_advice, small_shapes
 from zng.cli import run
 from zng.config import ExperimentConfig
-from zng.construct import CapacityWarning, PartSplitAdvisory
 from zng.oracle import ZQuery, exact_z
 
 MASTER_SEED = 20260819
@@ -49,13 +48,11 @@ R3_COUNT_DIGESTS = {
     "count.json": "963469aec23405ee7e70348f8b1e1bdb35bcac0a0e4e560467fbf6f9696d7ad3",
 }
 
-QUIET = (Warning, 0)  # the run warns of nothing
-
-# (config fields, (warning, count), digests) for single builds at MASTER_SEED
+# (config fields, the advice the run logs, digests) for single builds at MASTER_SEED
 BUILDS = {
     "three-vars-gf9": (
         dict(s=(3,), t=9, q=(9,), m=(6,)),
-        QUIET,
+        [],
         {
             "certificate.json": "4e48e3930c9d58bc4d4945340b47bd3f2db1425072621bf1319a79b2215f1f21",
             "graph.zng": "8d19d0ebc9e9b6fcce034f7dc8d521742c3e2fdbeb9a9dcb13212ffb17659b7b",
@@ -63,7 +60,7 @@ BUILDS = {
     ),
     "resamples": (  # 88 resamples, no restart
         dict(s=(2, 2), t=5, q=(5,), m=(5, 5)),
-        (CapacityWarning, 1),
+        [OVER_CAPACITY],
         {
             "certificate.json": "1debdde426e39e6cd178b1f32e8f88c9b817b317303aff4efb82c29927292a3c",
             "graph.zng": "9747d92a8cca2fc8a34d716a24997cd730bef5a295c5bc63d733a54640ce1057",
@@ -71,7 +68,7 @@ BUILDS = {
     ),
     "r2-q61": (  # 1,830 table rows, 205,608 certificate bytes
         dict(s=(2,), t=4, q=(61,), m=(61,)),
-        (PartSplitAdvisory, 1),
+        [BALANCED_SPLIT],
         {
             "certificate.json": "64420903f2478c31009195e84b8dba7492f5df7541218a22b2243ae387012a17",
             "graph.zng": "2c4833cb9ac8cb032f5b24d2dd006e50bffecd11f320bc8aef21c0487e22d7f2",
@@ -79,7 +76,7 @@ BUILDS = {
     ),
     "r2-q127": (  # 8,001 patterns, above TABLE_CAP: the family but no table
         dict(s=(2,), t=4, q=(127,), m=(127,)),
-        (PartSplitAdvisory, 1),
+        [BALANCED_SPLIT],
         {
             "certificate.json": "15517b606f2ee5f859bd9f9da0d207cee55088caf77ae97df47e10971ea1f723",
             "graph.zng": "7a9cb90c073ceb1fbdd9f00724bd2dd0000b6c2aab3b218d1310225cdf6124f6",
@@ -87,7 +84,7 @@ BUILDS = {
     ),
     "r2-q251": (  # 63,001 edges, 31,375 patterns: no table
         dict(s=(2,), t=4, q=(251,), m=(251,)),
-        (PartSplitAdvisory, 1),
+        [BALANCED_SPLIT],
         {
             "certificate.json": "b6624134dcae4562fff124751b73ad348f18411e0f4daa088c0437d7c5c64558",
             "graph.zng": "6763517e47f68fbe6b0b04845d307f114bfde21fac0d4293a9758e67c492efdb",
@@ -95,7 +92,7 @@ BUILDS = {
     ),
     "r3-q11": (  # 161,051 edges on 121 prefixes, above capacity
         dict(s=(2, 2), t=16, q=(11,), m=(11, 11)),
-        (CapacityWarning, 1),
+        [OVER_CAPACITY],
         {
             "certificate.json": "749830e09da7eaa6f36dd334e0c2bb1730553eb6a67e6e4cbf53078f14733fd2",
             "graph.zng": "c4f3b041f1f99b5a495c18dfb46c317cb423df9c56b8c30fd036be4052abf08c",
@@ -103,7 +100,7 @@ BUILDS = {
     ),
     "restarts": (  # 33 resamples over 6 restarts
         dict(s=(2,), t=2, q=(5,), m=(24,), retries=8),
-        (CapacityWarning, 1),
+        [OVER_CAPACITY],
         {
             "certificate.json": "0c616531516cbd9395b1abdbba74600a0027798c158369fc5a6e0074b139b476",
             "graph.zng": "96d2060a24577946009766fec615bc28982a498f4993f09b08d7c8eac107969c",
@@ -138,48 +135,51 @@ def _digests(out: Path) -> dict[str, str]:
     }
 
 
-def _run(out: Path, warns: tuple[type[Warning], int], **fields) -> dict[str, str]:
-    """Run one config into out and return its digests; warns is (category, count) it raises."""
-    with warns_exactly(*warns):
-        assert run(ExperimentConfig(out=str(out), **fields)) == 0
+def _run(capsys, out: Path, advice: list[str], **fields) -> dict[str, str]:
+    """Run one config into out and return its digests; advice is the logged_advice it gives."""
+    assert run(ExperimentConfig(out=str(out), **fields)) == 0
+    assert logged_advice(capsys.readouterr().err) == advice
     return _digests(out)
 
 
-def test_acceptance_sweep_digests(tmp_path):
+def test_acceptance_sweep_digests(tmp_path, capsys):
     digests = _run(
+        capsys,
         tmp_path,
-        (PartSplitAdvisory, 5),  # m = q on every point
+        [BALANCED_SPLIT] * 5,  # m = q on every point
         mode="sweep", s=(2,), t=4, q=(5, 7, 9, 11, 13), seed=MASTER_SEED,
     )
     assert digests == SWEEP_DIGESTS
 
 
-def test_r3_build_and_count_digests(tmp_path):
+def test_r3_build_and_count_digests(tmp_path, capsys):
     build_dir = tmp_path / "build"
     digests = _run(
+        capsys,
         build_dir,
-        (CapacityWarning, 1),  # 25 tuples, capacity 1
+        [OVER_CAPACITY],  # 25 tuples, capacity 1
         mode="construct", s=(2, 2), t=16, q=(7,), m=(5, 5), seed=MASTER_SEED,
     )
     assert digests == R3_BUILD_DIGESTS
     digests = _run(
+        capsys,
         tmp_path / "count",
-        QUIET,
+        [],
         mode="count", s=(2, 2, 2), graph=str(build_dir / "graph.zng"),
     )
     assert digests == R3_COUNT_DIGESTS
 
 
 @pytest.mark.parametrize("name", sorted(BUILDS))
-def test_build_digests(tmp_path, name):
-    fields, warns, expected = BUILDS[name]
-    assert _run(tmp_path, warns, mode="construct", seed=MASTER_SEED, **fields) == expected
+def test_build_digests(tmp_path, capsys, name):
+    fields, advice, expected = BUILDS[name]
+    assert _run(capsys, tmp_path, advice, mode="construct", seed=MASTER_SEED, **fields) == expected
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
-def test_oracle_digests(tmp_path, name):
+def test_oracle_digests(tmp_path, capsys, name):
     m_list, s_list, z, nodes, expected = ORACLES[name]
-    assert _run(tmp_path, QUIET, mode="oracle", m=m_list, s=s_list) == expected
+    assert _run(capsys, tmp_path, [], mode="oracle", m=m_list, s=s_list) == expected
     row = (tmp_path / "oracle.tsv").read_text().splitlines()[1].split("\t")
     assert row[1:3] == [str(z), str(nodes)]
 
