@@ -11,7 +11,6 @@ Exit codes: 0 pass, 1 verdict fail, 2 usage, 3 budget.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import json
 import math
@@ -19,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from zng.config import COMMON_KEYS, LIST_KEYS, MODE_KEYS, STR_KEYS, ExperimentConfig, read_config
+from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_args
 from zng.errors import BudgetError, ConstructionError, int_text
 from zng.hypergraph import GraphFormatError, read_graph, write_atomic, write_graph
 
@@ -196,14 +195,15 @@ def run(config: ExperimentConfig) -> int:
 
 
 # ----------------------------------------------------------------------
-# argument parsing
+# command line: zng.config parses it; --help lists the key table's flags
 # ----------------------------------------------------------------------
 
-# one help line per config key; zng.config says which mode takes which key
+# one help line per flag; zng.config says which mode takes which key
 _HELP = {
     "seed": "64-bit master seed",
     "out": "output directory",
     "budget": "enumeration cap",
+    "config": "key=value config file",
     "graph": "zng graph file",
     "s": "side size, repeatable",
     "m": "part size, repeatable",
@@ -214,50 +214,22 @@ _HELP = {
 }
 
 
-def _add_flags(parser: argparse.ArgumentParser, keys: tuple[str, ...]) -> None:
-    for key in keys:
-        parser.add_argument(
-            f"--{key}",
-            type=str if key in STR_KEYS else int,
-            action="append" if key in LIST_KEYS else "store",
-            help=_HELP[key],
-        )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    _add_flags(common, COMMON_KEYS)
-    common.add_argument("--config", default=None, help="key=value config file")
-    parser = argparse.ArgumentParser(
-        prog="zng",
-        description="pattern-free r-partite graph construction and verification",
-    )
-    sub = parser.add_subparsers(dest="mode", required=True)
-    for mode, (required, optional) in MODE_KEYS.items():
-        _add_flags(sub.add_parser(mode, parents=[common]), required + optional)
-    return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    """Overlay explicit CLI flags on top of the config file, if any."""
-    values: dict = {}
-    if args.config is not None:
-        base = read_config(args.config)
-        if base.mode != args.mode:
-            raise ValueError(
-                f"config file mode {base.mode!r} does not match subcommand {args.mode!r}"
-            )
-        values.update(zip(base._fields, base))
-    for key, flag in vars(args).items():
-        if flag is not None and key in ExperimentConfig._fields:
-            values[key] = tuple(flag) if key in LIST_KEYS else flag
-    return ExperimentConfig(**values)
+def _help(mode: str) -> str:
+    """The usage text: the modes, or one mode's flags in table order."""
+    if mode not in MODE_KEYS:
+        return f"usage: zng {{{','.join(MODE_KEYS)}}} [flags]; zng MODE --help lists them"
+    keys = COMMON_KEYS + ("config",) + sum(MODE_KEYS[mode], ())
+    flags = [f"  --{key:<9} {_HELP[key]}" for key in keys]
+    return "\n".join([f"usage: zng {mode} [flags]", *flags, "  -h, --help  show this help"])
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        print(_help(argv[0]))
+        return EXIT_PASS
     try:
-        return run(_config_from_args(args))
+        return run(parse_args(argv))
     except BudgetError as err:
         _status({"error": "budget", "reason": str(err)})
         return EXIT_BUDGET

@@ -1,9 +1,10 @@
-"""Flat key=value experiment configuration.
+"""Flat key=value experiment configuration, from a file or the command line.
 
 One key per line, ``#`` starts a comment, repeated keys build up the list
-fields (s, m, q) in order.  The format is deliberately minimal so configs
-stay hand-editable and diff cleanly; everything a run needs is a scalar or
-a short integer list.
+fields (s, m, q) in order.  On the command line each key is a
+``--key value`` flag after the mode, typed by the same rule.  The format is
+deliberately minimal so configs stay hand-editable and diff cleanly;
+everything a run needs is a scalar or a short integer list.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ STR_KEYS = frozenset({"mode", "out", "graph"})
 
 # The one place that says which keys each mode takes: every mode takes
 # COMMON_KEYS, and MODE_KEYS maps a mode to its (required keys, optional
-# keys).  The command line makes one flag per key from them, in this order.
+# keys).  The command line takes one flag per key from them, in this order.
 COMMON_KEYS = ("seed", "out", "budget")
 MODE_KEYS = {
     "construct": (("s", "t", "q", "m"), ("retries", "restarts")),
@@ -74,31 +75,54 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, item = line.partition("=")
-        key = key.strip()
-        item = item.strip()
-        if key in LIST_KEYS:
-            values.setdefault(key, []).append(_parse_int(key, item, lineno))
-        elif key in INT_KEYS:
-            values[key] = _parse_int(key, item, lineno)
-        elif key in STR_KEYS:
-            values[key] = item
-        else:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
+        _set_key(values, key.strip(), item.strip(), f"line {lineno}")
     if "mode" not in values:
         raise ValueError("config is missing the mode key")
-    for key in LIST_KEYS:
-        if key in values:
-            values[key] = tuple(values[key])
     return ExperimentConfig(**values)
 
 
-def _parse_int(key: str, item: str, lineno: int) -> int:
+def parse_args(argv: list[str]) -> ExperimentConfig:
+    """Parse `MODE --key value ...`, typed as in a file; flags replace --config's keys.
+
+    Raises:
+        ValueError: no or unknown mode, a flag the mode does not take, a
+            flag without a value, or a bad value; messages name the flag.
+    """
+    mode = argv[0] if argv else ""
+    if mode not in MODE_KEYS:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {tuple(MODE_KEYS)}")
+    flags = {f"--{key}" for key in COMMON_KEYS + ("config",) + sum(MODE_KEYS[mode], ())}
+    values: dict[str, object] = {}
+    path = None
+    for k in range(1, len(argv), 2):
+        flag = argv[k]
+        if flag not in flags:
+            raise ValueError(f"mode {mode} takes no flag {flag!r}")
+        if k + 1 == len(argv):
+            raise ValueError(f"{flag} needs a value")
+        if flag == "--config":
+            path = argv[k + 1]
+        else:
+            _set_key(values, flag[2:], argv[k + 1], flag)
+    base = ExperimentConfig(mode) if path is None else read_config(path)
+    if base.mode != mode:
+        raise ValueError(f"config file mode {base.mode!r} does not match subcommand {mode!r}")
+    return base._replace(**values)
+
+
+def _set_key(values: dict[str, object], key: str, item: str, where: str) -> None:
+    """Type one text item for key into values; a list key appends to its tuple."""
+    if key in STR_KEYS:
+        values[key] = item
+        return
+    if key not in LIST_KEYS and key not in INT_KEYS:
+        raise ValueError(f"{where}: unknown key {key!r}")
     try:
-        return int(item)
+        number = int(item)
     except ValueError:
-        raise ValueError(f"line {lineno}: {key} needs an integer, got {item!r}") from None
+        raise ValueError(f"{where}: {key} needs an integer, got {item!r}") from None
+    values[key] = values.get(key, ()) + (number,) if key in LIST_KEYS else number
 
 
 def read_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="ascii"))
-

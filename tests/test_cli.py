@@ -16,8 +16,8 @@ import pytest
 import zng
 from helpers import BALANCED_SPLIT, OVER_CAPACITY, advice_kind, logged_advice
 from zng.certify import FreenessCertificate
-from zng.cli import _config_from_args, _ratio_text, build_parser, main
-from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_config
+from zng.cli import _HELP, _ratio_text, main
+from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_args, parse_config
 from zng.construct import ConstructionParams, derive_params
 from zng.count import CountReport
 from zng.hypergraph import read_graph
@@ -371,6 +371,8 @@ def test_infeasible_construct_is_verdict_failure(tmp_path, capsys):
     assert advice == [OVER_CAPACITY]
 
 
+MODES = "expected one of ('construct', 'verify', 'count', 'oracle', 'sweep')"
+
 # (config text, the status line's reason): parse_config's and validate's refusals
 CONFIG_ERRORS = {
     "no-equals": ("# a comment\n\nmode=construct\ns 2\n", "line 4: expected key=value, got 's 2'"),
@@ -390,23 +392,59 @@ def test_config_file_errors_are_usage_errors(tmp_path, capsys, name):
 
 
 def test_unknown_mode_is_refused_by_validate():
-    # argparse and the mode-mismatch check stop it before validate on the CLI
-    with pytest.raises(ValueError) as err:
-        ExperimentConfig(mode="plot").validate()
-    assert str(err.value) == (
-        "unknown mode 'plot'; expected one of ('construct', 'verify', 'count', 'oracle', 'sweep')"
-    )
+    # parse_args and the mode-mismatch check stop it before validate on the
+    # command line, with the same text
+    for refuse in (ExperimentConfig(mode="plot").validate, lambda: parse_args(["plot"])):
+        with pytest.raises(ValueError) as err:
+            refuse()
+        assert str(err.value) == f"unknown mode 'plot'; {MODES}"
 
 
 def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     path = tmp_path / "run.cfg"
-    for key in ("wat", "jobs"):
+    for key in ("wat", "jobs", "config"):  # --config is a flag, not a file key
         path.write_text(f"mode=construct\n{key}=1\n")
         code, status = run_cli(["construct", "--config", str(path)], capsys)
-        assert code == 2 and key in status["reason"]
-    with pytest.raises(SystemExit) as err:  # argparse: unrecognized argument
-        main(["construct", "--jobs", "2"])
-    assert err.value.code == 2
+        assert code == 2 and status == {"error": "usage", "reason": f"line 2: unknown key {key!r}"}
+    code, status = run_cli(["construct", "--jobs", "2"], capsys)
+    assert code == 2 and status == {"error": "usage", "reason": "mode construct takes no flag '--jobs'"}
+
+
+# (argv, the status line's reason): parse_args's refusals
+ARGV_ERRORS = {
+    "no-mode": ([], f"unknown mode ''; {MODES}"),
+    "unknown-mode": (["plot", "--s", "2"], f"unknown mode 'plot'; {MODES}"),
+    "unknown-flag": (["construct", "--jobs", "2"], "mode construct takes no flag '--jobs'"),
+    "other-mode-flag": (["oracle", "--t", "4"], "mode oracle takes no flag '--t'"),
+    "mode-flag": (["construct", "--mode", "construct"], "mode construct takes no flag '--mode'"),
+    "no-value": (["construct", "--s"], "--s needs a value"),
+    "no-config-value": (["construct", "--s", "2", "--config"], "--config needs a value"),
+    "not-an-int": (["construct", "--t", "four"], "--t: t needs an integer, got 'four'"),
+    "equals": (["construct", "--t=4"], "mode construct takes no flag '--t=4'"),
+    "abbreviated": (["construct", "--ret", "3"], "mode construct takes no flag '--ret'"),
+    "bare-value": (["construct", "--s", "2", "3"], "mode construct takes no flag '3'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGV_ERRORS))
+def test_command_line_errors_print_the_status_line(capsys, name):
+    argv, reason = ARGV_ERRORS[name]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [json.dumps({"error": "usage", "reason": reason})]
+    assert captured.err == ""
+
+
+@pytest.mark.parametrize("key", COMMON_KEYS + sum(MODE_KEYS["construct"], ()))
+def test_flags_and_files_share_one_typing_rule(key):
+    text, argv = f"mode=construct\n{key}=four\n", ["construct", f"--{key}", "four"]
+    if key == "out":  # the str key takes any text
+        assert parse_config(text) == parse_args(argv) == ExperimentConfig("construct", out="four")
+        return
+    for where, parse, given in (("line 2", parse_config, text), (f"--{key}", parse_args, argv)):
+        with pytest.raises(ValueError) as err:
+            parse(given)
+        assert str(err.value) == f"{where}: {key} needs an integer, got 'four'"
 
 
 # ----------------------------------------------------------------------
@@ -425,15 +463,18 @@ HELP_FLAGS = {
 
 @pytest.mark.parametrize("mode", list(MODE_KEYS))
 def test_help_names_the_common_flags_and_the_table_keys(mode, capsys):
-    with pytest.raises(SystemExit) as err:
-        main([mode, "--help"])
-    assert err.value.code == 0
-    named = list(dict.fromkeys(re.findall(r"--\w+", capsys.readouterr().out)))
     required, optional = MODE_KEYS[mode]
     table = [f"--{key}" for key in required + optional]
-    named.remove("--help")
-    assert named == ["--seed", "--out", "--budget", "--config", *table]
     assert " ".join(table) == HELP_FLAGS[mode]
+    for argv in ([mode, "--help"], [mode, "-h"], [mode, "--s", "2", "--help"]):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        named = list(dict.fromkeys(re.findall(r"--\w+", captured.out)))
+        named.remove("--help")
+        assert named == ["--seed", "--out", "--budget", "--config", *table]
+        for flag in named:  # each flag's line carries its help text
+            assert re.search(rf"^  {flag} +{re.escape(_HELP[flag[2:]])}$", captured.out, re.M)
 
 
 # a value for every key; two for each list key except construct's q
@@ -454,15 +495,15 @@ def test_flags_and_config_file_give_the_same_config(tmp_path, mode):
     ]
     path = tmp_path / "run.cfg"
     path.write_text(f"mode={mode}\n" + "".join(f"{k}={v}\n" for k, v in pairs))
-    parser = build_parser()
-    from_flags = _config_from_args(
-        parser.parse_args([mode, *(x for k, v in pairs for x in (f"--{k}", v))])
-    )
-    from_file = _config_from_args(parser.parse_args([mode, "--config", str(path)]))
+    from_flags = parse_args([mode, *(x for k, v in pairs for x in (f"--{k}", v))])
+    from_file = parse_args([mode, "--config", str(path)])
     assert from_flags == from_file == parse_config(path.read_text())
     defaults = ExperimentConfig(mode)
     assert {k for k, v in zip(defaults._fields, defaults) if getattr(from_flags, k) != v} == set(keys)
     from_flags.validate()
+    # the file is read first, wherever --config stands; a list flag replaces its list
+    overlaid = parse_args([mode, "--s", "9", "--seed", "8", "--config", str(path), "--s", "6"])
+    assert overlaid == from_file._replace(s=(9, 6), seed=8)
 
 
 def test_construct_takes_one_q_from_flags_as_from_a_file(tmp_path, capsys):
@@ -601,7 +642,9 @@ def test_module_entry_point_usage():
     result = subprocess.run(
         [sys.executable, "-m", "zng.cli"], capture_output=True, text=True, env=CHILD_ENV
     )
-    assert result.returncode == 2  # argparse usage error: no subcommand
+    assert result.returncode == 2  # usage error: no subcommand
+    status = json.loads(result.stdout.splitlines()[-1])
+    assert status == {"error": "usage", "reason": f"unknown mode ''; {MODES}"}
     helped = subprocess.run(
         [sys.executable, "-m", "zng.cli", "--help"], capture_output=True, text=True,
         env=CHILD_ENV,
@@ -658,11 +701,16 @@ STARTUP_MODULES = {
 # No mode loads dataclasses (with inspect, ast and dis: about 11 ms per start
 # without a bytecode cache), logging (with traceback, linecache, tokenize
 # and string: about 10 ms per start over a json/pathlib baseline, median of
-# 21 fresh interpreters on one CPU) or linecache and tokenize on their own
+# 21 fresh interpreters on one CPU), linecache and tokenize on their own
 # (2.0-7.5 ms in -X importtime; the warnings module loads them to print a
-# warning's source line), and only count, whose bound is an exact rational,
-# loads fractions (with decimal and numbers: about 3 ms).
-NEVER_LOADED = ("dataclasses", "inspect", "logging", "linecache", "tokenize")
+# warning's source line) or argparse (whose help strings make gettext import
+# locale: a fresh `zng oracle` start took 61.0 ms with it and 55.2 ms with
+# zng.config parsing the flags, 5.6 ms less in the median of 61 pairs of
+# fresh interpreters on one CPU), and only count, whose bound is an exact
+# rational, loads fractions (with decimal and numbers: about 3 ms).
+NEVER_LOADED = (
+    "dataclasses", "inspect", "logging", "linecache", "tokenize", "argparse", "gettext", "locale",
+)
 
 
 @pytest.mark.parametrize("mode", list(STARTUP_MODULES))
