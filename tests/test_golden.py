@@ -5,7 +5,9 @@ check that artifacts stay identical from one version of the code to the
 next.  They cover the acceptance sweep (MASTER_SEED, q = 5..13), an r=3
 build and its pattern count, a 121-prefix r=3 build at q = 11, a
 three-variable build over GF(9), three r=2 builds at q = 61 (with the full
-pattern table), q = 127 and q = 251 (above the table cap), and two builds
+pattern table), q = 127 and q = 251 (above the table cap), verify and
+count on two r=2 graphs (q = 61 past the table cap, q = 13 with its full
+table) with their status lines, and two builds
 that exercise rejection: one with resamples only, one with restarts, two
 exact_z runs (r=2 and r=3) with their search-node counts, and exact_z's
 value, node count and witness on every small shape.  A change that moves
@@ -14,6 +16,7 @@ searches.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
@@ -108,6 +111,35 @@ BUILDS = {
     ),
 }
 
+# (build fields, analysis fields, digests, status line without graph and out):
+# verify and count on r=2 graphs built at MASTER_SEED.  q61 is the benchmark's
+# analyze r2 graph (BUILDS["r2-q61"]); its 35,990 patterns at s=3 are past
+# TABLE_CAP.  q13 has 169 edges and 286 patterns at s=3, so its full table
+# is written.
+R2_ANALYSES = {
+    "verify-q61": (
+        dict(s=(2,), t=4, q=(61,), m=(61,)),
+        dict(mode="verify", s=(3,), t=9),
+        {"certificate.json": "e68c25d42f0bde01603b06aea9c2fc00f97c3c152f03557eed4bb3c862ce0622"},
+        {"argmax_pattern": [[0, 27, 39]], "max_size": 2, "mode": "verify", "passed": True, "t": 9},
+    ),
+    "count-q61": (
+        dict(s=(2,), t=4, q=(61,), m=(61,)),
+        dict(mode="count", s=(3, 2)),
+        {"count.json": "1e95d33d1a1822b3ba27d8994263c243571746ef8e5c790667a921cb17d8d370"},
+        {
+            "bound_holds": True, "density": "1/61", "exact": 10, "intermediate": 640,
+            "lower_bound": "0", "mode": "count", "s_list": [3, 2],
+        },
+    ),
+    "verify-q13-table": (
+        dict(s=(2,), t=4, q=(13,), m=(13,)),
+        dict(mode="verify", s=(3,), t=9),
+        {"certificate.json": "252c556cb1bb1b5ae35800f5a2e8262123aac124bee4b1430608babdc12f0a21"},
+        {"argmax_pattern": [[0, 1, 9]], "max_size": 1, "mode": "verify", "passed": True, "t": 9},
+    ),
+}
+
 # (m, s) -> (z, nodes, digests) for exact_z through the oracle mode
 ORACLES = {
     "z-7x5": (
@@ -174,6 +206,19 @@ def test_r3_build_and_count_digests(tmp_path, capsys):
 def test_build_digests(tmp_path, capsys, name):
     fields, advice, expected = BUILDS[name]
     assert _run(capsys, tmp_path, advice, mode="construct", seed=MASTER_SEED, **fields) == expected
+
+
+@pytest.mark.parametrize("name", sorted(R2_ANALYSES))
+def test_r2_analysis_digests_and_status(tmp_path, capsys, name):
+    build, fields, expected, status = R2_ANALYSES[name]
+    graph = tmp_path / "build" / "graph.zng"
+    _run(capsys, graph.parent, [BALANCED_SPLIT], mode="construct", seed=MASTER_SEED, **build)
+    out = tmp_path / "analysis"
+    assert run(ExperimentConfig(out=str(out), graph=str(graph), **fields)) == 0
+    line = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (line.pop("graph"), line.pop("out")) == (str(graph), str(out))
+    assert line == status
+    assert _digests(out) == expected
 
 
 @pytest.mark.parametrize("name", sorted(ORACLES))
