@@ -126,11 +126,15 @@ def verify_freeness(
 ) -> FreenessCertificate:
     """Exhaustively check that no ordered complete pattern reaches t.
 
-    Enumerates every choice of s_i-subsets of part i for i < r in
-    pattern_blocks, which intersects the prefix neighborhoods in the last
-    part, and records the maximum intersection size and the first pattern
-    that reaches it, one block at a time.  Works on arbitrary graphs with
-    matching part structure, independent of how they were built.
+    Takes every pattern's size (the common neighbourhood in the last part of
+    its s_i-subsets of parts i < r) from H.pattern_sizes, one block at a
+    time, and records the maximum and the first pattern in pattern order
+    that reaches it.  pattern_sizes runs pattern_blocks, except at r = 2 on
+    graphs sparse enough for its co-degree route, which leaves out the
+    patterns of size 0: when none is left in, the maximum is 0 at the first
+    pattern, and a table holds 0 for every pattern left out.  Works on
+    arbitrary graphs with matching part structure, independent of how they
+    were built.
 
     Raises:
         BudgetError: more than pattern_budget patterns to enumerate.
@@ -144,13 +148,21 @@ def verify_freeness(
     patterns = pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
     max_size = 0
     argmax: Pattern | None = None
-    table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
-    for first, sizes in H.pattern_blocks(s_list):
+    sizes_of: dict[Pattern, int] | None = {} if patterns <= TABLE_CAP else None
+    for first, sizes in H.pattern_sizes(s_list):
         best = max(sizes)
         if best > max_size or argmax is None:
             max_size, argmax = best, block_pattern(first, sizes.index(best))
-        if table is not None:
-            table.extend((block_pattern(first, k), size) for k, size in enumerate(sizes))
+        if sizes_of is not None:
+            sizes_of.update((block_pattern(first, k), size) for k, size in enumerate(sizes))
+    if argmax is None and patterns:  # every pattern was left out: all have size 0
+        argmax = tuple(tuple(range(s)) for s in s_list)
+    table = None
+    if sizes_of is not None:
+        every = itertools.product(
+            *(itertools.combinations(range(m), s) for m, s in zip(H.part_sizes, s_list))
+        )
+        table = tuple((pattern, sizes_of.get(pattern, 0)) for pattern in every)
     return FreenessCertificate(
         part_sizes=H.part_sizes,
         s_list=tuple(s_list),
@@ -158,6 +170,6 @@ def verify_freeness(
         pattern_count=patterns,
         max_size=max_size,
         argmax_pattern=argmax,
-        table=tuple(table) if table is not None else None,
+        table=table,
         passed=max_size <= t - 1,
     )

@@ -225,11 +225,10 @@ def _help(mode: str) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    if "-h" in argv or "--help" in argv:
-        print(_help(argv[0]))
-        return EXIT_PASS
     try:
-        return run(parse_args(argv))
+        config = parse_args(argv)
+        if config is not None:
+            return run(config)
     except BudgetError as err:
         _status({"error": "budget", "reason": str(err)})
         return EXIT_BUDGET
@@ -239,6 +238,8 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as err:
         _status({"error": "construction", "reason": str(err)})
         return EXIT_VERDICT
+    print(_help(argv[0]))  # parse_args found -h or --help where a flag can stand
+    return EXIT_PASS
 
 
 if __name__ == "__main__":

@@ -9,9 +9,13 @@ everything a run needs is a scalar or a short integer list.
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 from typing import NamedTuple
 
+from zng.errors import BudgetError
+
+HELP_FLAGS = ("-h", "--help")
 LIST_KEYS = frozenset({"s", "m", "q"})
 INT_KEYS = frozenset({"t", "seed", "budget", "retries", "restarts"})
 STR_KEYS = frozenset({"mode", "out", "graph"})
@@ -66,6 +70,7 @@ def parse_config(text: str) -> ExperimentConfig:
     Raises:
         ValueError: malformed line, unknown key, or non-integer value where
             one is required; messages carry 1-based line numbers.
+        BudgetError: an integer with more digits than int() reads.
     """
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -81,13 +86,19 @@ def parse_config(text: str) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
-def parse_args(argv: list[str]) -> ExperimentConfig:
+def parse_args(argv: list[str]) -> ExperimentConfig | None:
     """Parse `MODE --key value ...`, typed as in a file; flags replace --config's keys.
+
+    Returns None for a help request: -h or --help where a flag can stand,
+    first or at an odd index.  At an even index past the mode it is a value.
 
     Raises:
         ValueError: no or unknown mode, a flag the mode does not take, a
             flag without a value, or a bad value; messages name the flag.
+        BudgetError: an integer with more digits than int() reads.
     """
+    if any(token in HELP_FLAGS for token in argv[:1] + argv[1::2]):
+        return None
     mode = argv[0] if argv else ""
     if mode not in MODE_KEYS:
         raise ValueError(f"unknown mode {mode!r}; expected one of {tuple(MODE_KEYS)}")
@@ -120,6 +131,13 @@ def _set_key(values: dict[str, object], key: str, item: str, where: str) -> None
     try:
         number = int(item)
     except ValueError:
+        digits = item.strip()
+        digits = digits[digits[:1] in ("+", "-"):]
+        if digits.isdecimal():  # well formed, so longer than int() reads
+            raise BudgetError(
+                f"{where}: {key} has {len(digits)} digits, more than the"
+                f" {sys.get_int_max_str_digits()} an integer may have"
+            ) from None
         raise ValueError(f"{where}: {key} needs an integer, got {item!r}") from None
     values[key] = values.get(key, ()) + (number,) if key in LIST_KEYS else number
 

@@ -59,15 +59,16 @@ def _check_sides(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> None:
 def _count_pass(
     H: RPartiteHypergraph, s_list: tuple[int, ...], pattern_budget: int
 ) -> tuple[int, int]:
-    """(sum of C(size, s_r), sum of size) over one pass of pattern_blocks.
+    """(sum of C(size, s_r), sum of size) over one pass of H.pattern_sizes.
 
     The sizes are those of the patterns on the first r-1 parts, so the two
-    sums are the counts at s_list and at s_list[:-1] + (1,).
+    sums are the counts at s_list and at s_list[:-1] + (1,).  A pattern that
+    pattern_sizes leaves out has size 0 and adds 0 to both.
     """
     pattern_count(H.part_sizes[:-1], s_list[:-1], pattern_budget)
     s_r = itertools.repeat(s_list[-1])
     exact = intermediate = 0
-    for _, sizes in H.pattern_blocks(s_list[:-1]):
+    for _, sizes in H.pattern_sizes(s_list[:-1]):
         exact += sum(map(math.comb, sizes, s_r))
         intermediate += sum(sizes)
     return exact, intermediate
@@ -128,12 +129,8 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
         link_sizes = Counter(degrees.values())
         t_a = sum(n * _jensen_two(sizes, size, sides) for size, n in link_sizes.items())
     else:
-        links: dict[int, list[int]] = {}  # vertex -> its prefix ranks, ascending
-        for rank, mask in H.masks.items():
-            for v in set_bits(mask):
-                links.setdefault(v, []).append(rank)
         t_a = Fraction(0)
-        for ranks in links.values():
+        for ranks in H.links().values():
             link = RPartiteHypergraph.from_masks(sizes, index_masks(ranks, sizes[-1]))
             t_a += jensen_lower_bound(link, sides)
     return choices * gen_binom(Fraction(t_a, choices), s_list[-1])

@@ -16,11 +16,15 @@ the first r-1 parts; prefix_ranks numbers its transversal prefixes (for
 r = 2 they are just its one side), common_mask ANDs the masks at those
 ranks, closing_patterns lists the patterns whose lex-max prefix is a given
 one, and pattern_count sizes an enumeration and checks its mask lookups
-against a budget.  RPartiteHypergraph.pattern_blocks is the block kernel
-that verification and counting enumerate: it folds the prefix masks a run
-of patterns shares once, and yields each run's sizes as one list.
-Selection and the oracle turn each closing pattern into its ranks once, not
-once per candidate or search node.
+against a budget.  RPartiteHypergraph.pattern_sizes is the one route by
+which verification and counting get pattern sizes.  It runs
+RPartiteHypergraph.pattern_blocks, the block kernel, which folds the prefix
+masks a run of patterns shares once and yields each run's sizes as one
+list; at r = 2, on a graph where edges + sum_v C(deg v, s) < C(m_1, s), it
+runs codegree_blocks instead, which counts the s-subsets of each last-part
+vertex's neighbourhood and leaves out the patterns of size 0.  Selection
+and the oracle turn each closing pattern into its ranks once, not once per
+candidate or search node.
 
 Graphs serialize to a small line format:
 
@@ -28,7 +32,9 @@ Graphs serialize to a small line format:
     <v_1> ... <v_r>          one edge per line
 
 '#' starts a comment, blank lines are skipped, edges are written in
-lexicographic order so equal graphs produce byte-identical files.
+lexicographic order so equal graphs produce byte-identical files.  Text in
+exactly the shape format_graph writes is read in bulk; any other text is
+read line by line, and every complaint comes from that reader.
 """
 
 from __future__ import annotations
@@ -38,6 +44,8 @@ import itertools
 import math
 import os
 import re
+from collections import Counter
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -46,6 +54,7 @@ from zng.errors import BudgetError, ZngError, int_text
 DEFAULT_PATTERN_BUDGET = 1_000_000
 
 _ONE = re.compile("1")
+_CANONICAL_BODY = str.maketrans("", "", "0123456789 \n")  # deletes what format_graph writes
 
 Edge = tuple[int, ...]
 Pattern = tuple[tuple[int, ...], ...]  # one vertex subset per part
@@ -120,6 +129,42 @@ class RPartiteHypergraph:
                 prefix = (v, *prefix)
             yield prefix, set_bits(mask)
 
+    def links(self) -> dict[int, list[int]]:
+        """Each last-part vertex with an edge -> its prefixes' ranks, ascending.
+
+        One step per edge.  At r = 2 the ranks are the vertex's neighbours in
+        part 1.
+        """
+        links: dict[int, list[int]] = {}
+        for rank, mask in self.masks.items():  # ascending
+            for v in set_bits(mask):
+                links.setdefault(v, []).append(rank)
+        return links
+
+    def pattern_sizes(self, s_list: Sequence[int]) -> Iterable[tuple[Pattern, list[int]]]:
+        """Pattern sizes in blocks, by the cheaper of two exact routes.
+
+        Blocks are pattern_blocks' (first, sizes), in pattern order, except
+        that a block may stop early and a pattern in no block has size 0.
+        At r = 2 a pattern P is an s-subset of part 1, and its size is the
+        number of last-part vertices whose link holds all of P.  So
+        codegree_blocks costs one step per edge to transpose the masks plus
+        sum_v C(deg v, s) increments, against C(m_1, s) popcounts in
+        pattern_blocks.  It runs iff edges + sum_v C(deg v, s) < C(m_1, s),
+        so its work and memory stay below what the block kernel would spend
+        under the same pattern_count budget; the transpose is skipped when
+        edges alone reach C(m_1, s).  Every other graph, and every r != 2,
+        goes through pattern_blocks.
+        """
+        if self.r == 2:
+            (s,) = s_list
+            patterns, edges = math.comb(self.part_sizes[0], s), self.num_edges
+            if edges < patterns:
+                links = self.links().values()
+                if edges + sum(math.comb(len(link), s) for link in links) < patterns:
+                    return codegree_blocks(links, s)
+        return self.pattern_blocks(s_list)
+
     def pattern_blocks(self, s_list: Sequence[int]) -> Iterator[tuple[Pattern, list[int]]]:
         """Common-neighbourhood sizes of every pattern with sides s_list, in blocks.
 
@@ -179,6 +224,17 @@ def complete_graph(part_sizes: Sequence[int]) -> RPartiteHypergraph:
     """The complete r-partite r-graph: every transversal tuple is an edge."""
     edges = itertools.product(*(range(m) for m in part_sizes))
     return RPartiteHypergraph(part_sizes, edges)
+
+
+def codegree_blocks(links: Iterable[list[int]], s: int) -> list[tuple[Pattern, list[int]]]:
+    """At r = 2, ((P,), [size]) for every s-subset P of part 1 with a nonzero size.
+
+    links are the last-part vertices' neighbourhoods in part 1, each
+    ascending, so each s-subset comes out as a sorted tuple; P's size is the
+    number of links that hold it.  The blocks are in pattern order.
+    """
+    sizes = Counter(itertools.chain.from_iterable(map(itertools.combinations, links, repeat(s))))
+    return [((pattern,), [size]) for pattern, size in sorted(sizes.items())]
 
 
 def index_masks(indices: Sequence[int], m_last: int) -> dict[int, int]:
@@ -298,6 +354,17 @@ def format_graph(graph: RPartiteHypergraph) -> str:
 def parse_graph(text: str) -> RPartiteHypergraph:
     """Parse the line format; every complaint carries its 1-based line number.
 
+    Valid text in format_graph's shape is read in bulk (_parse_canonical).
+    Any other text, with comments, other whitespace or an error, is read by
+    _parse_lines, so every complaint comes from there.
+    """
+    graph = _parse_canonical(text)
+    return _parse_lines(text) if graph is None else graph
+
+
+def _parse_lines(text: str) -> RPartiteHypergraph:
+    """parse_graph one line at a time, with comments and any whitespace.
+
     The checks here are the constructor's, with line numbers, so the graph
     is built without running them a second time.
     """
@@ -346,6 +413,47 @@ def parse_graph(text: str) -> RPartiteHypergraph:
     if part_sizes is None:
         raise GraphFormatError("line 1: missing 'zng' header")
     return RPartiteHypergraph.from_masks(part_sizes, index_masks(sorted(seen), part_sizes[-1]))
+
+
+def _parse_canonical(text: str) -> RPartiteHypergraph | None:
+    """The graph of text if it is valid and in format_graph's shape, else None.
+
+    The shape: the exact header `zng r m_1 ... m_r`, then lines of r tokens
+    split by single spaces, each ending in a newline.  One str.translate
+    checks that the body holds only digits, spaces and newlines (anything
+    else, even a form feed that splitlines would break a line at, sends the
+    text to the line-wise parser), and each line must hold r - 1 spaces, so a
+    line with r + 1 tokens cannot make up for one with r - 1.  Then one int()
+    per token, a column per part by slicing, one range check per column and
+    one duplicate check per graph.
+    """
+    head, _, body = text.partition("\n")
+    try:
+        r, *sizes = map(int, head.split(" ")[1:])
+    except ValueError:  # no field, not an integer, or too many digits
+        return None
+    if head != f"zng {r} " + " ".join(map(str, sizes)) or len(sizes) != r or r < 1:
+        return None
+    if body.translate(_CANONICAL_BODY) or min(sizes) < 0:
+        return None  # a character format_graph does not write, or m_i < 0
+    if not set(map(str.count, body.split("\n")[:-1], repeat(" "))) <= {r - 1}:
+        return None
+    try:
+        values = list(map(int, body.split()))
+    except ValueError:  # over int()'s digit limit
+        return None
+    if len(values) != r * body.count("\n"):  # an empty token, or one after the last newline
+        return None
+    indices = values[::r]
+    for i, m in enumerate(sizes):
+        column = values[i::r]
+        if column and max(column) >= m:
+            return None
+        if i:
+            indices = [index * m + v for index, v in zip(indices, column)]
+    if len(set(indices)) != len(indices):
+        return None
+    return RPartiteHypergraph.from_masks(tuple(sizes), index_masks(sorted(indices), sizes[-1]))
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -14,6 +14,7 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import example
 from hypothesis import strategies as st
 
 from zng.certify import FreenessCertificate
@@ -25,6 +26,7 @@ from zng.hypergraph import (
     block_pattern,
     closing_patterns,
     common_mask,
+    complete_graph,
     pattern_count,
     prefix_ranks,
 )
@@ -277,6 +279,36 @@ def graphs_with_sides(draw, min_r: int = 1, max_r: int = 4):
     edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
     s_list = tuple(draw(st.integers(1, m + 1)) for m in part_sizes)
     return RPartiteHypergraph(part_sizes, edges), s_list
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """(graph, s): r = 2 with parts of 0..7 vertices, any edge set, s in 1..m_1 + 1."""
+    part_sizes = (draw(st.integers(0, 7)), draw(st.integers(0, 7)))
+    cells = list(itertools.product(*map(range, part_sizes)))
+    edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
+    return RPartiteHypergraph(part_sizes, edges), draw(st.integers(1, part_sizes[0] + 1))
+
+
+# bipartite_graphs examples on both sides of the cost rule
+R2_EXAMPLES = [
+    (RPartiteHypergraph((6, 5), []), 2),  # co-degree, with every size 0
+    (complete_graph((4, 4)), 2),  # blocks
+    (RPartiteHypergraph((7, 7), [(0, 0), (1, 0), (2, 0), (3, 1), (5, 1), (6, 6)]), 2),
+    (RPartiteHypergraph((7, 4), [(0, 0), (1, 0), (2, 0), (4, 0), (6, 3)]), 3),
+    (RPartiteHypergraph((6, 3), [(0, 0), (4, 0)]), 1),  # s = 1, co-degree
+    (complete_graph((3, 3)), 1),  # s = 1, blocks
+    (RPartiteHypergraph((2, 3), [(0, 0), (1, 0)]), 3),  # s > m_1: no pattern
+]
+
+
+def apply_examples(examples):
+    """A decorator adding @example(*args) for each args in examples."""
+    def decorate(test):
+        for args in examples:
+            test = example(*args)(test)
+        return test
+    return decorate
 
 
 def small_shapes(max_edges: int):

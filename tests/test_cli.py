@@ -447,6 +447,46 @@ def test_flags_and_files_share_one_typing_rule(key):
         assert str(err.value) == f"{where}: {key} needs an integer, got 'four'"
 
 
+def test_integers_past_the_digit_limit_are_budget_errors(tmp_path, capsys):
+    ones = "1" * (sys.get_int_max_str_digits() + 1)
+    limit = f"has {len(ones)} digits, more than the {sys.get_int_max_str_digits()}"
+    path = tmp_path / "run.cfg"
+    path.write_text(f"mode=oracle\nm = {ones}\ns=1\n")
+    out = tmp_path / "o"
+    for argv, where in (
+        (["oracle", "--m", ones, "--s", "1", "--m", "2", "--s", "1"], "--m"),
+        (["oracle", "--m", f" -{ones}", "--s", "1"], "--m"),
+        (["oracle", "--config", str(path)], "line 2"),
+    ):
+        code, status = run_cli([*argv, "--out", str(out)], capsys)
+        assert code == 3, argv
+        assert status == {"error": "budget", "reason": f"{where}: m {limit} an integer may have"}
+        assert not out.exists()
+    # a malformed value of any length is still a usage error
+    code, status = run_cli(["oracle", "--m", ones + "x", "--s", "1"], capsys)
+    assert code == 2 and status["error"] == "usage"
+    assert status["reason"].startswith("--m: m needs an integer, got '111")
+
+
+def test_help_is_asked_only_where_a_flag_can_stand(tmp_path, capsys, monkeypatch):
+    top = "usage: zng {construct,verify,count,oracle,sweep} [flags]; zng MODE --help lists them\n"
+    for argv in (["--help"], ["-h"], ["-h", "oracle"], ["plot", "--help"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == top, argv
+    for argv in (["oracle", "-h", "2"], ["oracle", "--m", "2", "--help"], ["oracle", "--bad", "2", "-h"]):
+        assert main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: zng oracle [flags]\n"), argv
+    # a value that reads -h or --help is a value
+    monkeypatch.chdir(tmp_path)
+    code, status = run_cli(["oracle", "--m", "2", "--s", "1", "--out", "-h"], capsys)
+    assert code == 0 and status["out"] == "-h"
+    assert sorted(p.name for p in (tmp_path / "-h").iterdir()) == ["oracle.tsv", "witness_2_1.zng"]
+    code, status = run_cli(["verify", "--graph", "--help", "--s", "2", "--t", "3"], capsys)
+    assert code == 2 and status["error"] == "usage" and "--help" in status["reason"]
+    code, status = run_cli(["oracle", "--m", "-h", "--s", "1"], capsys)
+    assert code == 2 and status == {"error": "usage", "reason": "--m: m needs an integer, got '-h'"}
+
+
 # ----------------------------------------------------------------------
 # the key table: config.MODE_KEYS drives the flags, the overlay and validate
 # ----------------------------------------------------------------------

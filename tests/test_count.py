@@ -5,12 +5,21 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import graphs_with_sides, naive_count, random_graph, reference_jensen
+from helpers import (
+    R2_EXAMPLES,
+    apply_examples,
+    bipartite_graphs,
+    graphs_with_sides,
+    naive_count,
+    random_graph,
+    reference_jensen,
+)
 import zng.count
 from zng.certify import verify_freeness
 from zng.count import (
@@ -20,7 +29,7 @@ from zng.count import (
     jensen_lower_bound,
 )
 from zng.errors import BudgetError
-from zng.hypergraph import RPartiteHypergraph, complete_graph
+from zng.hypergraph import RPartiteHypergraph, codegree_blocks, complete_graph
 
 C6 = RPartiteHypergraph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
 
@@ -141,6 +150,29 @@ def test_count_agrees_with_freeness_verdict():
         s, t = rng.randint(1, 2), rng.randint(1, 3)
         zero = count_ordered(g, (s, t)) == 0
         assert zero == verify_freeness(g, (s,), t).passed
+
+
+# each r = 2 route for RPartiteHypergraph.pattern_sizes, taken whatever its cost
+R2_ROUTES = {
+    "blocks": lambda H, s_list: H.pattern_blocks(s_list),
+    "codegree": lambda H, s_list: codegree_blocks(H.links().values(), *s_list),
+}
+
+
+@settings(max_examples=200)
+@given(bipartite_graphs(), st.integers(1, 4), st.integers(1, 3))
+@apply_examples([(case, 2, 2) for case in R2_EXAMPLES])
+def test_both_r2_routes_give_the_same_certificate_and_counts(case, t, s_2):
+    g, s = case
+    results = {}
+    for name, route in R2_ROUTES.items():
+        with mock.patch.object(RPartiteHypergraph, "pattern_sizes", route):
+            report = count_report(g, (s, s_2))
+            results[name] = (verify_freeness(g, (s,), t), report.exact, report.intermediate)
+    report = count_report(g, (s, s_2))
+    assert results["codegree"] == results["blocks"]
+    assert results["blocks"] == (verify_freeness(g, (s,), t), report.exact, report.intermediate)
+    assert report.exact == naive_count(g, (s, s_2))
 
 
 # ----------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """Graph model, the prefix mask table, text format round-tripping, pattern kernel."""
 
 import itertools
+import math
 import random
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    R2_EXAMPLES,
+    apply_examples,
+    bipartite_graphs,
     flat_blocks,
     graphs_with_sides,
     random_graph,
@@ -22,7 +27,10 @@ from zng import hypergraph
 from zng.hypergraph import (
     GraphFormatError,
     RPartiteHypergraph,
+    _parse_canonical,
+    _parse_lines,
     closing_patterns,
+    codegree_blocks,
     common_mask,
     complete_graph,
     format_graph,
@@ -180,6 +188,93 @@ def test_parse_reports_duplicate_edge_with_first_line():
     assert "line 2" in str(err.value)  # names where the edge first appeared
 
 
+def parse_outcome(parse, text):
+    """(part sizes, masks) of parse(text), or the text of its GraphFormatError."""
+    try:
+        g = parse(text)
+    except GraphFormatError as err:
+        return str(err)
+    return g.part_sizes, g.masks
+
+
+# texts near format_graph's shape: parse_graph must give the line-wise
+# parser's graph or complaint on each, whether the bulk reader takes it or not
+NEAR_CANONICAL = [
+    "zng 2 2 3\n0\x0c 1\n",  # splitlines breaks at \x0c: "edge has 1 indices"
+    "zng 2 2 3\n0 1\x0b\n",
+    "zng 2 2 3\n0\x1c1\n",
+    "zng 2 2 3\r\n0 1\r\n1 2\r\n",
+    "zng 2 2 3\n0\t1\n",
+    "zng 2 2 3\n0  1\n",
+    "zng 2 2 3\n0 1 \n",
+    "zng 2 2 3\n 0 1\n",
+    "zng 2 2 3\n 01\n0 1\n",  # r - 1 spaces, but an empty token
+    "zng 2 2 3\n0 1\n12 \n",
+    "zng 1 3\n0\n\n2\n",
+    "zng 2 2 3\n+1 2\n",
+    "zng 2 2 3\n0_1 2\n",
+    "zng 2 2 3\n01 02\n",
+    "zng 2 2 3\n-0 2\n",
+    "zng 2 2 3\n0 1\n\n1 2\n",
+    "zng 3 2 2 2\n0 0 0 1\n0 0\n",  # r + 1 tokens next to r - 1
+    "zng 3 2 2 2\n0 0\n0 0 0 1\n",
+    "zng 2 2 3\n0 1\n1 2\n0 1\n",
+    "zng 2 2 3\n2 0\n",
+    "zng 2 2 3\n0 3\n",
+    "zng 2 2 0\n0 0\n",
+    "zng 2 0 3\n",
+    "zng 1 3\n2\n0\n",
+    "zng 1 3\n3\n",
+    "zng 1 0\n",
+    "zng 2 2 3\n",
+    "zng 2 2 3",
+    "zng 2 2 3\n0 1",
+    "zng 2 2 3\n0 1 # c\n",
+    "# c\nzng 2 2 3\n0 1\n",
+    "zng 2 02 3\n0 1\n",
+    "zng  2 2 3\n0 1\n",
+    "zng 2 2 3 \n0 1\n",
+    "zng 2 2 3 4\n0 1\n",
+    "zng 2 -1 3\n",
+    "zng 0\n",
+    "zng\n",
+    "zng 2 2 3\n" + "1" * 4301 + " 0\n",
+    "zng 2 2 " + "1" * 4301 + "\n0 0\n",
+    "zng 2 2 3\n0 \u0661\n",  # an Arabic-Indic one, which int() reads
+    "",
+]
+
+
+def test_bulk_reading_gives_the_line_wise_graph_or_complaint():
+    for text in NEAR_CANONICAL:
+        expected = parse_outcome(_parse_lines, text)
+        assert parse_outcome(parse_graph, text) == expected, text
+        bulk = _parse_canonical(text)
+        assert bulk is None or (bulk.part_sizes, bulk.masks) == expected, text
+    assert parse_graph("zng 2 2 3\n01 02\n").edges == ((1, 2),)
+    with pytest.raises(GraphFormatError, match="^line 2: edge has 1 indices, expected 2$"):
+        parse_graph("zng 2 2 3\n0\x0c 1\n")
+
+
+@settings(max_examples=200)
+@given(graphs_with_sides(), st.data())
+def test_bulk_reading_matches_the_line_wise_parser(case, data):
+    g, _ = case
+    text = format_graph(g)
+    bulk = _parse_canonical(text)  # every valid canonical text is read in bulk
+    assert bulk is not None
+    assert (bulk.part_sizes, bulk.masks) == parse_outcome(_parse_lines, text)
+    assert list(bulk.masks) == sorted(bulk.masks)
+    # a few edits: parse_graph still gives the line-wise graph or complaint
+    alphabet = "0123456789  \n\n\t\r\x0b\x0c\x1c#+_-"
+    for _ in range(data.draw(st.integers(1, 3), label="edits")):
+        at = data.draw(st.integers(0, len(text)), label="at")
+        cut = data.draw(st.integers(0, 2), label="cut")
+        put = data.draw(st.text(alphabet, max_size=2), label="put")
+        text = text[:at] + put + text[at + cut:]
+    assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+
+
 def test_file_round_trip(tmp_path):
     g = complete_graph((2, 2, 2))
     path = tmp_path / "g.zng"
@@ -320,6 +415,41 @@ def test_pattern_blocks_match_the_per_pattern_reference(case):
         assert sizes
         if first:
             assert first[-1][-1] + len(sizes) == g.part_sizes[-2]
+
+
+def codegree_is_cheaper(g, s):
+    """edges + sum_v C(deg v, s) < C(m_1, s), with the degrees counted from g.edges."""
+    degrees = Counter(v for _, v in g.edges)
+    cost = g.num_edges + sum(math.comb(d, s) for d in degrees.values())
+    return cost < math.comb(g.part_sizes[0], s)
+
+
+@settings(max_examples=300)
+@given(bipartite_graphs())
+@apply_examples([(case,) for case in R2_EXAMPLES])
+def test_codegree_sizes_are_the_block_kernels(case):
+    g, s = case
+    links = RPartiteHypergraph.links
+    blocks = {pattern: size for pattern, size in flat_blocks(g, (s,)) if size}
+    codegree = codegree_blocks(g.links().values(), s)
+    assert {first: size for first, (size,) in codegree} == blocks
+    assert [first for first, _ in codegree] == sorted(blocks)  # pattern order
+    # pattern_sizes takes the co-degree route exactly when the rule says so,
+    # and transposes the masks only when the edges alone are below C(m_1, s)
+    with (
+        mock.patch.object(hypergraph, "codegree_blocks", wraps=codegree_blocks) as spy,
+        mock.patch.object(RPartiteHypergraph, "links", autospec=True, side_effect=links) as moved,
+    ):
+        routed = list(g.pattern_sizes((s,)))
+    assert spy.call_count == codegree_is_cheaper(g, s)
+    assert moved.call_count == (g.num_edges < math.comb(g.part_sizes[0], s))
+    assert routed == (codegree if spy.call_count else list(g.pattern_blocks((s,))))
+
+
+def test_links_are_the_transposed_masks():
+    g = RPartiteHypergraph((3, 2, 4), [(0, 1, 3), (1, 0, 3), (2, 1, 0), (2, 1, 3)])
+    assert g.links() == {0: [5], 3: [1, 2, 5]}
+    assert RPartiteHypergraph((3, 5), []).links() == {}
 
 
 @settings(max_examples=200)
