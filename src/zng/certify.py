@@ -148,21 +148,21 @@ def verify_freeness(
     patterns = pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
     max_size = 0
     argmax: Pattern | None = None
-    sizes_of: dict[Pattern, int] | None = {} if patterns <= TABLE_CAP else None
+    table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
     for first, sizes in H.pattern_sizes(s_list):
         best = max(sizes)
         if best > max_size or argmax is None:
             max_size, argmax = best, block_pattern(first, sizes.index(best))
-        if sizes_of is not None:
-            sizes_of.update((block_pattern(first, k), size) for k, size in enumerate(sizes))
+        if table is not None:
+            table.extend((block_pattern(first, k), size) for k, size in enumerate(sizes))
     if argmax is None and patterns:  # every pattern was left out: all have size 0
         argmax = tuple(tuple(range(s)) for s in s_list)
-    table = None
-    if sizes_of is not None:
+    if table is not None and len(table) < patterns:  # put in the left-out patterns, at 0
+        sizes_of = dict(table)
         every = itertools.product(
             *(itertools.combinations(range(m), s) for m, s in zip(H.part_sizes, s_list))
         )
-        table = tuple((pattern, sizes_of.get(pattern, 0)) for pattern in every)
+        table = [(pattern, sizes_of.get(pattern, 0)) for pattern in every]
     return FreenessCertificate(
         part_sizes=H.part_sizes,
         s_list=tuple(s_list),
@@ -170,6 +170,6 @@ def verify_freeness(
         pattern_count=patterns,
         max_size=max_size,
         argmax_pattern=argmax,
-        table=table,
+        table=tuple(table) if table is not None else None,
         passed=max_size <= t - 1,
     )

@@ -45,7 +45,6 @@ import math
 import os
 import re
 from collections import Counter
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -233,7 +232,8 @@ def codegree_blocks(links: Iterable[list[int]], s: int) -> list[tuple[Pattern, l
     ascending, so each s-subset comes out as a sorted tuple; P's size is the
     number of links that hold it.  The blocks are in pattern order.
     """
-    sizes = Counter(itertools.chain.from_iterable(map(itertools.combinations, links, repeat(s))))
+    subsets = map(itertools.combinations, links, itertools.repeat(s))
+    sizes = Counter(itertools.chain.from_iterable(subsets))
     return [((pattern,), [size]) for pattern, size in sorted(sizes.items())]
 
 
@@ -436,7 +436,7 @@ def _parse_canonical(text: str) -> RPartiteHypergraph | None:
         return None
     if body.translate(_CANONICAL_BODY) or min(sizes) < 0:
         return None  # a character format_graph does not write, or m_i < 0
-    if not set(map(str.count, body.split("\n")[:-1], repeat(" "))) <= {r - 1}:
+    if not set(map(str.count, body.split("\n")[:-1], itertools.repeat(" "))) <= {r - 1}:
         return None
     try:
         values = list(map(int, body.split()))

@@ -473,7 +473,9 @@ def test_help_is_asked_only_where_a_flag_can_stand(tmp_path, capsys, monkeypatch
     for argv in (["--help"], ["-h"], ["-h", "oracle"], ["plot", "--help"]):
         assert main(argv) == 0
         assert capsys.readouterr().out == top, argv
-    for argv in (["oracle", "-h", "2"], ["oracle", "--m", "2", "--help"], ["oracle", "--bad", "2", "-h"]):
+    for argv in (
+        ["oracle", "-h", "2"], ["oracle", "--m", "2", "--help"], ["oracle", "--bad", "2", "-h"]
+    ):
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("usage: zng oracle [flags]\n"), argv
     # a value that reads -h or --help is a value
