@@ -129,12 +129,12 @@ def verify_freeness(
     Takes every pattern's size (the common neighbourhood in the last part of
     its s_i-subsets of parts i < r) from H.pattern_sizes, one block at a
     time, and records the maximum and the first pattern in pattern order
-    that reaches it.  pattern_sizes runs pattern_blocks, except at r = 2 on
-    graphs sparse enough for its co-degree route, which leaves out the
-    patterns of size 0: when none is left in, the maximum is 0 at the first
-    pattern, and a table holds 0 for every pattern left out.  Works on
-    arbitrary graphs with matching part structure, independent of how they
-    were built.
+    that reaches it: the argmax starts at the first pattern, with maximum 0,
+    and moves only to a size above the maximum so far.  pattern_sizes runs
+    pattern_blocks, except at r = 2 on graphs sparse enough for its
+    co-degree route, which leaves out the patterns of size 0, so a table
+    holds 0 for every pattern left out.  Works on arbitrary graphs with
+    matching part structure, independent of how they were built.
 
     Raises:
         BudgetError: more than pattern_budget patterns to enumerate.
@@ -147,16 +147,14 @@ def verify_freeness(
         raise ValueError(f"t must be >= 1, got {t}")
     patterns = pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
     max_size = 0
-    argmax: Pattern | None = None
+    argmax = tuple(tuple(range(s)) for s in s_list) if patterns else None
     table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
     for first, sizes in H.pattern_sizes(s_list):
         best = max(sizes)
-        if best > max_size or argmax is None:
+        if best > max_size:
             max_size, argmax = best, block_pattern(first, sizes.index(best))
         if table is not None:
             table.extend((block_pattern(first, k), size) for k, size in enumerate(sizes))
-    if argmax is None and patterns:  # every pattern was left out: all have size 0
-        argmax = tuple(tuple(range(s)) for s in s_list)
     if table is not None and len(table) < patterns:  # put in the left-out patterns, at 0
         sizes_of = dict(table)
         every = itertools.product(

@@ -14,6 +14,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -28,8 +29,18 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
+def _print(text: str) -> None:
+    """Print text; if stdout's reader has gone, point stdout at os.devnull."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # else the interpreter's exit flush fails again: exit 120
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _status(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    _print(json.dumps(payload, sort_keys=True))
 
 
 def _log(message: str) -> None:
@@ -238,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConstructionError as err:
         _status({"error": "construction", "reason": str(err)})
         return EXIT_VERDICT
-    print(_help(argv[0]))  # parse_args found -h or --help where a flag can stand
+    _print(_help(argv[0]))  # parse_args found -h or --help where a flag can stand
     return EXIT_PASS
 
 

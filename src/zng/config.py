@@ -9,11 +9,10 @@ everything a run needs is a scalar or a short integer list.
 
 from __future__ import annotations
 
-import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from zng.errors import BudgetError
+from zng.errors import parse_int
 
 HELP_FLAGS = ("-h", "--help")
 LIST_KEYS = frozenset({"s", "m", "q"})
@@ -129,15 +128,8 @@ def _set_key(values: dict[str, object], key: str, item: str, where: str) -> None
     if key not in LIST_KEYS and key not in INT_KEYS:
         raise ValueError(f"{where}: unknown key {key!r}")
     try:
-        number = int(item)
+        number = parse_int(item, f"{where}: {key}")
     except ValueError:
-        digits = item.strip()
-        digits = digits[digits[:1] in ("+", "-"):]
-        if digits.isdecimal():  # well formed, so longer than int() reads
-            raise BudgetError(
-                f"{where}: {key} has {len(digits)} digits, more than the"
-                f" {sys.get_int_max_str_digits()} an integer may have"
-            ) from None
         raise ValueError(f"{where}: {key} needs an integer, got {item!r}") from None
     values[key] = values.get(key, ()) + (number,) if key in LIST_KEYS else number
 

@@ -399,7 +399,7 @@ def build(
             "too small for this shape",
             attempts=attempts,
         )
-    graph = RPartiteHypergraph.from_masks((*params.m_list, params.n), dict(enumerate(family.masks)))
+    graph = RPartiteHypergraph((*params.m_list, params.n), dict(enumerate(family.masks)))
     cert = verify_freeness(graph, params.s_list, params.t, pattern_budget)
     cert = cert._replace(
         seed=seed,

@@ -131,7 +131,7 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
     else:
         t_a = Fraction(0)
         for ranks in H.links().values():
-            link = RPartiteHypergraph.from_masks(sizes, index_masks(ranks, sizes[-1]))
+            link = RPartiteHypergraph(sizes, index_masks(ranks, sizes[-1]))
             t_a += jensen_lower_bound(link, sides)
     return choices * gen_binom(Fraction(t_a, choices), s_list[-1])
 

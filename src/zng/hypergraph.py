@@ -48,7 +48,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from zng.errors import BudgetError, ZngError, int_text
+from zng.errors import BudgetError, ZngError, int_text, parse_int
 
 DEFAULT_PATTERN_BUDGET = 1_000_000
 
@@ -60,52 +60,24 @@ Pattern = tuple[tuple[int, ...], ...]  # one vertex subset per part
 
 
 class GraphFormatError(ZngError):
-    """A graph file or edge list violates the format contract."""
+    """A graph's text violates the format contract."""
 
 
 class RPartiteHypergraph:
-    """An r-partite r-graph on fixed part sizes.
+    """An r-partite r-graph on fixed part sizes, built from a trusted mask table.
 
     Attributes:
         part_sizes: tuple (m_1, ..., m_r).
         r: number of parts.
         masks: dict from the lexicographic rank of each (r-1)-prefix with an
-            edge to its nonzero last-part mask, bit v for vertex v.
+            edge to its nonzero last-part mask, bit v for vertex v, below
+            1 << m_r, in ascending rank order.  Nothing here checks them.
     """
 
     __slots__ = ("part_sizes", "r", "masks")
 
-    def __init__(self, part_sizes: Sequence[int], edges: Iterable[Edge]):
-        sizes = tuple(int(m) for m in part_sizes)
-        if len(sizes) < 1:
-            raise ValueError("need at least one part")
-        if any(m < 0 for m in sizes):
-            raise ValueError(f"part sizes must be nonnegative, got {sizes}")
-        indices: set[int] = set()
-        for e in edges:
-            e = tuple(e)
-            if len(e) != len(sizes):
-                raise ValueError(f"edge {e} has arity {len(e)}, expected {len(sizes)}")
-            index = 0
-            for i, v in enumerate(e):
-                m = sizes[i]
-                if not isinstance(v, int):
-                    raise ValueError(f"edge {e}: index {v!r} is not an integer")
-                if not 0 <= v < m:
-                    raise ValueError(f"edge {e}: index {v} out of range for part {i + 1}")
-                index = index * m + v
-            if index in indices:
-                raise ValueError(f"duplicate edge {e}")
-            indices.add(index)
-        self.part_sizes, self.r = sizes, len(sizes)
-        self.masks = index_masks(sorted(indices), sizes[-1])
-
-    @classmethod
-    def from_masks(cls, part_sizes: tuple[int, ...], masks: dict[int, int]) -> RPartiteHypergraph:
-        """The graph of a trusted mask table: ranks ascending, masks nonzero, below 1 << m_r."""
-        graph = cls.__new__(cls)
-        graph.part_sizes, graph.r, graph.masks = part_sizes, len(part_sizes), masks
-        return graph
+    def __init__(self, part_sizes: tuple[int, ...], masks: dict[int, int]):
+        self.part_sizes, self.r, self.masks = part_sizes, len(part_sizes), masks
 
     # -- queries ---------------------------------------------------------
 
@@ -121,7 +93,7 @@ class RPartiteHypergraph:
     def _rows(self) -> Iterator[tuple[Edge, list[int]]]:
         """(prefix, its last-part vertices in ascending order) per mask, in rank order."""
         sizes = self.part_sizes[::-1][1:]
-        for rank, mask in self.masks.items():  # ascending, as both constructors insert
+        for rank, mask in self.masks.items():  # ascending, as the table's producers insert
             prefix = ()
             for m in sizes:
                 rank, v = divmod(rank, m)
@@ -219,10 +191,11 @@ class RPartiteHypergraph:
         return f"RPartiteHypergraph(parts={self.part_sizes}, edges={self.num_edges})"
 
 
-def complete_graph(part_sizes: Sequence[int]) -> RPartiteHypergraph:
+def complete_graph(part_sizes: tuple[int, ...]) -> RPartiteHypergraph:
     """The complete r-partite r-graph: every transversal tuple is an edge."""
-    edges = itertools.product(*(range(m) for m in part_sizes))
-    return RPartiteHypergraph(part_sizes, edges)
+    full = (1 << part_sizes[-1]) - 1  # 0 for an empty last part, which has no edge
+    prefixes = math.prod(part_sizes[:-1]) if full else 0
+    return RPartiteHypergraph(part_sizes, dict.fromkeys(range(prefixes), full))
 
 
 def codegree_blocks(links: Iterable[list[int]], s: int) -> list[tuple[Pattern, list[int]]]:
@@ -365,8 +338,8 @@ def parse_graph(text: str) -> RPartiteHypergraph:
 def _parse_lines(text: str) -> RPartiteHypergraph:
     """parse_graph one line at a time, with comments and any whitespace.
 
-    The checks here are the constructor's, with line numbers, so the graph
-    is built without running them a second time.
+    The one place that checks an edge (arity, range, duplicates), each with
+    its line number; an integer too long for int() is a BudgetError.
     """
     part_sizes: tuple[int, ...] | None = None
     seen: dict[int, int] = {}  # edge index -> its line
@@ -378,7 +351,7 @@ def _parse_lines(text: str) -> RPartiteHypergraph:
             if tokens[0] != "zng":
                 raise GraphFormatError(f"line {lineno}: expected 'zng' header, got {tokens[0]!r}")
             try:
-                numbers = [int(t) for t in tokens[1:]]
+                numbers = [parse_int(t, f"line {lineno}: header field") for t in tokens[1:]]
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: header fields must be integers") from None
             if not numbers or len(numbers) != numbers[0] + 1:
@@ -391,7 +364,7 @@ def _parse_lines(text: str) -> RPartiteHypergraph:
             part_sizes = tuple(sizes)
             continue
         try:
-            edge = tuple(map(int, tokens))
+            edge = tuple(parse_int(t, f"line {lineno}: edge field") for t in tokens)
         except ValueError:
             raise GraphFormatError(f"line {lineno}: edge fields must be integers") from None
         if len(edge) != r:
@@ -412,7 +385,7 @@ def _parse_lines(text: str) -> RPartiteHypergraph:
             )
     if part_sizes is None:
         raise GraphFormatError("line 1: missing 'zng' header")
-    return RPartiteHypergraph.from_masks(part_sizes, index_masks(sorted(seen), part_sizes[-1]))
+    return RPartiteHypergraph(part_sizes, index_masks(sorted(seen), part_sizes[-1]))
 
 
 def _parse_canonical(text: str) -> RPartiteHypergraph | None:
@@ -453,7 +426,7 @@ def _parse_canonical(text: str) -> RPartiteHypergraph | None:
             indices = [index * m + v for index, v in zip(indices, column)]
     if len(set(indices)) != len(indices):
         return None
-    return RPartiteHypergraph.from_masks(tuple(sizes), index_masks(sorted(indices), sizes[-1]))
+    return RPartiteHypergraph(tuple(sizes), index_masks(sorted(indices), sizes[-1]))
 
 
 def write_atomic(path: str | Path, text: str) -> None:

@@ -41,6 +41,7 @@ from zng.hypergraph import (
     index_masks,
     pattern_count,
     prefix_ranks,
+    set_bits,
     write_atomic,
 )
 
@@ -126,8 +127,7 @@ def exhaustive_z(query: ZQuery) -> ZResult:
         if not any(mask & pattern == pattern for pattern in patterns):
             best = mask.bit_count()
             best_mask = mask
-    best_edges = [edge for i, edge in enumerate(pot) if best_mask >> i & 1]
-    witness = RPartiteHypergraph(query.m_list, best_edges)
+    witness = RPartiteHypergraph(query.m_list, index_masks(set_bits(best_mask), query.m_list[-1]))
     return ZResult(query=query, z=best, witness=witness, nodes=nodes)
 
 
@@ -253,7 +253,7 @@ def exact_z(query: ZQuery, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
         raise BudgetError(f"{int_text(n)} potential edges exceed the search cap {edge_cap}")
     best, best_bits, nodes = _search(query)
     edges = [pos for pos, bit in enumerate(best_bits) if bit]  # sorted edge indices
-    witness = RPartiteHypergraph.from_masks(query.m_list, index_masks(edges, query.m_list[-1]))
+    witness = RPartiteHypergraph(query.m_list, index_masks(edges, query.m_list[-1]))
     return ZResult(query=query, z=best, witness=witness, nodes=nodes)
 
 

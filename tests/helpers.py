@@ -150,6 +150,45 @@ def agreement_set(field, basis, fs, point_budget: int = DEFAULT_POINT_BUDGET) ->
     }
 
 
+# ----------------------------------------------------------------------
+# graphs from edge lists, and the mask-table contract the constructor trusts
+# ----------------------------------------------------------------------
+
+def edge_graph(part_sizes, edges) -> RPartiteHypergraph:
+    """The graph of an edge list, each edge's bit ORed into its prefix's mask.
+
+    Every edge must have one index per part, each in range, and be new.
+    This uses neither hypergraph.index_masks nor the parser, so a test that
+    compares either with it has two independent sides.
+    """
+    part_sizes = tuple(part_sizes)
+    masks: dict[int, int] = {}
+    for edge in edges:
+        assert len(edge) == len(part_sizes), f"edge {edge} has the wrong arity"
+        assert all(0 <= v < m for v, m in zip(edge, part_sizes)), f"edge {edge} out of range"
+        rank = 0
+        for v, m in zip(edge[:-1], part_sizes):
+            rank = rank * m + v
+        mask = masks.get(rank, 0)
+        assert not mask >> edge[-1] & 1, f"duplicate edge {edge}"
+        masks[rank] = mask | 1 << edge[-1]
+    return RPartiteHypergraph(part_sizes, dict(sorted(masks.items())))
+
+
+def check_trusted_table(graph: RPartiteHypergraph) -> None:
+    """Assert that graph's mask table keeps the contract the constructor trusts.
+
+    Ranks are ints, ascending and in [0, m_1 * ... * m_{r-1}); masks are
+    nonzero and below 1 << m_r.
+    """
+    ranks = list(graph.masks)
+    assert all(type(rank) is int for rank in ranks), ranks
+    assert ranks == sorted(ranks), ranks
+    assert all(0 <= rank < math.prod(graph.part_sizes[:-1]) for rank in ranks), ranks
+    full = 1 << graph.part_sizes[-1]
+    assert all(0 < mask < full for mask in graph.masks.values()), graph.masks
+
+
 def naive_count(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> int:
     """All-subsets ordered pattern counter; no neighborhood tricks."""
     edge_set = set(H.edges)
@@ -278,7 +317,7 @@ def graphs_with_sides(draw, min_r: int = 1, max_r: int = 4):
     cells = list(itertools.product(*(range(m) for m in part_sizes)))
     edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
     s_list = tuple(draw(st.integers(1, m + 1)) for m in part_sizes)
-    return RPartiteHypergraph(part_sizes, edges), s_list
+    return edge_graph(part_sizes, edges), s_list
 
 
 @st.composite
@@ -287,18 +326,18 @@ def bipartite_graphs(draw):
     part_sizes = (draw(st.integers(0, 7)), draw(st.integers(0, 7)))
     cells = list(itertools.product(*map(range, part_sizes)))
     edges = draw(st.lists(st.sampled_from(cells), unique=True)) if cells else []
-    return RPartiteHypergraph(part_sizes, edges), draw(st.integers(1, part_sizes[0] + 1))
+    return edge_graph(part_sizes, edges), draw(st.integers(1, part_sizes[0] + 1))
 
 
 # bipartite_graphs examples on both sides of the cost rule
 R2_EXAMPLES = [
-    (RPartiteHypergraph((6, 5), []), 2),  # co-degree, with every size 0
+    (edge_graph((6, 5), []), 2),  # co-degree, with every size 0
     (complete_graph((4, 4)), 2),  # blocks
-    (RPartiteHypergraph((7, 7), [(0, 0), (1, 0), (2, 0), (3, 1), (5, 1), (6, 6)]), 2),
-    (RPartiteHypergraph((7, 4), [(0, 0), (1, 0), (2, 0), (4, 0), (6, 3)]), 3),
-    (RPartiteHypergraph((6, 3), [(0, 0), (4, 0)]), 1),  # s = 1, co-degree
+    (edge_graph((7, 7), [(0, 0), (1, 0), (2, 0), (3, 1), (5, 1), (6, 6)]), 2),
+    (edge_graph((7, 4), [(0, 0), (1, 0), (2, 0), (4, 0), (6, 3)]), 3),
+    (edge_graph((6, 3), [(0, 0), (4, 0)]), 1),  # s = 1, co-degree
     (complete_graph((3, 3)), 1),  # s = 1, blocks
-    (RPartiteHypergraph((2, 3), [(0, 0), (1, 0)]), 3),  # s > m_1: no pattern
+    (edge_graph((2, 3), [(0, 0), (1, 0)]), 3),  # s > m_1: no pattern
 ]
 
 
@@ -330,7 +369,7 @@ def random_graph(
         for cell in itertools.product(*(range(m) for m in part_sizes))
         if rng.random() < density
     ]
-    return RPartiteHypergraph(part_sizes, edges)
+    return edge_graph(part_sizes, edges)
 
 
 def check_field_axioms(field) -> None:
@@ -439,7 +478,7 @@ def reference_graph(params, polys) -> RPartiteHypergraph:
             for coord in (*x, evaluate(params.field, basis, f, x)):
                 vertex = vertex * params.q + ref.index[coord]
             edges.append((*position, vertex))
-    return RPartiteHypergraph((*params.m_list, params.n), edges)
+    return edge_graph((*params.m_list, params.n), edges)
 
 
 def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction:
@@ -460,7 +499,7 @@ def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction
     else:
         t_a = Fraction(0)
         for v in range(H.part_sizes[-1]):
-            link = RPartiteHypergraph(H.part_sizes[:-1], [e[:-1] for e in H.edges if e[-1] == v])
+            link = edge_graph(H.part_sizes[:-1], [e[:-1] for e in H.edges if e[-1] == v])
             t_a += reference_jensen(link, s_list[:-1])
     return choices * gen_binom(t_a / choices, s_list[-1])
 

@@ -19,6 +19,7 @@ from helpers import (
     advice_kind,
     agreement_set,
     check_field_axioms,
+    check_trusted_table,
     logged_advice,
     naive_count,
     random_graph,
@@ -65,6 +66,7 @@ def test_acceptance_1_construction_identity():
             assert params.n == q * q
             assert result.graph.part_sizes == (m, params.n)
             assert result.graph.num_edges == m * q, (q, result.graph.num_edges)
+            check_trusted_table(result.graph)
             # m * q is m * n^(1 - 1/s_1) exactly since n is a perfect square
             assert (m * q) ** 2 == m * m * params.n
             assert elapsed <= 10.0, (q, elapsed)

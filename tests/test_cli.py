@@ -466,6 +466,16 @@ def test_integers_past_the_digit_limit_are_budget_errors(tmp_path, capsys):
     code, status = run_cli(["oracle", "--m", ones + "x", "--s", "1"], capsys)
     assert code == 2 and status["error"] == "usage"
     assert status["reason"].startswith("--m: m needs an integer, got '111")
+    # so is an integer of a graph file, in its header or in an edge
+    graph = tmp_path / "g.zng"
+    for text, where in ((f"zng 2 2 {ones}\n", "line 1: header field"),
+                        (f"zng 2 2 3\n{ones} 0\n", "line 2: edge field")):
+        graph.write_text(text)
+        argv = ["verify", "--graph", str(graph), "--s", "1", "--t", "1", "--out", str(out)]
+        code, status = run_cli(argv, capsys)
+        assert code == 3, text[:12]
+        assert status == {"error": "budget", "reason": f"{where} {limit} an integer may have"}
+        assert not out.exists()
 
 
 def test_help_is_asked_only_where_a_flag_can_stand(tmp_path, capsys, monkeypatch):
@@ -693,6 +703,24 @@ def test_module_entry_point_usage():
     )
     assert helped.returncode == 0
     assert "construct" in helped.stdout and "sweep" in helped.stdout
+
+
+def test_a_closed_stdout_ends_the_run_quietly(tmp_path):
+    # stdout is a pipe whose reader has gone: help and the status line are
+    # lost, but the run keeps its exit code and its files
+    for argv in (["oracle", "-h"], ["oracle", "--m", "2", "--s", "1", "--out", str(tmp_path)]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "zng.cli", *argv], stdout=write, stderr=subprocess.PIPE,
+                text=True, env=CHILD_ENV, timeout=60,
+            )
+        finally:
+            os.close(write)
+        assert done.returncode == 0, done.stderr
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
+    assert (tmp_path / "oracle.tsv").read_text().startswith("query\tz\tnodes\twitness\n")
 
 
 def test_field_orders_above_the_cap_exit_3_at_once(tmp_path):

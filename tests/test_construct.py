@@ -12,6 +12,8 @@ from helpers import (
     OVER_CAPACITY,
     advice_kind,
     certificates,
+    check_trusted_table,
+    edge_graph,
     flat_blocks,
     graphs_with_sides,
     reference_certificate_text,
@@ -28,10 +30,10 @@ from zng.construct import (
     sequential_select,
 )
 from zng.errors import BudgetError, ConstructionError
-from zng.hypergraph import RPartiteHypergraph, complete_graph
+from zng.hypergraph import complete_graph
 from zng.seeds import derive_seed
 
-C6 = RPartiteHypergraph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+C6 = edge_graph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
 
 
 # ----------------------------------------------------------------------
@@ -403,7 +405,8 @@ def test_family_graph_equals_the_validated_graph(shape):
     s_list, t, q, m_list, retries = shape
     params = _params(s_list, t, q, m_list)
     graph = build(params, 20260819, position_retry_cap=retries).graph
-    validated = RPartiteHypergraph(graph.part_sizes, graph.edges)
+    check_trusted_table(graph)
+    validated = edge_graph(graph.part_sizes, graph.edges)
     assert graph.part_sizes == validated.part_sizes
     assert graph.edges == validated.edges  # same edges, same order
 
@@ -439,7 +442,7 @@ def test_verify_input_validation():
 
 def test_verify_budget_counts_mask_lookups():
     # one pattern, but it ANDs 1000 prefix masks: the work is above 100
-    empty = RPartiteHypergraph((1000, 3), [])
+    empty = edge_graph((1000, 3), [])
     with pytest.raises(BudgetError):
         verify_freeness(empty, (1000,), 1, pattern_budget=100)
     assert verify_freeness(empty, (1000,), 1, pattern_budget=1000).pattern_count == 1

@@ -15,6 +15,8 @@ from helpers import (
     R2_EXAMPLES,
     apply_examples,
     bipartite_graphs,
+    check_trusted_table,
+    edge_graph,
     graphs_with_sides,
     naive_count,
     random_graph,
@@ -31,7 +33,7 @@ from zng.count import (
 from zng.errors import BudgetError
 from zng.hypergraph import RPartiteHypergraph, codegree_blocks, complete_graph
 
-C6 = RPartiteHypergraph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+C6 = edge_graph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
 
 
 # ----------------------------------------------------------------------
@@ -89,7 +91,7 @@ def test_count_validation(monkeypatch):
 
 def test_declared_last_part_size_allocates_nothing():
     # a 10^8-vertex last part with no edges: memory follows the edges
-    g = RPartiteHypergraph((2, 10**8), [])
+    g = edge_graph((2, 10**8), [])
     tracemalloc.start()
     try:
         assert count_ordered(g, (1, 1)) == 0
@@ -105,7 +107,7 @@ def test_declared_last_part_size_allocates_nothing():
         ((2, 2, 2, 10**8), []),
         ((2, 2, 2, 10**8), [(1, 0, 1, 0)]),
     ]:
-        g = RPartiteHypergraph(part_sizes, edges)
+        g = edge_graph(part_sizes, edges)
         tracemalloc.start()
         try:
             report = count_report(g, (1,) * len(part_sizes))
@@ -194,7 +196,7 @@ def test_jensen_never_exceeds_exact_on_random_bipartite_40_edge_graphs():
     for _ in range(100):
         cells = list(itertools.product(range(8), range(8)))
         edges = rng.sample(cells, 40)
-        g = RPartiteHypergraph((8, 8), edges)
+        g = edge_graph((8, 8), edges)
         for s_list in ((2, 2), (2, 3), (3, 2)):
             exact = count_ordered(g, s_list)
             bound = jensen_lower_bound(g, s_list)
@@ -212,9 +214,9 @@ def test_jensen_never_exceeds_exact_on_random_instances():
 
 
 def test_jensen_handles_degenerate_parts():
-    empty = RPartiteHypergraph((3, 0), [])
+    empty = edge_graph((3, 0), [])
     assert jensen_lower_bound(empty, (2, 2)) == 0
-    lonely = RPartiteHypergraph((1,), [(0,)])
+    lonely = edge_graph((1,), [(0,)])
     assert jensen_lower_bound(lonely, (1,)) == 1 == count_ordered(lonely, (1,))
 
 
@@ -265,4 +267,8 @@ def test_count_on_complete_graphs_is_the_product_of_binomials():
 def test_jensen_matches_link_based_reference(parts, sides, density, seed):
     g = random_graph(random.Random(seed), tuple(parts), density)
     s_list = tuple(sides[: len(parts)])
-    assert jensen_lower_bound(g, s_list) == reference_jensen(g, s_list)
+    with mock.patch.object(zng.count, "RPartiteHypergraph", wraps=RPartiteHypergraph) as links:
+        bound = jensen_lower_bound(g, s_list)
+    assert bound == reference_jensen(g, s_list)
+    for call in links.call_args_list:  # the link graphs built at r >= 4
+        check_trusted_table(RPartiteHypergraph(*call.args))

@@ -15,6 +15,8 @@ from helpers import (
     R2_EXAMPLES,
     apply_examples,
     bipartite_graphs,
+    check_trusted_table,
+    edge_graph,
     flat_blocks,
     graphs_with_sides,
     random_graph,
@@ -24,6 +26,7 @@ from helpers import (
     reference_neighborhoods,
 )
 from zng import hypergraph
+from zng.errors import BudgetError
 from zng.hypergraph import (
     GraphFormatError,
     RPartiteHypergraph,
@@ -45,27 +48,10 @@ C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
 
 def test_edges_are_stored_sorted_and_counted():
-    g = RPartiteHypergraph((3, 3), reversed(C6_EDGES))
+    g = edge_graph((3, 3), reversed(C6_EDGES))
     assert g.r == 2
     assert g.edges == tuple(sorted(C6_EDGES))
     assert g.num_edges == 6
-
-
-def test_constructor_validation():
-    with pytest.raises(ValueError):
-        RPartiteHypergraph((), [])
-    with pytest.raises(ValueError):
-        RPartiteHypergraph((2, -1), [])
-    # empty parts are legal; they just admit no edges
-    assert RPartiteHypergraph((2, 0), []).num_edges == 0
-    with pytest.raises(ValueError):
-        RPartiteHypergraph((2, 2), [(0, 0, 0)])  # arity
-    with pytest.raises(ValueError):
-        RPartiteHypergraph((2, 2), [(0, 2)])  # range
-    with pytest.raises(ValueError, match=r"^edge \(0\.5, 1\): index 0\.5 is not an integer$"):
-        RPartiteHypergraph((2, 3), [(0.5, 1)])
-    with pytest.raises(ValueError):
-        RPartiteHypergraph((2, 2), [(0, 0), (0, 0)])  # duplicate
 
 
 def mask_sizes(g):
@@ -90,7 +76,7 @@ def prefix_degrees(g):
 
 
 def test_degrees_and_neighbor_masks():
-    g = RPartiteHypergraph((3, 3), C6_EDGES)
+    g = edge_graph((3, 3), C6_EDGES)
     assert mask_sizes(g) == prefix_degrees(g) == {(0,): 2, (1,): 2, (2,): 2}
     # neighbours of 0 are {0, 1} and of 1 are {1, 2}: they share one vertex
     shared = dict(flat_blocks(g, (2,)))
@@ -109,7 +95,7 @@ def test_no_patterns_build_no_mask_table():
     # s_2 > m_2 leaves no pattern, so no table of one mask per prefix is
     # built: not for 4,000,000 prefixes, nor for 10^10 declared in a file
     cases = [
-        (lambda: RPartiteHypergraph((2000, 2000, 3), []), (1, 2001)),
+        (lambda: edge_graph((2000, 2000, 3), []), (1, 2001)),
         (lambda: parse_graph("zng 3 100000 100000 3\n0 0 0\n99999 99999 2\n"), (1, 100001)),
     ]
     for make, s_list in cases:
@@ -135,7 +121,7 @@ def test_complete_graph_has_all_transversals():
 # ----------------------------------------------------------------------
 
 def test_format_is_canonical_and_parses_back():
-    g = RPartiteHypergraph((3, 3), C6_EDGES)
+    g = edge_graph((3, 3), C6_EDGES)
     text = format_graph(g)
     assert text.startswith("zng 2 3 3\n")
     assert text.endswith("\n")
@@ -148,6 +134,13 @@ def test_parse_accepts_comments_and_blank_lines():
     text = "# a comment\nzng 2 2 2\n\n0 0\n# another\n1 1\n"
     g = parse_graph(text)
     assert g.edges == ((0, 0), (1, 1))
+
+
+def test_empty_parts_are_legal_and_admit_no_edges():
+    # the first and last are read in bulk, the commented one line by line
+    for text in ("zng 2 2 0\n", "# c\nzng 2 2 0\n", "zng 3 0 2 2\n"):
+        g = parse_graph(text)
+        assert (g.num_edges, g.masks) == (0, {}), text
 
 
 PARSE_ERRORS = [
@@ -189,10 +182,10 @@ def test_parse_reports_duplicate_edge_with_first_line():
 
 
 def parse_outcome(parse, text):
-    """(part sizes, masks) of parse(text), or the text of its GraphFormatError."""
+    """(part sizes, masks) of parse(text), or the text of its GraphFormatError or BudgetError."""
     try:
         g = parse(text)
-    except GraphFormatError as err:
+    except (GraphFormatError, BudgetError) as err:
         return str(err)
     return g.part_sizes, g.masks
 
@@ -263,6 +256,8 @@ def test_bulk_reading_matches_the_line_wise_parser(case, data):
     text = format_graph(g)
     bulk = _parse_canonical(text)  # every valid canonical text is read in bulk
     assert bulk is not None
+    check_trusted_table(bulk)
+    check_trusted_table(_parse_lines(text))
     assert (bulk.part_sizes, bulk.masks) == parse_outcome(_parse_lines, text)
     assert list(bulk.masks) == sorted(bulk.masks)
     # a few edits: parse_graph still gives the line-wise graph or complaint
@@ -311,7 +306,7 @@ part_sizes_st = st.lists(st.integers(1, 4), min_size=1, max_size=3).map(tuple)
 def test_random_graphs_round_trip_through_text(part_sizes, data):
     cells = list(itertools.product(*(range(m) for m in part_sizes)))
     edges = data.draw(st.lists(st.sampled_from(cells), unique=True, max_size=len(cells)))
-    g = RPartiteHypergraph(part_sizes, edges)
+    g = edge_graph(part_sizes, edges)
     again = parse_graph(format_graph(g))
     assert again == g
     assert format_graph(again) == format_graph(g)
@@ -335,7 +330,7 @@ def test_format_graph_matches_the_edge_tuple_reference(part_sizes, density, rng)
         if rng.random() < density
     ]
     rng.shuffle(edges)
-    g = RPartiteHypergraph(part_sizes, edges)
+    g = edge_graph(part_sizes, edges)
     assert g.edges == tuple(sorted(set(edges)))
     assert g.num_edges == len(edges)
     assert format_graph(g) == reference_format_graph(g)
@@ -348,6 +343,14 @@ def test_complete_graph_masks_are_full(part_sizes):
     g = complete_graph(part_sizes)
     assert set(mask_sizes(g).values()) == {part_sizes[-1]}
     assert mask_sizes(g) == prefix_degrees(g)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple))
+def test_complete_graph_keeps_the_trusted_table(part_sizes):
+    g = complete_graph(part_sizes)
+    check_trusted_table(g)
+    assert g == edge_graph(part_sizes, itertools.product(*map(range, part_sizes)))
 
 
 def test_parse_complete_three_part_graph_text():
@@ -447,9 +450,9 @@ def test_codegree_sizes_are_the_block_kernels(case):
 
 
 def test_links_are_the_transposed_masks():
-    g = RPartiteHypergraph((3, 2, 4), [(0, 1, 3), (1, 0, 3), (2, 1, 0), (2, 1, 3)])
+    g = edge_graph((3, 2, 4), [(0, 1, 3), (1, 0, 3), (2, 1, 0), (2, 1, 3)])
     assert g.links() == {0: [5], 3: [1, 2, 5]}
-    assert RPartiteHypergraph((3, 5), []).links() == {}
+    assert edge_graph((3, 5), []).links() == {}
 
 
 @settings(max_examples=200)
@@ -461,7 +464,7 @@ def test_parsed_graph_equals_the_constructed_one(case, rng):
     lines = ["# shuffled", "zng " + " ".join(map(str, (g.r, *g.part_sizes)))]
     lines += [" ".join(map(str, e)) + rng.choice(["", "  # edge"]) for e in edges]
     parsed = parse_graph("\n".join(lines) + "\n")
-    built = RPartiteHypergraph(g.part_sizes, edges)
+    built = edge_graph(g.part_sizes, edges)
     assert parsed == built
     assert (parsed.r, parsed.part_sizes, parsed.edges) == (built.r, built.part_sizes, built.edges)
     ones = (1,) * (g.r - 1)

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import naive_count, reference_search, small_shapes
+from helpers import check_trusted_table, edge_graph, naive_count, reference_search, small_shapes
 from zng import hypergraph
 from zng.count import count_ordered
 from zng.errors import BudgetError
-from zng.hypergraph import RPartiteHypergraph
 from zng.oracle import ZQuery, _search, append_ledger, exact_z, exhaustive_z
 
 
@@ -58,7 +57,7 @@ def test_witnesses_are_pattern_free_and_optimal():
         # no pattern-free graph with one more edge exists
         cells = list(itertools.product(*(range(m) for m in m_list)))
         for extra in itertools.combinations(cells, result.z + 1):
-            g = RPartiteHypergraph(m_list, extra)
+            g = edge_graph(m_list, extra)
             assert naive_count(g, s_list) > 0
 
 
@@ -69,7 +68,7 @@ def test_witness_is_the_lexicographically_least_optimum():
     optima = [
         edges
         for edges in itertools.combinations(cells, result.z)
-        if naive_count(RPartiteHypergraph((3, 3), edges), (2, 2)) == 0
+        if naive_count(edge_graph((3, 3), edges), (2, 2)) == 0
     ]
     assert result.witness.edges == min(optima)
 
@@ -158,10 +157,12 @@ def _search_matches_exhaustion_on_every_shape(max_edges: int) -> int:
     shapes = 0
     for m_list, s_list in small_shapes(max_edges):
         query = ZQuery(m_list, s_list)
-        searched = exact_z(query)
-        assert searched.z == exhaustive_z(query).z, query.label()
-        assert searched.witness.num_edges == searched.z
-        assert naive_count(searched.witness, s_list) == 0, query.label()
+        searched, exhausted = exact_z(query), exhaustive_z(query)
+        assert searched.z == exhausted.z, query.label()
+        for witness in (searched.witness, exhausted.witness):
+            check_trusted_table(witness)
+            assert witness.num_edges == searched.z
+            assert naive_count(witness, s_list) == 0, query.label()
         shapes += 1
     return shapes
 
