@@ -225,6 +225,8 @@ def test_search_equals_reference_search_up_to_16_edges():
         ((6, 6), (2, 2), 16, 846_720),
         ((6, 6), (2, 3), 21, 2_239_243),
         ((4, 4, 2), (2, 2, 2), 25, 200_990),
+        ((5, 5), (3, 2), 16, 36_925),  # every check a group at r = 2
+        ((3, 3, 2, 2), (2, 2, 1, 2), 30, 349_686),  # four parts, a side of one
     ],
 )
 def test_stress_trees_are_pinned(m_list, s_list, z, nodes):
