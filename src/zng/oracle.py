@@ -22,8 +22,9 @@ last-part vertex pos % m_r, and the neighbour masks are a flat list indexed
 by rank.  Before the search starts, each prefix's closing patterns are
 turned, once, into their other prefix ranks: the pattern's ranks besides
 the prefix's own, which are all earlier prefixes.  The include step checks
-them inline, with no call per pattern; the exclude branch is the next turn
-of a loop, and leaf children are counted in their parent (see _search).
+them inline, with no call per pattern, and skips them while the prefix has
+fewer than s_r neighbours; the exclude branch is the next turn of a loop,
+and leaf children are counted in their parent (see _search).
 """
 
 from __future__ import annotations
@@ -142,7 +143,11 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
     of its loop and calls itself only for an include child below the last
     position; an include child at pos + 1 == n is a leaf counted where it
     is found, and an include child is never cut, because its bound is its
-    parent's.  dfs returns the number of nodes it visited.
+    parent's.  dfs returns the number of nodes it visited: itself, what its
+    include children return, and one exclude child per turn of its loop,
+    pos - first in all.  It holds the bound as stop = count + n - best,
+    capped at n, and recomputes it only where best can change: after an
+    include child returns or a leaf is found.
 
     Potential edge pos joins prefix rank pos // m_r to last-part vertex
     pos % m_r, and masks[rank] is that prefix's neighbour mask so far.  A
@@ -150,10 +155,15 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
     prefix ranks only.  One other rank o goes to singles[rank]: the new edge
     completes that pattern iff cur & masks[o] has s_r bits, where cur is
     the rank's mask with the new edge.  Longer ones go to groups[rank].
-    Their ranks are earlier prefixes, whose masks stay fixed while the
-    rank's edges are assigned, so an include at a rank with no edge yet
-    (masks[rank] == 0) ANDs each group's masks and keeps in fixed[rank]
-    those with s_r bits or more, for this and the rank's later includes.
+    An AND with cur has at most cur's bits, so an include whose cur has
+    fewer than s_r bits completes no pattern and skips every check; the
+    others try singles most recent rank first.  A group's ranks are earlier
+    prefixes, whose masks stay fixed while the rank's edges are assigned.
+    So the first include on the current path whose cur has s_r bits ANDs
+    each group's masks and keeps in fixed[rank] those with s_r bits or
+    more, for this and the rank's later includes.  An include that gives
+    the rank its first edge sets fixed[rank] to None, because the earlier
+    ranks may have changed since it was built.
     """
     sizes, s_list = query.m_list[:-1], query.s_list[:-1]
     n = query.potential_edges
@@ -165,7 +175,7 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
             tuple(o for o in prefix_ranks(pattern, sizes) if o != rank)
             for pattern in closing_patterns(prefix, s_list)
         ]
-        singles.append([ranks[0] for ranks in others if len(ranks) == 1])
+        singles.append(sorted((ranks[0] for ranks in others if len(ranks) == 1), reverse=True))
         groups.append([ranks for ranks in others if len(ranks) != 1])
     # per position: rank, last-part bit, the rank's checks, index in bits
     at = [
@@ -175,7 +185,7 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
     ]
     starts = [pos % block == 0 for pos in range(n)]
     masks = [0] * len(singles)
-    fixed = [[] for _ in groups]
+    fixed = [None] * len(groups)
     everyone = (1 << m_last) - 1  # a group's AND starts from every last-part vertex
     # bits[block + pos] is edge pos; the leading ones let the first block
     # read its previous block's bit at bits[pos] like every other
@@ -184,24 +194,29 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
 
     def dfs(pos: int, count: int, tight: bool) -> int:
         nonlocal best, best_bits
-        nodes = 1
-        while pos < n:
-            if count + n - pos <= best:
-                return nodes
+        first, nodes = pos, 1
+        stop = n if count > best else count + n - best  # the bound cuts at pos >= stop
+        while pos < stop:
             # tight: this first-part block equals the previous one so far, so
             # it may not set a bit the previous block left clear
-            prev_bit = bits[pos]
             if starts[pos]:
                 tight = True
-            if prev_bit or not tight:  # include first; it keeps tight
-                rank, vbit, single, group, here = at[pos]
-                old = masks[rank]
-                cur = old | vbit
+            if tight and not bits[pos]:
+                pos += 1  # no include; the exclude child keeps tight
+                continue
+            rank, vbit, single, group, here = at[pos]  # include first; it keeps tight
+            old = masks[rank]
+            cur = old | vbit
+            if not old:
+                fixed[rank] = None  # the earlier ranks may have changed
+            closes = cur.bit_count() >= s_last  # else no AND with cur has s_last bits
+            if closes:
                 for o in single:
                     if (cur & masks[o]).bit_count() >= s_last:
                         break  # the edge completes a pattern
                 else:
-                    if group and not old:
+                    ands = fixed[rank]
+                    if ands is None:
                         ands = fixed[rank] = []
                         for others in group:
                             common = everyone
@@ -211,26 +226,28 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
                                     break
                             if common.bit_count() >= s_last:
                                 ands.append(common)
-                    for common in fixed[rank]:
+                    for common in ands:
                         if (cur & common).bit_count() >= s_last:
                             break
                     else:
-                        if pos + 1 < n:
-                            masks[rank] = cur
-                            bits[here] = 1
-                            nodes += dfs(pos + 1, count + 1, tight)
-                            bits[here] = 0
-                            masks[rank] = old
-                        else:
-                            nodes += 1
-                            if count >= best:
-                                best, best_bits = count + 1, bits[block:-1] + [1]
-            nodes += 1  # the exclude child, visited by the next turn
+                        closes = False
+            if not closes:
+                if pos + 1 < n:
+                    masks[rank] = cur
+                    bits[here] = 1
+                    nodes += dfs(pos + 1, count + 1, tight)
+                    bits[here] = 0
+                    masks[rank] = old
+                else:
+                    nodes += 1
+                    if count >= best:
+                        best, best_bits = count + 1, bits[block:-1] + [1]
+                stop = n if count > best else count + n - best
             pos += 1
-            tight = tight and not prev_bit
-        if count > best:
+            tight = False  # the previous block's bit was set, or tight was off
+        if pos == n and count > best:  # a leaf, not a cut by the bound
             best, best_bits = count, bits[block:]
-        return nodes
+        return nodes + pos - first  # each turn visited an exclude child
 
     nodes = dfs(0, 0, False)
     return best, best_bits, nodes
