@@ -67,11 +67,13 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse the flat key=value form.
 
     Raises:
-        ValueError: malformed line, unknown key, or non-integer value where
-            one is required; messages carry 1-based line numbers.
+        ValueError: malformed line, unknown key, a key the mode does not
+            take (MODE_KEYS; checked once the mode is known), or non-integer
+            value where one is required; messages carry 1-based line numbers.
         BudgetError: an integer with more digits than int() reads.
     """
     values: dict[str, object] = {}
+    key_lines: dict[str, int] = {}  # each key -> the first line that sets it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -80,8 +82,15 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, item = line.partition("=")
         _set_key(values, key.strip(), item.strip(), f"line {lineno}")
-    if "mode" not in values:
+        key_lines.setdefault(key.strip(), lineno)
+    mode = values.get("mode")
+    if mode is None:
         raise ValueError("config is missing the mode key")
+    if mode in MODE_KEYS:  # else validate names the unknown mode
+        taken = ("mode", *COMMON_KEYS, *sum(MODE_KEYS[mode], ()))
+        for key, lineno in key_lines.items():
+            if key not in taken:
+                raise ValueError(f"line {lineno}: mode {mode} takes no key {key!r}")
     return ExperimentConfig(**values)
 
 

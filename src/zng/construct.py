@@ -8,13 +8,14 @@ every complete pattern it completes has an agreement set of fewer than t
 points, so the forbidden complete pattern with t last-part vertices can
 never appear.  That size is the popcount of the AND of the tuples'
 last-part neighbour masks (mpoly.graph_mask, read from monomial rows that
-are computed once per selection).  Those masks, one per tuple in rank order,
-are the emitted graph's mask table as they stand: the graph's edges are
-derived from them, never built here.  A final exhaustive verification pass
-(certify.verify_freeness) certifies the result independently of how the
-family was chosen.  A polynomial is its tuple of coefficients, field element
-indices 0..q-1 on PolyFamily.basis; the certificate (PolyFamily.to_dict)
-writes each as its residue tuple, constant term first (gf.Field.residues).
+build computes once and every restart reads).  Those masks, one per tuple
+in rank order, are the emitted graph's mask table as they stand: the
+graph's edges are derived from them, never built here.  A final exhaustive
+verification pass (certify.verify_freeness) certifies the result
+independently of how the family was chosen.  A polynomial is its tuple of
+coefficients, field element indices 0..q-1 on PolyFamily.basis; the
+certificate (PolyFamily.to_dict) writes each as its residue tuple, constant
+term first (gf.Field.residues).
 
 Derived quantities (polynomial degree, tuple capacity) use exact integer
 root-and-floor arithmetic throughout; no floating point touches anything
@@ -45,6 +46,7 @@ from zng.hypergraph import (
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
     MonomialBasis,
+    MonomialRows,
     basis_size,
     graph_mask,
     monomial_basis,
@@ -140,8 +142,8 @@ class ConstructionParams(NamedTuple):
         return None
 
     def to_dict(self) -> dict:
-        """The fields, with the Field object as its to_dict."""
-        return {**self._asdict(), "field": self.field.to_dict()}
+        """The fields, with the field as its _asdict()."""
+        return {**self._asdict(), "field": self.field._asdict()}
 
 
 def derive_params(
@@ -250,7 +252,7 @@ class PolyFamily(NamedTuple):
     def to_dict(self) -> dict:
         return {
             "basis": {"num_vars": self.basis.num_vars, "max_degree": self.basis.max_degree},
-            "field": self.field.to_dict(),
+            "field": self.field._asdict(),
             "polys": [
                 {
                     "tuple": list(pos),
@@ -263,23 +265,11 @@ class PolyFamily(NamedTuple):
         }
 
 
-def _check_select_args(
-    params: ConstructionParams, position_retry_cap: int, point_budget: int
-) -> None:
-    if position_retry_cap < 1:
-        raise ValueError(f"position_retry_cap must be >= 1, got {position_retry_cap}")
-    points = params.q ** (params.s_total - 1)
-    if points > point_budget:
-        raise BudgetError(
-            f"evaluation domain has {int_text(points)} points, above the budget {point_budget}",
-        )
-
-
 def sequential_select(
     params: ConstructionParams,
+    rows: MonomialRows,
     seed: int,
     position_retry_cap: int = DEFAULT_POSITION_RETRY_CAP,
-    point_budget: int = DEFAULT_POINT_BUDGET,
 ) -> PolyFamily:
     """Pick the polynomial family greedily, one tuple position at a time.
 
@@ -289,22 +279,20 @@ def sequential_select(
     more points.  Rejection resamples the same position, up to
     position_retry_cap draws.
 
-    The domain's monomial values are computed once per call
+    rows holds the domain's monomial values on params' basis and field
     (mpoly.monomial_rows), and each closing pattern's AND of already-chosen
-    masks once per position, so a candidate costs one graph_mask over those
-    rows plus one AND and popcount per pattern; the popcount is the
-    pattern's agreement-set size.
+    masks is taken once per position, so a candidate costs one graph_mask
+    over those rows plus one AND and popcount per pattern; the popcount is
+    the pattern's agreement-set size.
 
     Raises:
         ValueError: position_retry_cap below 1.
-        BudgetError: the evaluation domain has more than point_budget points.
         ConstructionError: some position exhausted its retries; the message
             names the position and the violating pattern.
     """
-    _check_select_args(params, position_retry_cap, point_budget)
+    if position_retry_cap < 1:
+        raise ValueError(f"position_retry_cap must be >= 1, got {position_retry_cap}")
     rng = random.Random(seed)
-    basis = monomial_basis(params.s_total - 1, params.degree)
-    rows = monomial_rows(basis, params.field)
     chosen: dict[tuple[int, ...], tuple[int, ...]] = {}
     masks: list[int] = []  # indexed by position rank, as positions come in lex order
     resamples = 0
@@ -316,7 +304,7 @@ def sequential_select(
         ]
         last_violation: tuple[Pattern, int] | None = None
         for _ in range(position_retry_cap):
-            candidate = random_poly(basis, params.field, rng)
+            candidate = random_poly(rows.basis, params.field, rng)
             mask = graph_mask(candidate, rows)
             sizes = ((pattern, (common & mask).bit_count()) for pattern, common in closing)
             last_violation = next((v for v in sizes if v[1] >= params.t), None)
@@ -332,13 +320,7 @@ def sequential_select(
                 f"last violating pattern {pattern} agreed on {size} >= {params.t} points",
                 attempts=[(seed, len(chosen), position, pattern)],
             )
-    return PolyFamily(
-        field=params.field,
-        basis=basis,
-        polys=chosen,
-        masks=masks,
-        resamples=resamples,
-    )
+    return PolyFamily(params.field, rows.basis, chosen, masks, resamples)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +345,8 @@ def build(
 
     The whole run is a function of (params, seed): selection attempts use
     sub-seeds derived from the master seed with role labels ("restart", i),
-    so outputs are bit-identical across reruns.
+    so outputs are bit-identical across reruns.  The basis and the monomial
+    rows are made once, after the checks, and every restart reads them.
 
     Raises:
         ValueError: position_retry_cap or restart_cap below 1.
@@ -374,16 +357,21 @@ def build(
     """
     if restart_cap < 1:
         raise ValueError(f"restart_cap must be >= 1, got {restart_cap}")
-    _check_select_args(params, position_retry_cap, point_budget)
+    if position_retry_cap < 1:
+        raise ValueError(f"position_retry_cap must be >= 1, got {position_retry_cap}")
+    points = params.q ** (params.s_total - 1)
+    if points > point_budget:
+        raise BudgetError(
+            f"evaluation domain has {int_text(points)} points, above the budget {point_budget}",
+        )
     pattern_count(params.m_list, params.s_list, pattern_budget)
+    rows = monomial_rows(monomial_basis(params.s_total - 1, params.degree), params.field)
     attempts: list[tuple] = []
     family: PolyFamily | None = None
     for restart in range(restart_cap):
         sub_seed = derive_seed(seed, "restart", restart)
         try:
-            selected = sequential_select(
-                params, sub_seed, position_retry_cap, point_budget
-            )
+            selected = sequential_select(params, rows, sub_seed, position_retry_cap)
         except ConstructionError as err:
             attempts.extend(err.attempts)
             continue

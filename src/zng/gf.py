@@ -12,10 +12,10 @@ DEFAULT_ORDER_CAP = 2^16.
 Field.int_arith is the arithmetic: a log/antilog pair for the first
 primitive element, and an integer field sum that is (a + b) mod p in a prime
 field, XOR when p = 2, and goes through a Zech-log table otherwise.  Every
-table has O(q) entries and is built on first use, so code that never
-evaluates a polynomial family never pays for it.  The residue product that
-builds the tables runs only there; certificates write each coefficient as
-its residue tuple.
+table has O(q) entries.  A Field is a plain value and keeps no tables:
+mpoly.monomial_rows builds them once per build, so code that never evaluates
+a polynomial family never pays for them.  Certificates write each
+coefficient as its residue tuple.
 """
 
 from __future__ import annotations
@@ -64,25 +64,19 @@ def _poly_rem(num: list[int], div: tuple[int, ...] | list[int], p: int) -> list[
     return [c % p for c in rem]
 
 
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Exhaustive factor check: no monic divisor of degree 1..deg/2."""
-    degree = len(poly) - 1
-    for deg in range(1, degree // 2 + 1):
-        for tail in itertools.product(range(p), repeat=deg):
-            if not any(_poly_rem(poly, [*tail, 1], p)):
-                return False
-    return True
-
-
 def _smallest_irreducible(p: int, k: int) -> tuple[int, ...]:
     """Lexicographically smallest monic irreducible of degree k over GF(p).
 
     Candidates are monic with lower coefficients (c_0, ..., c_{k-1}) scanned
-    in lexicographic order, so the result is canonical for every (p, k).
+    in lexicographic order, so the result is canonical for every (p, k).  A
+    candidate is irreducible iff no monic divisor of degree 1..k/2 leaves a
+    zero remainder, which exhaustive trial division checks.
     """
+    tails = (itertools.product(range(p), repeat=deg) for deg in range(1, k // 2 + 1))
+    divisors = [[*tail, 1] for tail in itertools.chain.from_iterable(tails)]
     for lower in itertools.product(range(p), repeat=k):
         candidate = [*lower, 1]
-        if _is_irreducible(candidate, p):
+        if all(any(_poly_rem(candidate, divisor, p)) for divisor in divisors):
             return tuple(candidate)
     raise AssertionError(f"no irreducible of degree {k} over GF({p})")
 
@@ -105,7 +99,7 @@ class IntArith(NamedTuple):
     total: Callable[[Iterable[int]], int]
 
 
-class Field:
+class Field(NamedTuple):
     """GF(p^k) on the element indices 0..q-1.
 
     Element a is the polynomial in x whose residues mod p, constant term
@@ -114,37 +108,28 @@ class Field:
     Attributes:
         p: field characteristic (prime).
         k: extension degree, q = p**k.
-        q: field order.
         modulus: monic degree-k reduction polynomial as a coefficient tuple
             from the constant term up; None exactly when k == 1.
     """
 
-    __slots__ = ("p", "k", "q", "modulus", "_arith")
+    p: int
+    k: int
+    modulus: tuple[int, ...] | None
 
-    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None):
-        self.p = p
-        self.k = k
-        self.q = p**k
-        self.modulus = modulus
-        self._arith: IntArith | None = None
+    @property
+    def q(self) -> int:
+        """The field order p**k."""
+        return self.p**self.k
 
     def residues(self, a: int) -> tuple[int, ...]:
         """The k residues of element a, constant term first."""
-        digits = []
-        for _ in range(self.k):
-            a, c = divmod(a, self.p)
-            digits.append(c)
-        return tuple(reversed(digits))
+        p = self.p
+        return tuple(a // p**i % p for i in range(self.k - 1, -1, -1))
 
     def int_arith(self) -> IntArith:
-        """The integer tables of this field, built on the first call."""
-        if self._arith is None:
-            self._arith = self._build_int_arith()
-        return self._arith
-
-    def _build_int_arith(self) -> IntArith:
-        p, k, q, n = self.p, self.k, self.q, self.q - 1
-        one = q // p  # residues (1, 0, ..., 0)
+        """The integer tables of this field, built anew on every call."""
+        p, k, q = self.p, self.k, self.q
+        n, one = q - 1, q // p  # one has residues (1, 0, ..., 0)
         residues, modulus = self.residues, self.modulus
 
         def times(a: int, b: int) -> int:
@@ -205,27 +190,6 @@ class Field:
                         acc = exp[la + zech[log[b] - la]]
                 return acc
         return IntArith(log, exp, total)
-
-    # -- serialization and plumbing -------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "k": self.k,
-            "modulus": list(self.modulus) if self.modulus is not None else None,
-        }
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Field)
-            and (self.p, self.k, self.modulus) == (other.p, other.k, other.modulus)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.k, self.modulus))
-
-    def __repr__(self) -> str:
-        return f"Field(GF({self.q}))"
 
 
 def make_field(q: int) -> Field:

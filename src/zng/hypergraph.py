@@ -51,6 +51,7 @@ from typing import Iterable, Iterator, Sequence
 from zng.errors import BudgetError, ZngError, int_text, parse_int
 
 DEFAULT_PATTERN_BUDGET = 1_000_000
+DEFAULT_MASK_BIT_CAP = 1 << 32  # bits over all of a mask table's masks
 
 _ONE = re.compile("1")
 _CANONICAL_BODY = str.maketrans("", "", "0123456789 \n")  # deletes what format_graph writes
@@ -214,17 +215,26 @@ def index_masks(indices: Sequence[int], m_last: int) -> dict[int, int]:
     """The mask table of sorted, distinct edge indices, prefix rank * m_r + v.
 
     Each mask is set bit by bit in a bytearray and read once, as ORing a bit
-    into an int would copy the whole int.
+    into an int would copy the whole int.  A BudgetError comes first, before
+    any allocation, if the masks' widths sum to over DEFAULT_MASK_BIT_CAP bits.
     """
-    masks, lo = {}, 0
+    runs, lo = [], 0  # (the rank's first index, its slice of indices)
     while lo < len(indices):
-        base = indices[lo] - indices[lo] % m_last  # the rank's first index
+        base = indices[lo] - indices[lo] % m_last
         hi = bisect.bisect_left(indices, base + m_last, lo)
+        runs.append((base, lo, hi))
+        lo = hi
+    bits = sum(indices[hi - 1] - base + 1 for base, _, hi in runs)
+    if bits > DEFAULT_MASK_BIT_CAP:
+        raise BudgetError(
+            f"the mask table needs {int_text(bits)} bits, above the cap {DEFAULT_MASK_BIT_CAP}"
+        )
+    masks = {}
+    for base, lo, hi in runs:
         buf = bytearray((indices[hi - 1] - base >> 3) + 1)
         for v in map(base.__rsub__, indices[lo:hi]):
             buf[v >> 3] |= 1 << (v & 7)
         masks[base // m_last] = int.from_bytes(buf, "little")
-        lo = hi
     return masks
 
 

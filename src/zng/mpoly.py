@@ -11,9 +11,9 @@ where coefficients are checked; several polynomials agree on as many
 points as the AND of their masks has bits.
 
 graph_mask reads the monomial values of the domain F_q^num_vars, whose
-points are numbered lexicographically in element order, from MonomialRows,
-which monomial_rows computes once per (basis, field) as discrete logs
-(gf.Field.int_arith).  A candidate's value at point i is then
+points are numbered lexicographically in element order, from MonomialRows:
+discrete logs and the field's tables (gf.Field.int_arith), built once per
+build by monomial_rows.  A candidate's value at point i is then
 sum_j c_j * row_i[j]: one antilog lookup per term and one integer field sum
 per point.  The per-point references (evaluate, agreement_set) live in
 tests/helpers.py and run on residue tuples.
@@ -28,7 +28,7 @@ from random import Random
 from typing import Iterator, NamedTuple
 
 from zng.errors import BudgetError
-from zng.gf import Field
+from zng.gf import Field, IntArith
 
 DEFAULT_BASIS_CAP = 100_000
 DEFAULT_POINT_BUDGET = 1 << 20
@@ -92,19 +92,22 @@ def random_poly(basis: MonomialBasis, field: Field, rng: Random) -> tuple[int, .
     The draw consumes exactly one randrange(q) per monomial, in basis order,
     so a seeded rng reproduces the same polynomial bit for bit.
     """
-    return tuple(rng.randrange(field.q) for _ in range(len(basis.exponents)))
+    q = field.q
+    return tuple(rng.randrange(q) for _ in range(len(basis.exponents)))
 
 
 class MonomialRows(NamedTuple):
     """Every basis monomial at every domain point, as discrete logs.
 
-    logs[i][j] is the log (in field.int_arith()) of monomial j of basis at
-    the i-th point of F_q^num_vars in lexicographic order; a zero value has
-    the zero log.  graph_mask reads coefficient tuples on this basis and field.
+    arith is field.int_arith(), and logs[i][j] is the log (in arith) of
+    monomial j of basis at the i-th point of F_q^num_vars in lexicographic
+    order; a zero value has the zero log.  graph_mask reads coefficient
+    tuples on this basis and field.
     """
 
     field: Field
     basis: MonomialBasis
+    arith: IntArith
     logs: list[list[int]]
 
 
@@ -115,7 +118,8 @@ def monomial_rows(basis: MonomialBasis, field: Field) -> MonomialRows:
     coordinate with e_v > 0 is zero.  Zero coordinates get a stand-in log
     larger than any sum of nonzero ones, so one sum decides both cases.
     """
-    log = field.int_arith().log
+    arith = field.int_arith()
+    log = arith.log
     zero, n = log[0], field.q - 1
     big = basis.max_degree * n + 1
     coords = [big if e == zero else e for e in log]
@@ -126,7 +130,7 @@ def monomial_rows(basis: MonomialBasis, field: Field) -> MonomialRows:
             e = sum(map(operator.mul, exps, point))
             row.append(e % n if e < big else zero)
         logs.append(row)
-    return MonomialRows(field, basis, logs)
+    return MonomialRows(field, basis, arith, logs)
 
 
 def graph_mask(coeffs: tuple[int, ...], rows: MonomialRows) -> int:
@@ -140,12 +144,12 @@ def graph_mask(coeffs: tuple[int, ...], rows: MonomialRows) -> int:
     Raises:
         ValueError: not one coefficient per monomial, or one outside 0..q-1.
     """
-    field, q, size = rows.field, rows.field.q, len(rows.basis.exponents)
+    q, size = rows.field.q, len(rows.basis.exponents)
     if len(coeffs) != size:
         raise ValueError(f"{len(coeffs)} coefficients for a {size}-monomial basis")
     if not 0 <= min(coeffs) <= max(coeffs) < q:  # a basis has at least one monomial
         raise ValueError(f"coefficients {coeffs} outside 0..{q - 1}")
-    log, exp, total = field.int_arith()
+    log, exp, total = rows.arith
     term = exp.__getitem__
     coeff_logs = [log[c] for c in coeffs]
     bits = bytearray((q * len(rows.logs) + 7) // 8)

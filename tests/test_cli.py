@@ -350,6 +350,21 @@ def test_bad_graph_file_is_usage_error(tmp_path, capsys):
     assert missing[0] == 2
 
 
+def test_a_graph_too_wide_to_allocate_is_a_budget_error(tmp_path, capsys):
+    huge = 10**30
+    graph = tmp_path / "big.zng"
+    graph.write_text(f"zng 2 1 {huge}\n0 {huge - 1}\n")
+    commented = tmp_path / "commented.zng"
+    commented.write_text(f"# one edge\nzng 2 1 {huge}\n0 {huge - 1}\n")
+    reason = f"the mask table needs {huge} bits, above the cap {1 << 32}"
+    for argv in (
+        ["verify", "--graph", str(graph), "--s", "1", "--t", "2"],
+        ["count", "--graph", str(commented), "--s", "1", "--s", "1"],
+    ):
+        code, status = run_cli([*argv, "--out", str(tmp_path / "o")], capsys)
+        assert code == 3 and status == {"error": "budget", "reason": reason}
+
+
 def test_budget_violation_exit_code(tmp_path, capsys):
     code, status = run_cli(
         ["oracle", "--m", "3", "--m", "3", "--s", "2", "--s", "2",
@@ -408,6 +423,25 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
         assert code == 2 and status == {"error": "usage", "reason": f"line 2: unknown key {key!r}"}
     code, status = run_cli(["construct", "--jobs", "2"], capsys)
     assert code == 2 and status == {"error": "usage", "reason": "mode construct takes no flag '--jobs'"}
+
+
+def test_config_file_keys_follow_the_mode_table(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    # the mode comes last, so the keys are checked once the file is read
+    path.write_text("m=2\nm=2\ns=2\ns=2\nq=5\nretries=4\nmode=oracle\n")
+    code, status = run_cli(["oracle", "--config", str(path), "--out", str(tmp_path)], capsys)
+    reason = "line 5: mode oracle takes no key 'q'"
+    assert code == 2 and status == {"error": "usage", "reason": reason}
+    for mode, (required, optional) in MODE_KEYS.items():
+        taken = COMMON_KEYS + required + optional
+        for key in ("s", "m", "q", "t", "seed", "out", "budget", "graph", "retries", "restarts"):
+            text = f"{key}=1\nmode={mode}\n"
+            if key in taken:
+                assert parse_config(text).mode == mode
+            else:
+                with pytest.raises(ValueError) as err:
+                    parse_config(text)
+                assert str(err.value) == f"line 1: mode {mode} takes no key {key!r}"
 
 
 # (argv, the status line's reason): parse_args's refusals

@@ -21,6 +21,7 @@ from helpers import (
     reference_neighborhoods,
     reference_select,
 )
+from zng import construct, gf
 from zng.certify import TABLE_CAP, format_certificate, verify_freeness
 from zng.construct import (
     _range_ok,
@@ -31,6 +32,7 @@ from zng.construct import (
 )
 from zng.errors import BudgetError, ConstructionError
 from zng.hypergraph import complete_graph
+from zng.mpoly import monomial_basis, monomial_rows
 from zng.seeds import derive_seed
 
 C6 = edge_graph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
@@ -307,19 +309,48 @@ def test_construction_error_names_position_and_pattern():
     assert err.value.attempts
 
 
-def test_build_budget_checks():
+def test_build_enforces_the_point_budget():
     params = _params((2,), 4, 5, (10,))
-    with pytest.raises(BudgetError):
-        build(params, seed=0, point_budget=4)  # domain has 5 points
-    with pytest.raises(BudgetError):
-        build(params, seed=0, pattern_budget=10)  # C(10,2) = 45 patterns
+    with pytest.raises(BudgetError, match="^evaluation domain has 5 points, above the budget 4$"):
+        build(params, seed=0, point_budget=4)
+    assert len(build(params, seed=0, point_budget=5).family.polys) == 10
 
 
-def test_sequential_select_enforces_the_point_budget():
+def test_build_budget_checks(monkeypatch):
+    def no_rows(*args):
+        raise AssertionError("a refused build made its monomial rows")
+
+    monkeypatch.setattr(construct, "monomial_rows", no_rows)
     params = _params((2,), 4, 5, (10,))
-    with pytest.raises(BudgetError):
-        sequential_select(params, seed=0, point_budget=4)  # domain has 5 points
-    assert len(sequential_select(params, seed=0, point_budget=5).polys) == 10
+    # each case breaks its own check and every later one, so the first check
+    # to run decides; the domain has 5 points and C(10,2) = 45 patterns
+    for kwargs, error, match in (
+        (dict(restart_cap=0, position_retry_cap=0, point_budget=4), ValueError, "restart_cap"),
+        (dict(position_retry_cap=0, point_budget=4, pattern_budget=10), ValueError,
+         "position_retry_cap"),
+        (dict(point_budget=4, pattern_budget=10), BudgetError, "evaluation domain"),
+        (dict(pattern_budget=10), BudgetError, "mask lookups"),
+    ):
+        with pytest.raises(error, match=match):
+            build(params, seed=0, **kwargs)
+
+
+def test_a_build_makes_its_rows_and_tables_once(monkeypatch):
+    """The golden restarts build: six restarts read one set of rows and tables."""
+    calls = {"monomial_rows": 0, "int_arith": 0}
+
+    def spy(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(construct, "monomial_rows", spy("monomial_rows", monomial_rows))
+    monkeypatch.setattr(gf.Field, "int_arith", spy("int_arith", gf.Field.int_arith))
+    params = _params((2,), 2, 5, (24,))
+    family = build(params, 20260819, position_retry_cap=8).family
+    assert family.restarts == 6
+    assert calls == {"monomial_rows": 1, "int_arith": 1}
 
 
 @pytest.mark.parametrize(
@@ -333,8 +364,9 @@ def test_sequential_select_enforces_the_point_budget():
 @pytest.mark.parametrize("value", [0, -1])
 def test_caps_below_one_are_rejected(select, cap, value):
     params = _params((2,), 4, 5, (10,))
+    args = (params, _rows(params)) if select is sequential_select else (params,)
     with pytest.raises(ValueError, match=cap):
-        select(params, seed=0, **{cap: value})
+        select(*args, seed=0, **{cap: value})
 
 
 # (s_list, t, q, m_list, seeds, resamples): prime and extension fields, one
@@ -350,6 +382,11 @@ SELECT_SHAPES = [
 ]
 
 
+def _rows(params):
+    """The monomial rows build makes for params."""
+    return monomial_rows(monomial_basis(params.s_total - 1, params.degree), params.field)
+
+
 def _select_outcome(select, params, seed):
     try:
         return select(params, seed)
@@ -363,7 +400,7 @@ def test_select_matches_agreement_set_reference(shape):
     params = _params(s_list, t, q, m_list)
     total_resamples = 0
     for seed in seeds:
-        family = sequential_select(params, seed)
+        family = sequential_select(params, _rows(params), seed)
         polys, resamples = reference_select(params, seed)
         assert family.polys == polys
         assert family.resamples == resamples
@@ -375,7 +412,7 @@ def test_select_matches_agreement_set_reference(shape):
 def test_select_failure_matches_reference():
     params = _params((2,), 2, 2, (5,))
     for seed in range(3):
-        fast = _select_outcome(lambda p, s: sequential_select(p, s, 8), params, seed)
+        fast = _select_outcome(lambda p, s: sequential_select(p, _rows(p), s, 8), params, seed)
         slow = _select_outcome(lambda p, s: reference_select(p, s, 8), params, seed)
         assert isinstance(fast, tuple) and fast == slow
 

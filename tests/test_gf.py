@@ -1,6 +1,7 @@
 """Finite field arithmetic: exhaustive axioms, canonical moduli, budgets."""
 
 import itertools
+import json
 import random
 import time
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import check_field_axioms, residue_field
 from zng.errors import BudgetError
 from zng.construct import derive_params
-from zng.gf import DEFAULT_ORDER_CAP, make_field
+from zng.gf import DEFAULT_ORDER_CAP, Field, make_field
 
 def _prime_powers(limit: int) -> list[tuple[int, int, int]]:
     out = []
@@ -139,11 +140,15 @@ def test_pow_edge_cases():
 
 def test_serialization_round_trip():
     field = make_field(9)
-    data = field.to_dict()
-    assert data == {"p": 3, "k": 2, "modulus": [1, 0, 1]}  # x^2 + 1
+    assert Field._fields == ("p", "k", "modulus")  # q is a property, not a key
+    text = json.dumps(field._asdict())
+    assert text == '{"p": 3, "k": 2, "modulus": [1, 0, 1]}'  # x^2 + 1
+    assert json.dumps(make_field(5)._asdict()) == '{"p": 5, "k": 1, "modulus": null}'
+    data = json.loads(text)
     clone = make_field(data["p"] ** data["k"])
-    assert clone == field
-    assert list(clone.modulus) == data["modulus"]
+    assert clone == field and hash(clone) == hash(field) and clone is not field
+    assert len({field, clone, make_field(3)}) == 2
+    assert clone.modulus == tuple(data["modulus"])
 
 
 @settings(max_examples=200)
@@ -221,14 +226,15 @@ def test_primitive_elements_are_frozen():
     assert make_field(9).int_arith().exp[1] == 4  # 1 + x, modulus x^2 + 1
 
 
-def test_make_field_builds_no_tables():
+def test_make_field_builds_no_tables(monkeypatch):
+    def no_tables(self):
+        raise AssertionError(f"tables built for GF({self.q})")
+
+    monkeypatch.setattr(Field, "int_arith", no_tables)
     for p, k in [(2, 1), (61, 1), (2, 5), (3, 3), (2, 8)]:
-        assert make_field(p**k)._arith is None
+        assert make_field(p**k).q == p**k
     params = derive_params((2,), 4, 61, (61,))
-    assert params.field._arith is None
     assert params.advice == (
         "capacity 2307640 would allow a balanced split with 2307640 vertices per part "
         "(61 tuples requested)"
     )
-    field = make_field(25)
-    assert field.int_arith() is field.int_arith()

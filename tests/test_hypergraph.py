@@ -37,6 +37,7 @@ from zng.hypergraph import (
     common_mask,
     complete_graph,
     format_graph,
+    index_masks,
     parse_graph,
     prefix_ranks,
     read_graph,
@@ -268,6 +269,30 @@ def test_bulk_reading_matches_the_line_wise_parser(case, data):
         put = data.draw(st.text(alphabet, max_size=2), label="put")
         text = text[:at] + put + text[at + cut:]
     assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
+
+
+def test_mask_widths_are_refused_before_any_allocation(monkeypatch):
+    def no_buffer(size):
+        raise AssertionError(f"a {size}-byte mask buffer was allocated")
+
+    monkeypatch.setattr(hypergraph, "bytearray", no_buffer, raising=False)
+    # three masks of 2^31 bits each: every one fits the cap, their sum does not
+    half = 1 << 31
+    text = f"zng 2 3 {half}\n" + "".join(f"{u} {half - 1}\n" for u in range(3))
+    for parse in (_parse_canonical, _parse_lines):
+        with pytest.raises(BudgetError) as err:
+            parse(text)
+        assert str(err.value) == (
+            f"the mask table needs {3 * half} bits, above the cap {hypergraph.DEFAULT_MASK_BIT_CAP}"
+        )
+
+
+def test_mask_width_cap_sums_each_mask_to_its_highest_bit(monkeypatch):
+    monkeypatch.setattr(hypergraph, "DEFAULT_MASK_BIT_CAP", 16)
+    # prefix 0 up to vertex 9 and prefix 2 up to vertex 5: 10 + 6 bits
+    assert index_masks([1, 9, 2 * 100 + 5], 100) == {0: 0b1000000010, 2: 0b100000}
+    with pytest.raises(BudgetError, match="^the mask table needs 17 bits, above the cap 16$"):
+        index_masks([1, 9, 2 * 100 + 6], 100)
 
 
 def test_file_round_trip(tmp_path):
