@@ -2,7 +2,8 @@
 
 verify_freeness works on any graph with a matching part structure,
 independently of how it was built, so `zng verify` loads only this module
-and the graph model; `construct.build` adds its inputs (seed, parameters,
+and the graph model; a table of every pattern, kept up to TABLE_CAP, is
+the block kernel's.  `construct.build` adds its inputs (seed, parameters,
 family) to the certificate it gets from here.
 """
 
@@ -127,20 +128,20 @@ def verify_freeness(
     """Exhaustively check that no ordered complete pattern reaches t.
 
     Takes every pattern's size (the common neighbourhood in the last part of
-    its s_i-subsets of parts i < r) from H.pattern_sizes, one block at a
-    time, and records the maximum and the first pattern in pattern order
-    that reaches it: the argmax starts at the first pattern, with maximum 0,
-    and moves only to a size above the maximum so far.  pattern_sizes runs
-    pattern_blocks, except at r = 2 on graphs sparse enough for its
-    co-degree route, which leaves out the patterns of size 0, so a table
-    holds 0 for every pattern left out.  Works on arbitrary graphs with
-    matching part structure, independent of how they were built.
+    its s_i-subsets of parts i < r) one block at a time, and records the
+    maximum and the first pattern in pattern order that reaches it: the
+    argmax starts at the first pattern, with maximum 0, and moves only to a
+    size above the maximum so far.  The blocks come from H.pattern_sizes,
+    which may leave out patterns of size 0, or from H.pattern_blocks, which
+    gives every pattern, where the table of at most TABLE_CAP patterns is
+    kept.  Works on arbitrary graphs with matching part structure,
+    independent of how they were built.
 
     Raises:
         BudgetError: more than pattern_budget patterns to enumerate.
     """
     if len(s_list) != H.r - 1:
-        raise ValueError(f"s_list has {len(s_list)} entries for an {H.r}-partite graph")
+        raise ValueError(f"{len(s_list)} side sizes for a {H.r}-part graph, which takes {H.r - 1}")
     if any(s < 1 for s in s_list):
         raise ValueError(f"side sizes must be >= 1, got {s_list}")
     if t < 1:
@@ -149,18 +150,12 @@ def verify_freeness(
     max_size = 0
     argmax = tuple(tuple(range(s)) for s in s_list) if patterns else None
     table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
-    for first, sizes in H.pattern_sizes(s_list):
+    for first, sizes in (H.pattern_sizes if table is None else H.pattern_blocks)(s_list):
         best = max(sizes)
         if best > max_size:
             max_size, argmax = best, block_pattern(first, sizes.index(best))
         if table is not None:
             table.extend((block_pattern(first, k), size) for k, size in enumerate(sizes))
-    if table is not None and len(table) < patterns:  # put in the left-out patterns, at 0
-        sizes_of = dict(table)
-        every = itertools.product(
-            *(itertools.combinations(range(m), s) for m, s in zip(H.part_sizes, s_list))
-        )
-        table = [(pattern, sizes_of.get(pattern, 0)) for pattern in every]
     return FreenessCertificate(
         part_sizes=H.part_sizes,
         s_list=tuple(s_list),

@@ -1,10 +1,10 @@
 """Flat key=value experiment configuration, from a file or the command line.
 
 One key per line, ``#`` starts a comment, repeated keys build up the list
-fields (s, m, q) in order.  On the command line each key is a
-``--key value`` flag after the mode, typed by the same rule.  The format is
-deliberately minimal so configs stay hand-editable and diff cleanly;
-everything a run needs is a scalar or a short integer list.
+fields (s, m, q) in order, and any other key is set once.  On the command
+line each key is a ``--key value`` flag after the mode, typed by the same
+rule.  The format is deliberately minimal so configs stay hand-editable and
+diff cleanly; everything a run needs is a scalar or a short integer list.
 """
 
 from __future__ import annotations
@@ -73,7 +73,7 @@ def parse_config(text: str) -> ExperimentConfig:
         BudgetError: an integer with more digits than int() reads.
     """
     values: dict[str, object] = {}
-    key_lines: dict[str, int] = {}  # each key -> the first line that sets it
+    first: dict[str, str] = {}  # each key -> the first line that sets it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -81,16 +81,15 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, item = line.partition("=")
-        _set_key(values, key.strip(), item.strip(), f"line {lineno}")
-        key_lines.setdefault(key.strip(), lineno)
+        _set_key(values, first, key.strip(), item.strip(), f"line {lineno}")
     mode = values.get("mode")
     if mode is None:
         raise ValueError("config is missing the mode key")
     if mode in MODE_KEYS:  # else validate names the unknown mode
         taken = ("mode", *COMMON_KEYS, *sum(MODE_KEYS[mode], ()))
-        for key, lineno in key_lines.items():
+        for key, where in first.items():
             if key not in taken:
-                raise ValueError(f"line {lineno}: mode {mode} takes no key {key!r}")
+                raise ValueError(f"{where}: mode {mode} takes no key {key!r}")
     return ExperimentConfig(**values)
 
 
@@ -112,6 +111,7 @@ def parse_args(argv: list[str]) -> ExperimentConfig | None:
         raise ValueError(f"unknown mode {mode!r}; expected one of {tuple(MODE_KEYS)}")
     flags = {f"--{key}" for key in COMMON_KEYS + ("config",) + sum(MODE_KEYS[mode], ())}
     values: dict[str, object] = {}
+    first: dict[str, str] = {}
     path = None
     for k in range(1, len(argv), 2):
         flag = argv[k]
@@ -119,18 +119,26 @@ def parse_args(argv: list[str]) -> ExperimentConfig | None:
             raise ValueError(f"mode {mode} takes no flag {flag!r}")
         if k + 1 == len(argv):
             raise ValueError(f"{flag} needs a value")
-        if flag == "--config":
+        if flag != "--config":
+            _set_key(values, first, flag[2:], argv[k + 1], flag)
+        elif path is None:
             path = argv[k + 1]
         else:
-            _set_key(values, flag[2:], argv[k + 1], flag)
+            raise ValueError(f"{flag}: a second config file {argv[k + 1]!r} after {path!r}")
     base = ExperimentConfig(mode) if path is None else read_config(path)
     if base.mode != mode:
         raise ValueError(f"config file mode {base.mode!r} does not match subcommand {mode!r}")
     return base._replace(**values)
 
 
-def _set_key(values: dict[str, object], key: str, item: str, where: str) -> None:
-    """Type one text item for key into values; a list key appends to its tuple."""
+def _set_key(values: dict[str, object], first: dict, key: str, item: str, where: str) -> None:
+    """Type item for key into values; a list key appends, any other is set once.
+
+    first maps each key to the where of its first item, which the errors name.
+    """
+    if key in values and key not in LIST_KEYS:
+        raise ValueError(f"{where}: {key} is already set by {first[key]}")
+    first.setdefault(key, where)
     if key in STR_KEYS:
         values[key] = item
         return

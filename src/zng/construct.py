@@ -6,11 +6,12 @@ polynomial of bounded total degree; the tuple is joined to the graph points
 chosen greedily in lexicographic tuple order: a candidate is kept only if
 every complete pattern it completes has an agreement set of fewer than t
 points, so the forbidden complete pattern with t last-part vertices can
-never appear.  That size is the popcount of the AND of the tuples'
-last-part neighbour masks (mpoly.graph_mask, read from monomial rows that
-build computes once and every restart reads).  Those masks, one per tuple
-in rank order, are the emitted graph's mask table as they stand: the
-graph's edges are derived from them, never built here.  A final exhaustive
+never appear.  That size is the popcount of the AND of the tuples' last-part
+neighbour masks (mpoly.graph_mask, read from monomial rows that build
+computes once and every restart reads); the pattern's other tuples come
+earlier (hypergraph.closing_patterns), so their AND is ready first.  Those
+masks, one per tuple in rank order, are the emitted graph's mask table as
+they stand: the graph's edges are derived from them.  A final exhaustive
 verification pass (certify.verify_freeness) certifies the result
 independently of how the family was chosen.  A polynomial is its tuple of
 coefficients, field element indices 0..q-1 on PolyFamily.basis; the
@@ -41,7 +42,6 @@ from zng.hypergraph import (
     closing_patterns,
     common_mask,
     pattern_count,
-    prefix_ranks,
 )
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
@@ -280,10 +280,10 @@ def sequential_select(
     position_retry_cap draws.
 
     rows holds the domain's monomial values on params' basis and field
-    (mpoly.monomial_rows), and each closing pattern's AND of already-chosen
-    masks is taken once per position, so a candidate costs one graph_mask
-    over those rows plus one AND and popcount per pattern; the popcount is
-    the pattern's agreement-set size.
+    (mpoly.monomial_rows).  Each closing pattern's other tuples are chosen
+    already, and the AND of their masks is taken once per position, so a
+    candidate costs one graph_mask over those rows plus one AND and
+    popcount per pattern; the popcount is the pattern's agreement-set size.
 
     Raises:
         ValueError: position_retry_cap below 1.
@@ -297,10 +297,9 @@ def sequential_select(
     masks: list[int] = []  # indexed by position rank, as positions come in lex order
     resamples = 0
     for position in itertools.product(*(range(m) for m in params.m_list)):
-        masks.append(-1)  # not chosen yet; every closing pattern contains it
         closing = [
-            (pattern, common_mask(masks, prefix_ranks(pattern, params.m_list), -1))
-            for pattern in closing_patterns(position, params.s_list)
+            (pattern, common_mask(masks, others))
+            for pattern, others in closing_patterns(position, params.m_list, params.s_list)
         ]
         last_violation: tuple[Pattern, int] | None = None
         for _ in range(position_retry_cap):
@@ -310,7 +309,7 @@ def sequential_select(
             last_violation = next((v for v in sizes if v[1] >= params.t), None)
             if last_violation is None:
                 chosen[position] = candidate
-                masks[-1] = mask
+                masks.append(mask)
                 break
             resamples += 1
         else:

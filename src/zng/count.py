@@ -1,7 +1,7 @@
 """Exact ordered-pattern counting and the convexity lower-bound chain.
 
 count_ordered enumerates subset choices on the first r-1 parts through
-RPartiteHypergraph.pattern_blocks, which intersects prefix neighborhoods in
+RPartiteHypergraph.pattern_sizes, which intersects prefix neighborhoods in
 the last part, and sums binomials of the intersection sizes; every number is
 an exact integer.  count_report takes the exact and the intermediate count
 (s_r = 1) from one such pass, as both enumerate the same patterns.
@@ -51,7 +51,7 @@ def gen_binom(x: Rational, s: int) -> Fraction:
 
 def _check_sides(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> None:
     if len(s_list) != H.r:
-        raise ValueError(f"s_list has {len(s_list)} entries for an {H.r}-partite graph")
+        raise ValueError(f"{len(s_list)} side sizes for a {H.r}-part graph, which takes {H.r}")
     if any(s < 1 for s in s_list):
         raise ValueError(f"pattern sizes must be >= 1, got {s_list}")
 

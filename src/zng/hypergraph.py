@@ -14,17 +14,15 @@ container is immutable by convention.
 The pattern kernel lives here too.  A pattern picks s_i vertices in each of
 the first r-1 parts; prefix_ranks numbers its transversal prefixes (for
 r = 2 they are just its one side), common_mask ANDs the masks at those
-ranks, closing_patterns lists the patterns whose lex-max prefix is a given
-one, and pattern_count sizes an enumeration and checks its mask lookups
-against a budget.  RPartiteHypergraph.pattern_sizes is the one route by
-which verification and counting get pattern sizes.  It runs
-RPartiteHypergraph.pattern_blocks, the block kernel, which folds the prefix
-masks a run of patterns shares once and yields each run's sizes as one
-list; at r = 2, on a graph where edges + sum_v C(deg v, s) < C(m_1, s), it
-runs codegree_blocks instead, which counts the s-subsets of each last-part
-vertex's neighbourhood and leaves out the patterns of size 0.  Selection
-and the oracle turn each closing pattern into its ranks once, not once per
-candidate or search node.
+ranks, pattern_count checks an enumeration's lookups against a budget, and
+closing_patterns lists the patterns whose lex-max prefix is a given one,
+each with its other (earlier) ranks for selection and the oracle to read.
+RPartiteHypergraph.pattern_blocks, the block kernel, folds the prefix
+masks a run of patterns shares once and yields every pattern's size, a run
+at a time; verify's table reads it.  pattern_sizes, read by counting and
+by verify otherwise, runs it too, except at r = 2 on a graph where
+edges + sum_v C(deg v, s) < C(m_1, s): there codegree_blocks counts the
+s-subsets of each last-part vertex's neighbourhood, leaving out size 0.
 
 Graphs serialize to a small line format:
 
@@ -46,7 +44,7 @@ import os
 import re
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from zng.errors import BudgetError, ZngError, int_text, parse_int
 
@@ -64,23 +62,22 @@ class GraphFormatError(ZngError):
     """A graph's text violates the format contract."""
 
 
-class RPartiteHypergraph:
+class RPartiteHypergraph(NamedTuple):
     """An r-partite r-graph on fixed part sizes, built from a trusted mask table.
 
     Attributes:
-        part_sizes: tuple (m_1, ..., m_r).
-        r: number of parts.
+        part_sizes: tuple (m_1, ..., m_r); the property r is their number.
         masks: dict from the lexicographic rank of each (r-1)-prefix with an
             edge to its nonzero last-part mask, bit v for vertex v, below
             1 << m_r, in ascending rank order.  Nothing here checks them.
     """
 
-    __slots__ = ("part_sizes", "r", "masks")
+    part_sizes: tuple[int, ...]
+    masks: dict[int, int]
 
-    def __init__(self, part_sizes: tuple[int, ...], masks: dict[int, int]):
-        self.part_sizes, self.r, self.masks = part_sizes, len(part_sizes), masks
-
-    # -- queries ---------------------------------------------------------
+    @property
+    def r(self) -> int:
+        return len(self.part_sizes)
 
     @property
     def num_edges(self) -> int:
@@ -171,24 +168,15 @@ class RPartiteHypergraph:
             *(itertools.combinations(range(mi), si) for mi, si in zip(outer_sizes, outer_s))
         ):
             bases = [rank * m for rank in prefix_ranks(outer, outer_sizes)]
-            column = [common_mask(masks, [base + j for base in bases], -1) for j in range(m)]
+            column = [common_mask(masks, [base + j for base in bases]) for j in range(m)]
             for head in itertools.combinations(range(m - 1), s - 1):
-                common = common_mask(column, head, -1)
+                common = common_mask(column, head)
                 start = head[-1] + 1 if head else 0
                 yield (*outer, (*head, start)), list(
                     map(int.bit_count, map(common.__and__, column[start:]))
                 )
 
-    # -- plumbing ----------------------------------------------------------
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, RPartiteHypergraph)
-            and self.part_sizes == other.part_sizes
-            and self.masks == other.masks
-        )
-
-    def __repr__(self) -> str:
+    def __repr__(self) -> str:  # no mask table: it may hold 600k edges
         return f"RPartiteHypergraph(parts={self.part_sizes}, edges={self.num_edges})"
 
 
@@ -270,12 +258,13 @@ def block_pattern(first: Pattern, k: int) -> Pattern:
     return (*outer, (*last[:-1], last[-1] + k))
 
 
-def common_mask(masks: Sequence[int], ranks: Iterable[int], common: int) -> int:
-    """common AND masks[rank] for every rank; stops early once it reaches 0.
+def common_mask(masks: Sequence[int], ranks: Iterable[int]) -> int:
+    """The AND of masks[rank] for every rank, from -1; stops early once it reaches 0.
 
     masks holds one neighbour mask per prefix, indexed by prefix rank, and
-    ranks are a pattern's prefix_ranks.
+    ranks are some of a pattern's prefix_ranks.  With no rank it is -1.
     """
+    common = -1
     for rank in ranks:
         common &= masks[rank]
         if not common:
@@ -283,12 +272,16 @@ def common_mask(masks: Sequence[int], ranks: Iterable[int], common: int) -> int:
     return common
 
 
-def closing_patterns(position: Edge, s_list: Sequence[int]) -> Iterator[Pattern]:
-    """Patterns whose lexicographically largest prefix is position.
+def closing_patterns(
+    position: Edge, part_sizes: Sequence[int], s_list: Sequence[int]
+) -> Iterator[tuple[Pattern, list[int]]]:
+    """(pattern, others) per pattern whose lexicographically largest prefix is position.
 
     A pattern picks s_i indices from part i; its lex-max prefix is the tuple
     of per-part maxima.  When prefixes are filled in lexicographic order,
-    these are the patterns that become complete at position.
+    these are the patterns that become complete at position.  others is
+    prefix_ranks(pattern, part_sizes)[:-1]: the last rank is position's own,
+    so others are the ranks of the pattern's earlier prefixes.
     """
     per_part = []
     for p_i, s_i in zip(position, s_list):
@@ -297,7 +290,8 @@ def closing_patterns(position: Edge, s_list: Sequence[int]) -> Iterator[Pattern]
         per_part.append(
             [(*rest, p_i) for rest in itertools.combinations(range(p_i), s_i - 1)]
         )
-    yield from itertools.product(*per_part)
+    for pattern in itertools.product(*per_part):
+        yield pattern, prefix_ranks(pattern, part_sizes)[:-1]
 
 
 def pattern_count(

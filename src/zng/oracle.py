@@ -19,9 +19,9 @@ such a prefix, so its common neighbourhood is empty and it cannot complete.
 The search numbers the (r-1)-prefixes by lexicographic rank
 (hypergraph.prefix_ranks), so potential edge pos is prefix pos // m_r with
 last-part vertex pos % m_r, and the neighbour masks are a flat list indexed
-by rank.  Before the search starts, each prefix's closing patterns are
-turned, once, into their other prefix ranks: the pattern's ranks besides
-the prefix's own, which are all earlier prefixes.  The include step checks
+by rank.  Before the search starts, closing_patterns gives each prefix's
+closing patterns, once, as their other prefix ranks: the pattern's ranks
+besides the prefix's own, which are all earlier.  The include step checks
 them inline, with no call per pattern, and skips them while the prefix has
 fewer than s_r neighbours; the exclude branch is the next turn of a loop,
 and leaf children are counted in their parent (see _search).
@@ -41,7 +41,6 @@ from zng.hypergraph import (
     closing_patterns,
     index_masks,
     pattern_count,
-    prefix_ranks,
     set_bits,
     write_atomic,
 )
@@ -151,8 +150,8 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
 
     Potential edge pos joins prefix rank pos // m_r to last-part vertex
     pos % m_r, and masks[rank] is that prefix's neighbour mask so far.  A
-    pattern closing at a rank contains the rank, so it is kept as its other
-    prefix ranks only.  One other rank o goes to singles[rank]: the new edge
+    pattern closing at a rank contains the rank, so closing_patterns gives
+    its other ranks.  One other rank o goes to singles[rank]: the new edge
     completes that pattern iff cur & masks[o] has s_r bits, where cur is
     the rank's mask with the new edge.  Longer ones go to groups[rank].
     An AND with cur has at most cur's bits, so an include whose cur has
@@ -170,11 +169,8 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
     block = n // query.m_list[0]
     m_last, s_last = query.m_list[-1], query.s_list[-1]
     singles, groups = [], []
-    for rank, prefix in enumerate(itertools.product(*(range(m) for m in sizes))):
-        others = [
-            tuple(o for o in prefix_ranks(pattern, sizes) if o != rank)
-            for pattern in closing_patterns(prefix, s_list)
-        ]
+    for prefix in itertools.product(*(range(m) for m in sizes)):
+        others = [ranks for _, ranks in closing_patterns(prefix, sizes, s_list)]
         singles.append(sorted((ranks[0] for ranks in others if len(ranks) == 1), reverse=True))
         groups.append([ranks for ranks in others if len(ranks) != 1])
     # per position: rank, last-part bit, the rank's checks, index in bits

@@ -222,8 +222,9 @@ def reference_closing_patterns(position, s_list, part_sizes):
     ]
 
 
-def reference_common_mask(masks, pattern, common: int) -> int:
-    """The AND over every transversal prefix, with no early exit."""
+def reference_common_mask(masks, pattern) -> int:
+    """The AND over every transversal prefix, from -1, with no early exit."""
+    common = -1
     for prefix in itertools.product(*pattern):
         common &= masks.get(prefix, 0)
     return common
@@ -244,7 +245,7 @@ def reference_neighborhoods(H: RPartiteHypergraph, s_list) -> list:
     for e in H.edges:
         masks[e[:-1]] = masks.get(e[:-1], 0) | 1 << e[-1]
     return [
-        (pattern, reference_common_mask(masks, pattern, -1).bit_count())
+        (pattern, reference_common_mask(masks, pattern).bit_count())
         for pattern in itertools.product(
             *(itertools.combinations(range(m), s) for m, s in zip(H.part_sizes, s_list))
         )
@@ -261,7 +262,9 @@ def reference_search(query) -> tuple[int, list[int], int]:
     """
     sizes, s_list = query.m_list[:-1], query.s_list[:-1]
     closing = [
-        tuple(prefix_ranks(pattern, sizes) for pattern in closing_patterns(prefix, s_list))
+        tuple(
+            prefix_ranks(pattern, sizes) for pattern, _ in closing_patterns(prefix, sizes, s_list)
+        )
         for prefix in itertools.product(*(range(m) for m in sizes))
     ]
     masks = [0] * len(closing)
@@ -292,7 +295,7 @@ def reference_search(query) -> tuple[int, list[int], int]:
             rank, v = divmod(pos, m_last)
             masks[rank] |= 1 << v
             for ranks in closing[rank]:
-                if common_mask(masks, ranks, -1).bit_count() >= s_last:
+                if common_mask(masks, ranks).bit_count() >= s_last:
                     break  # the edge completes a pattern
             else:
                 bits[pos] = 1
@@ -435,7 +438,7 @@ def reference_select(
         for _ in range(position_retry_cap):
             candidate = random_poly(basis, params.field, rng)
             last_violation = None
-            for pattern in closing_patterns(position, params.s_list):
+            for pattern, _ in closing_patterns(position, params.m_list, params.s_list):
                 fs = [
                     candidate if tup == position else chosen[tup]
                     for tup in itertools.product(*pattern)

@@ -350,6 +350,16 @@ def test_bad_graph_file_is_usage_error(tmp_path, capsys):
     assert missing[0] == 2
 
 
+def test_a_wrong_side_count_names_the_count_the_graph_takes(tmp_path, capsys):
+    graph = tmp_path / "g3.zng"
+    graph.write_text("zng 3 2 2 2\n0 0 0\n")
+    for argv, takes in ((["verify", "--t", "4"], 2), (["count"], 3)):
+        argv += ["--graph", str(graph), "--s", "2", "--out", str(tmp_path / "o")]
+        code, status = run_cli(argv, capsys)
+        reason = f"1 side sizes for a 3-part graph, which takes {takes}"
+        assert code == 2 and status == {"error": "usage", "reason": reason}
+
+
 def test_a_graph_too_wide_to_allocate_is_a_budget_error(tmp_path, capsys):
     huge = 10**30
     graph = tmp_path / "big.zng"
@@ -394,6 +404,8 @@ CONFIG_ERRORS = {
     "not-an-int": ("mode=construct\nt=four  # ?\n", "line 2: t needs an integer, got 'four'"),
     "no-mode": ("s=2\nt=4\n", "config is missing the mode key"),
     "not-positive": ("mode=construct\ns=2\nretries=0\n", "retries must be positive, got 0"),
+    "repeated-key": ("mode=construct\nt=4\ns=2\nt = 5\n", "line 4: t is already set by line 2"),
+    "repeated-mode": ("mode=construct\nmode=construct\n", "line 2: mode is already set by line 1"),
 }
 
 
@@ -457,6 +469,14 @@ ARGV_ERRORS = {
     "equals": (["construct", "--t=4"], "mode construct takes no flag '--t=4'"),
     "abbreviated": (["construct", "--ret", "3"], "mode construct takes no flag '--ret'"),
     "bare-value": (["construct", "--s", "2", "3"], "mode construct takes no flag '3'"),
+    "repeated-flag": (
+        ["construct", "--s", "2", "--t", "4", "--t", "5", "--q", "5", "--m", "3"],
+        "--t: t is already set by --t",
+    ),
+    "second-config": (
+        ["construct", "--config", "a.cfg", "--config", "b.cfg"],
+        "--config: a second config file 'b.cfg' after 'a.cfg'",
+    ),
 }
 
 

@@ -21,9 +21,12 @@ from helpers import (
     naive_count,
     random_graph,
     reference_jensen,
+    reference_neighborhoods,
 )
+import zng.certify
 import zng.count
-from zng.certify import verify_freeness
+import zng.hypergraph
+from zng.certify import TABLE_CAP, verify_freeness
 from zng.count import (
     count_ordered,
     count_report,
@@ -168,13 +171,29 @@ def test_both_r2_routes_give_the_same_certificate_and_counts(case, t, s_2):
     g, s = case
     results = {}
     for name, route in R2_ROUTES.items():
-        with mock.patch.object(RPartiteHypergraph, "pattern_sizes", route):
+        # with no table kept, verify reads pattern_sizes, and so the route
+        with (
+            mock.patch.object(RPartiteHypergraph, "pattern_sizes", route),
+            mock.patch.object(zng.certify, "TABLE_CAP", -1),
+        ):
             report = count_report(g, (s, s_2))
             results[name] = (verify_freeness(g, (s,), t), report.exact, report.intermediate)
     report = count_report(g, (s, s_2))
     assert results["codegree"] == results["blocks"]
-    assert results["blocks"] == (verify_freeness(g, (s,), t), report.exact, report.intermediate)
+    cert = verify_freeness(g, (s,), t)._replace(table=None)
+    assert results["blocks"] == (cert, report.exact, report.intermediate)
     assert report.exact == naive_count(g, (s, s_2))
+
+
+def test_a_kept_table_comes_from_the_block_kernel():
+    # a sparse r = 2 graph whose pattern_sizes takes the co-degree route
+    g, s_list = edge_graph((13, 13), [(v, v) for v in range(13)]), (3,)
+    with mock.patch.object(zng.hypergraph, "codegree_blocks", wraps=codegree_blocks) as spy:
+        assert len(list(g.pattern_sizes(s_list))) == 0 and spy.call_count == 1
+        spy.reset_mock()
+        cert = verify_freeness(g, s_list, 2)
+    assert cert.pattern_count == 286 <= TABLE_CAP and spy.call_count == 0
+    assert list(cert.table) == reference_neighborhoods(g, s_list)
 
 
 # ----------------------------------------------------------------------

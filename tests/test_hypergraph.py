@@ -48,6 +48,15 @@ from zng.hypergraph import (
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
 
+def test_the_graph_is_a_plain_record():
+    assert RPartiteHypergraph._fields == ("part_sizes", "masks")
+    g = edge_graph((3, 3), C6_EDGES)
+    assert g == RPartiteHypergraph((3, 3), dict(g.masks)) != RPartiteHypergraph((3, 4), g.masks)
+    with pytest.raises(TypeError):
+        hash(g)  # the mask table is a dict
+    assert repr(g) == "RPartiteHypergraph(parts=(3, 3), edges=6)"
+
+
 def test_edges_are_stored_sorted_and_counted():
     g = edge_graph((3, 3), reversed(C6_EDGES))
     assert g.r == 2
@@ -395,9 +404,14 @@ def test_closing_patterns_are_the_patterns_with_these_maxima(part_sizes, data):
     position = tuple(
         data.draw(st.integers(0, m - 1), label=f"p{i}") for i, m in enumerate(part_sizes)
     )
-    assert list(closing_patterns(position, s_list)) == reference_closing_patterns(
+    closing = list(closing_patterns(position, part_sizes, s_list))
+    assert [pattern for pattern, _ in closing] == reference_closing_patterns(
         position, s_list, part_sizes
     )
+    cells = list(itertools.product(*(range(m) for m in part_sizes)))
+    own = cells.index(position)
+    for pattern, others in closing:
+        assert others + [own] == prefix_ranks(pattern, part_sizes)
 
 
 @settings(max_examples=200)
@@ -413,10 +427,9 @@ def test_common_mask_is_the_plain_and(part_sizes, width, data):
         tuple(sorted(data.draw(st.sets(st.integers(0, m - 1), min_size=1), label=f"S{i}")))
         for i, m in enumerate(part_sizes)
     )
-    common = data.draw(st.sampled_from([-1, (1 << width) - 1, 0b101]), label="common")
     flat = [masks.get(cell, 0) for cell in cells]  # indexed by lex rank
     ranks = prefix_ranks(pattern, part_sizes)
-    assert common_mask(flat, ranks, common) == reference_common_mask(masks, pattern, common)
+    assert common_mask(flat, ranks) == reference_common_mask(masks, pattern)
 
 
 @settings(max_examples=200)
