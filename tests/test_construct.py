@@ -379,6 +379,9 @@ SELECT_SHAPES = [
     ((3,), 4, 4, (6,), range(4), True),
     ((2, 2), 4, 5, (4, 4), range(2), True),
     ((2, 2), 5, 5, (5, 5), range(1), True),
+    ((1, 2), 2, 4, (3, 8), range(3), True),  # S = 2 at r = 3, either part
+    ((2, 1), 2, 5, (10, 4), range(3), True),
+    ((2,), 4, 3, (12,), range(4), False),  # q < t: equal polynomials are kept
 ]
 
 
@@ -407,6 +410,14 @@ def test_select_matches_agreement_set_reference(shape):
         assert dict(enumerate(family.masks)) == reference_graph(params, polys).masks
         total_resamples += resamples
     assert (total_resamples > 0) == resamples_expected
+
+
+def test_equal_polynomials_are_kept_when_q_is_below_t():
+    # every pattern agrees on at most q = 3 < t points, so nothing is rejected
+    params = _params((2,), 4, 3, (12,))
+    family = sequential_select(params, _rows(params), seed=0)
+    assert family.resamples == 0
+    assert len(set(family.polys.values())) < len(family.polys)
 
 
 def test_select_failure_matches_reference():

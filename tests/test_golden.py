@@ -5,7 +5,8 @@ check that artifacts stay identical from one version of the code to the
 next.  They cover the acceptance sweep (MASTER_SEED, q = 5..13), an r=3
 build and its pattern count, a 121-prefix r=3 build at q = 11, a
 three-variable build over GF(9), three r=2 builds at q = 61 (with the full
-pattern table), q = 127 and q = 251 (above the table cap), verify and
+pattern table), q = 127, 251 and 307 (above the table cap), S = 2 builds at
+r = 3 with s = (1, 2) and (2, 1) that resample and one at q < t, verify and
 count on two r=2 graphs (q = 61 past the table cap, q = 13 with its full
 table) with their status lines, and two builds
 that exercise rejection: one with resamples only, one with restarts, two
@@ -93,12 +94,44 @@ BUILDS = {
             "graph.zng": "6763517e47f68fbe6b0b04845d307f114bfde21fac0d4293a9758e67c492efdb",
         },
     ),
+    "r2-q307": (  # 94,249 edges, 46,971 patterns, masks of 1,473 words: no table
+        dict(s=(2,), t=4, q=(307,), m=(307,)),
+        [BALANCED_SPLIT],
+        {
+            "certificate.json": "facc86cf2fdd610c302a81d54fc5b5c68d55577df1d3554b931a2c8b14dae0da",
+            "graph.zng": "3f09b16f57ece4af70e415826da949c2654b3b690d6fc9d7ce7590720a5e4976",
+        },
+    ),
     "r3-q11": (  # 161,051 edges on 121 prefixes, above capacity
         dict(s=(2, 2), t=16, q=(11,), m=(11, 11)),
         [OVER_CAPACITY],
         {
             "certificate.json": "749830e09da7eaa6f36dd334e0c2bb1730553eb6a67e6e4cbf53078f14733fd2",
             "graph.zng": "c4f3b041f1f99b5a495c18dfb46c317cb423df9c56b8c30fd036be4052abf08c",
+        },
+    ),
+    "r3-s12-gf4": (  # S = 2 in part 2 of r = 3: 6 resamples on lines of fixed part 1
+        dict(s=(1, 2), t=2, q=(4,), m=(3, 8)),
+        [OVER_CAPACITY],
+        {
+            "certificate.json": "c574b2eb1e1860d2f3c44d5b7fdf9f38cacbeb0a3b951ff658449cb8cd0616bd",
+            "graph.zng": "e5efba3b209f6b3f5bab3f5ebdc6a1b11e845eae998ebffb54599e398525a692",
+        },
+    ),
+    "r3-s21-q5": (  # S = 2 in part 1 of r = 3: 7 resamples on lines of fixed part 2
+        dict(s=(2, 1), t=2, q=(5,), m=(10, 4)),
+        [OVER_CAPACITY],
+        {
+            "certificate.json": "065c2ded1ffa6831a04e6245eaebb24b78a9f84ef34bb14ec2ec89cef97372fb",
+            "graph.zng": "380e25211fef7eb9450f9f677ba63427eb6d34bb3e9304e3501a03079f9c2821",
+        },
+    ),
+    "r2-q3-below-t": (  # q < t: no pattern reaches t, so equal polynomials are kept
+        dict(s=(2,), t=4, q=(3,), m=(12,)),
+        [BALANCED_SPLIT],
+        {
+            "certificate.json": "1f7b5da1499572b64758ffe89b25cb46a1f3c7645580dacb9865ac0d833503f5",
+            "graph.zng": "b68f802a0a852a4dc7477d731b3de0c51d92663c4c8cbcccc37110f4bbd8dc31",
         },
     ),
     "restarts": (  # 33 resamples over 6 restarts
