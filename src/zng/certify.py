@@ -18,7 +18,7 @@ from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     RPartiteHypergraph,
-    block_pattern,
+    block_patterns,
     pattern_count,
     write_atomic,
 )
@@ -97,22 +97,21 @@ def _json_rows(
     """A list of rows as json.dumps(indent=2) writes it on a line indented by pad.
 
     The rows of one shape(row) share a template: the encoding of zero(row),
-    whose only digits are its zeros, with each 0 made a %d.  values(row)
-    fills it in the order json writes the numbers.
+    whose only digits are its zeros, with each 0 made a %d.  The rows'
+    templates are joined into one string, and one % fills it with every
+    row's values(row), in the order json writes the numbers.
     """
     if not rows:
         return "[]"
     inner = "\n" + pad + "  "
-    templates: dict[Hashable, str] = {}
-    texts = []
-    for row in rows:
-        key = shape(row)
-        template = templates.get(key)
-        if template is None:
-            text = json.dumps(zero(row), indent=2, sort_keys=True)
-            template = templates[key] = text.replace("\n", inner).replace("0", "%d")
-        texts.append(template % values(row))
-    return "[" + inner + ("," + inner).join(texts) + "\n" + pad + "]"
+    shapes = list(map(shape, rows))
+    templates = {
+        key: json.dumps(zero(row), indent=2, sort_keys=True).replace("\n", inner).replace("0", "%d")
+        for key, row in dict(zip(shapes, rows)).items()
+    }
+    text = ("," + inner).join(map(templates.__getitem__, shapes))
+    numbers = tuple(itertools.chain.from_iterable(map(values, rows)))
+    return "[" + inner + text % numbers + "\n" + pad + "]"
 
 
 def write_certificate(cert: FreenessCertificate, path: str | Path) -> None:
@@ -153,9 +152,10 @@ def verify_freeness(
     for first, sizes in (H.pattern_sizes if table is None else H.pattern_blocks)(s_list):
         best = max(sizes)
         if best > max_size:
-            max_size, argmax = best, block_pattern(first, sizes.index(best))
+            max_size = best
+            *_, argmax = block_patterns(first, sizes.index(best) + 1)
         if table is not None:
-            table.extend((block_pattern(first, k), size) for k, size in enumerate(sizes))
+            table.extend(zip(block_patterns(first, len(sizes)), sizes))
     return FreenessCertificate(
         part_sizes=H.part_sizes,
         s_list=tuple(s_list),

@@ -9,7 +9,9 @@ points, so the forbidden complete pattern with t last-part vertices can
 never appear.  That size is the popcount of the AND of the tuples' last-part
 neighbour masks (mpoly.graph_mask, read from monomial rows that build
 computes once and every restart reads); the pattern's other tuples come
-earlier (hypergraph.closing_patterns), so their AND is ready first.  Those
+earlier (hypergraph.closing_patterns), so their AND is ready first.  At
+s_total = 2, Bezout decides instead: only a polynomial equal to an earlier
+one on the tuple's line can close a violating pattern.  The accepted
 masks, one per tuple in rank order, are the emitted graph's mask table as
 they stand: the graph's edges are derived from them.  A final exhaustive
 verification pass (certify.verify_freeness) certifies the result
@@ -250,14 +252,16 @@ class PolyFamily(NamedTuple):
     restarts: int = 0
 
     def to_dict(self) -> dict:
+        """The family as the certificate writes it; equal coefficients share one residue list."""
+        residues = {
+            c: list(self.field.residues(c))
+            for c in set(itertools.chain.from_iterable(self.polys.values()))
+        }
         return {
             "basis": {"num_vars": self.basis.num_vars, "max_degree": self.basis.max_degree},
             "field": self.field._asdict(),
             "polys": [
-                {
-                    "tuple": list(pos),
-                    "coeffs": [list(self.field.residues(c)) for c in coeffs],
-                }
+                {"tuple": list(pos), "coeffs": list(map(residues.__getitem__, coeffs))}
                 for pos, coeffs in self.polys.items()
             ],
             "resamples": self.resamples,
@@ -285,6 +289,15 @@ def sequential_select(
     candidate costs one graph_mask over those rows plus one AND and
     popcount per pattern; the popcount is the pattern's agreement-set size.
 
+    With s_total = 2 (one side of two, the rest of one) Bezout decides
+    instead: a pattern's other tuple lies on the position's line, the
+    positions that differ only in the part of two, and two distinct
+    polynomials in one variable of degree < t agree on fewer than t points,
+    equal ones on all q.  So a candidate is rejected iff q >= t and an
+    earlier tuple of its line has the same coefficients; the line's accepted
+    polynomials are then distinct, so that pattern is the only violating one.
+    Only accepted candidates get a graph_mask.
+
     Raises:
         ValueError: position_retry_cap below 1.
         ConstructionError: some position exhausted its retries; the message
@@ -296,17 +309,32 @@ def sequential_select(
     chosen: dict[tuple[int, ...], tuple[int, ...]] = {}
     masks: list[int] = []  # indexed by position rank, as positions come in lex order
     resamples = 0
+    # at s_total = 2, the part whose side is two; a line fixes every other part
+    part = params.s_list.index(2) if params.s_total == 2 else None
+    # line -> coefficients accepted on it -> their position's index in part
+    lines: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for position in itertools.product(*(range(m) for m in params.m_list)):
-        closing = [
-            (pattern, common_mask(masks, others))
-            for pattern, others in closing_patterns(position, params.m_list, params.s_list)
-        ]
+        if part is None:
+            closing = [
+                (pattern, common_mask(masks, others))
+                for pattern, others in closing_patterns(position, params.m_list, params.s_list)
+            ]
+        else:
+            line = lines.setdefault(position[:part] + position[part + 1:], {})
         last_violation: tuple[Pattern, int] | None = None
         for _ in range(position_retry_cap):
             candidate = random_poly(rows.basis, params.field, rng)
-            mask = graph_mask(candidate, rows)
-            sizes = ((pattern, (common & mask).bit_count()) for pattern, common in closing)
-            last_violation = next((v for v in sizes if v[1] >= params.t), None)
+            if part is None:
+                mask = graph_mask(candidate, rows)
+                sizes = ((pattern, (common & mask).bit_count()) for pattern, common in closing)
+                last_violation = next((v for v in sizes if v[1] >= params.t), None)
+            elif params.q >= params.t and candidate in line:
+                sides = list(zip(position))
+                sides[part] = (line[candidate], position[part])
+                last_violation = tuple(sides), params.q
+            else:
+                mask, last_violation = graph_mask(candidate, rows), None
+                line[candidate] = position[part]
             if last_violation is None:
                 chosen[position] = candidate
                 masks.append(mask)

@@ -21,8 +21,9 @@ RPartiteHypergraph.pattern_blocks, the block kernel, folds the prefix
 masks a run of patterns shares once and yields every pattern's size, a run
 at a time; verify's table reads it.  pattern_sizes, read by counting and
 by verify otherwise, runs it too, except at r = 2 on a graph where
-edges + sum_v C(deg v, s) < C(m_1, s): there codegree_blocks counts the
-s-subsets of each last-part vertex's neighbourhood, leaving out size 0.
+CODEGREE_WEIGHT * (edges + sum_v C(deg v, s)) is below
+C(m_1, s) * (POPCOUNT_BASE + ceil(m_r / 64)): there codegree_blocks counts
+the s-subsets of each last-part vertex's neighbourhood, leaving out size 0.
 
 Graphs serialize to a small line format:
 
@@ -50,6 +51,14 @@ from zng.errors import BudgetError, ZngError, int_text, parse_int
 
 DEFAULT_PATTERN_BUDGET = 1_000_000
 DEFAULT_MASK_BIT_CAP = 1 << 32  # bits over all of a mask table's masks
+# The r = 2 route rule (RPartiteHypergraph.pattern_sizes) in 64-bit words: a
+# popcount costs its width plus POPCOUNT_BASE, a co-degree step CODEGREE_WEIGHT.
+# Timed on the s = (2,), t = 4 builds at m = q, co-degree overtakes the block
+# kernel near q = 280 at s = 2 (2.2x slower at q = 127, 2.2x faster at q = 509)
+# and by q = 11 at s = 3 (3.4x faster at q = 61); these weights switch between
+# q = 283 and 307 at s = 2, and between q = 13 and 17 at s = 3.
+POPCOUNT_BASE = 256
+CODEGREE_WEIGHT = 512
 
 _ONE = re.compile("1")
 _CANONICAL_BODY = str.maketrans("", "", "0123456789 \n")  # deletes what format_graph writes
@@ -119,18 +128,23 @@ class RPartiteHypergraph(NamedTuple):
         number of last-part vertices whose link holds all of P.  So
         codegree_blocks costs one step per edge to transpose the masks plus
         sum_v C(deg v, s) increments, against C(m_1, s) popcounts in
-        pattern_blocks.  It runs iff edges + sum_v C(deg v, s) < C(m_1, s),
-        so its work and memory stay below what the block kernel would spend
-        under the same pattern_count budget; the transpose is skipped when
-        edges alone reach C(m_1, s).  Every other graph, and every r != 2,
-        goes through pattern_blocks.
+        pattern_blocks, each weighed as POPCOUNT_BASE plus its ceil(m_r / 64)
+        words.  It runs iff CODEGREE_WEIGHT * (edges + sum_v C(deg v, s)) is
+        below the popcounts' summed weight, so its work stays within a
+        constant factor of the block kernel's, and its Counter has at most
+        C(m_1, s) keys, which the pattern_count budget bounds; the transpose
+        is skipped when CODEGREE_WEIGHT * edges alone reaches that weight.
+        Every other graph, and every r != 2, goes through pattern_blocks.
         """
         if self.r == 2:
             (s,) = s_list
-            patterns, edges = math.comb(self.part_sizes[0], s), self.num_edges
-            if edges < patterns:
+            m_1, m_r = self.part_sizes
+            weight = math.comb(m_1, s) * (POPCOUNT_BASE + -(-m_r // 64))
+            edges = self.num_edges
+            if CODEGREE_WEIGHT * edges < weight:
                 links = self.links().values()
-                if edges + sum(math.comb(len(link), s) for link in links) < patterns:
+                steps = edges + sum(math.comb(len(link), s) for link in links)
+                if CODEGREE_WEIGHT * steps < weight:
                     return codegree_blocks(links, s)
         return self.pattern_blocks(s_list)
 
@@ -141,9 +155,9 @@ class RPartiteHypergraph(NamedTuple):
         the last-part vertices completing all of its transversal prefixes.
         Patterns come in itertools.product(combinations...) order, grouped by
         head: every side fixed but the last element of the last side.  Each
-        block is (first, sizes): first is the block's first pattern and
-        sizes[k] is the size of block_pattern(first, k); the last element
-        runs on to the end of its part.
+        block is (first, sizes): first is the block's first pattern, sizes[k]
+        is the size of pattern k of block_patterns(first, len(sizes)), and
+        the last element runs on to the end of its part.
 
         For each choice of the outer sides 1..r-2, common_mask folds their
         prefix masks once into a column of m_{r-1} masks; a head ANDs its
@@ -250,12 +264,13 @@ def prefix_ranks(pattern: Pattern, part_sizes: Sequence[int]) -> list[int]:
     return ranks
 
 
-def block_pattern(first: Pattern, k: int) -> Pattern:
-    """The k-th pattern of the pattern_blocks block that starts at first."""
-    if not k:
-        return first
-    *outer, last = first
-    return (*outer, (*last[:-1], last[-1] + k))
+def block_patterns(first: Pattern, k: int) -> Iterator[Pattern]:
+    """The first k patterns of the pattern_blocks block that starts at first, in order."""
+    if not first:  # one part: the block of the empty pattern
+        return iter((first,))
+    outer, last = first[:-1], first[-1]
+    lasts = map(last[:-1].__add__, zip(range(last[-1], last[-1] + k)))
+    return map(outer.__add__, zip(lasts))
 
 
 def common_mask(masks: Sequence[int], ranks: Iterable[int]) -> int:

@@ -23,7 +23,7 @@ from zng.count import gen_binom
 from zng.errors import BudgetError, ConstructionError
 from zng.hypergraph import (
     RPartiteHypergraph,
-    block_pattern,
+    block_patterns,
     closing_patterns,
     common_mask,
     complete_graph,
@@ -233,9 +233,9 @@ def reference_common_mask(masks, pattern) -> int:
 def flat_blocks(H: RPartiteHypergraph, s_list) -> list:
     """H.pattern_blocks(s_list) flattened to one (pattern, size) per pattern."""
     return [
-        (block_pattern(first, k), size)
+        (pattern, size)
         for first, sizes in H.pattern_blocks(s_list)
-        for k, size in enumerate(sizes)
+        for pattern, size in zip(block_patterns(first, len(sizes)), sizes)
     ]
 
 

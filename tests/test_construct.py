@@ -421,11 +421,13 @@ def test_equal_polynomials_are_kept_when_q_is_below_t():
 
 
 def test_select_failure_matches_reference():
-    params = _params((2,), 2, 2, (5,))
-    for seed in range(3):
-        fast = _select_outcome(lambda p, s: sequential_select(p, _rows(p), s, 8), params, seed)
-        slow = _select_outcome(lambda p, s: reference_select(p, s, 8), params, seed)
-        assert isinstance(fast, tuple) and fast == slow
+    # four polynomials of degree 1 over GF(2) cannot fill a line of five
+    for s_list, m_list in [((2,), (5,)), ((1, 2), (2, 5)), ((2, 1), (5, 2))]:
+        params = _params(s_list, 2, 2, m_list)
+        for seed in range(3):
+            fast = _select_outcome(lambda p, s: sequential_select(p, _rows(p), s, 8), params, seed)
+            slow = _select_outcome(lambda p, s: reference_select(p, s, 8), params, seed)
+            assert isinstance(fast, tuple) and fast == slow
 
 
 def test_family_graph_matches_build_and_is_reproducible():

@@ -26,6 +26,7 @@ from helpers import (
     reference_neighborhoods,
 )
 from zng import hypergraph
+from zng.construct import build, derive_params
 from zng.errors import BudgetError
 from zng.hypergraph import (
     GraphFormatError,
@@ -458,33 +459,84 @@ def test_pattern_blocks_match_the_per_pattern_reference(case):
             assert first[-1][-1] + len(sizes) == g.part_sizes[-2]
 
 
+def popcount_weight(g, s):
+    """C(m_1, s) * (POPCOUNT_BASE + ceil(m_r / 64)): the block kernel's popcounts, in words."""
+    m_1, m_r = g.part_sizes
+    return math.comb(m_1, s) * (hypergraph.POPCOUNT_BASE + math.ceil(m_r / 64))
+
+
 def codegree_is_cheaper(g, s):
-    """edges + sum_v C(deg v, s) < C(m_1, s), with the degrees counted from g.edges."""
+    """The weighted route rule, with the degrees counted from g.edges."""
     degrees = Counter(v for _, v in g.edges)
     cost = g.num_edges + sum(math.comb(d, s) for d in degrees.values())
-    return cost < math.comb(g.part_sizes[0], s)
+    return hypergraph.CODEGREE_WEIGHT * cost < popcount_weight(g, s)
 
 
-@settings(max_examples=300)
-@given(bipartite_graphs())
-@apply_examples([(case,) for case in R2_EXAMPLES])
-def test_codegree_sizes_are_the_block_kernels(case):
-    g, s = case
+def routes(g, s):
+    """(whether pattern_sizes transposed the masks, whether it ran codegree_blocks)."""
     links = RPartiteHypergraph.links
-    blocks = {pattern: size for pattern, size in flat_blocks(g, (s,)) if size}
-    codegree = codegree_blocks(g.links().values(), s)
-    assert {first: size for first, (size,) in codegree} == blocks
-    assert [first for first, _ in codegree] == sorted(blocks)  # pattern order
-    # pattern_sizes takes the co-degree route exactly when the rule says so,
-    # and transposes the masks only when the edges alone are below C(m_1, s)
     with (
         mock.patch.object(hypergraph, "codegree_blocks", wraps=codegree_blocks) as spy,
         mock.patch.object(RPartiteHypergraph, "links", autospec=True, side_effect=links) as moved,
     ):
         routed = list(g.pattern_sizes((s,)))
-    assert spy.call_count == codegree_is_cheaper(g, s)
-    assert moved.call_count == (g.num_edges < math.comb(g.part_sizes[0], s))
-    assert routed == (codegree if spy.call_count else list(g.pattern_blocks((s,))))
+    codegree = spy.call_count == 1
+    expected = codegree_blocks(g.links().values(), s) if codegree else g.pattern_blocks((s,))
+    assert routed == list(expected)
+    return moved.call_count == 1, codegree
+
+
+def _wide(edges):
+    return edge_graph((12, 16384), edges)
+
+
+# (graph, s, transposed, co-degree) with m_r > 64, on both sides of the rule:
+# a popcount of 16384 bits weighs 256 + 256 = 512 words, one co-degree step,
+# so the rule compares the edges, and then the steps, with C(12, 2) = 66.
+# Links of one make a step per edge; two links of two add 2, and four links of
+# 12 add 4 * 66
+WIDE_R2_ROUTES = [
+    (_wide([(i % 12, 97 * i) for i in range(65)]), 2, True, True),
+    (_wide([(i % 12, 97 * i) for i in range(66)]), 2, False, False),
+    (
+        _wide([(i % 12, 97 * i) for i in range(60)] + [(0, 8000), (1, 8000), (2, 8100), (3, 8100)]),
+        2, True, False,
+    ),
+    (_wide([(i % 12, 100 * (i // 12)) for i in range(48)]), 2, True, False),
+]
+
+
+@settings(max_examples=300)
+@given(bipartite_graphs())
+@apply_examples([(case,) for case in R2_EXAMPLES] + [((g, s),) for g, s, *_ in WIDE_R2_ROUTES])
+def test_codegree_sizes_are_the_block_kernels(case):
+    g, s = case
+    blocks = {pattern: size for pattern, size in flat_blocks(g, (s,)) if size}
+    codegree = codegree_blocks(g.links().values(), s)
+    assert {first: size for first, (size,) in codegree} == blocks
+    assert [first for first, _ in codegree] == sorted(blocks)  # pattern order
+    # pattern_sizes takes the co-degree route exactly when the weighted rule
+    # says so, and transposes the masks only when CODEGREE_WEIGHT * edges is
+    # below the popcounts' weight
+    transposed, routed_codegree = routes(g, s)
+    assert routed_codegree == codegree_is_cheaper(g, s)
+    assert transposed == (hypergraph.CODEGREE_WEIGHT * g.num_edges < popcount_weight(g, s))
+
+
+@pytest.mark.parametrize(
+    "case", WIDE_R2_ROUTES, ids=["below", "at", "at-with-two-links-of-two", "above"]
+)
+def test_the_route_rule_weighs_popcounts_by_width(case):
+    g, s, transposed, codegree = case
+    assert routes(g, s) == (transposed, codegree)
+
+
+def test_the_analyze_r2_graph_is_sized_by_codegree():
+    # the benchmark's analyze r2 graph (s = (2,), t = 4, q = 61 at its default
+    # seed) verified at s = 3: 35,990 popcounts of 59 words each, where the
+    # co-degree route is 3.4x faster
+    graph = build(derive_params((2,), 4, 61, (61,)), seed=20260819).graph
+    assert routes(graph, 3) == (True, True)
 
 
 def test_links_are_the_transposed_masks():
