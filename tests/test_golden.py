@@ -4,8 +4,10 @@ The acceptance gate checks that reruns are byte-identical; these digests
 check that artifacts stay identical from one version of the code to the
 next.  They cover the acceptance sweep (MASTER_SEED, q = 5..13), an r=3
 build and its pattern count, a 121-prefix r=3 build at q = 11, a
-three-variable build over GF(9), three r=2 builds at q = 61 (with the full
-pattern table), q = 127, 251 and 307 (above the table cap), S = 2 builds at
+three-variable build over GF(9), (2, 2) builds at q = 8 (characteristic 2
+at S = 4) and q = 17 (4,913 domain points), r=2 builds at q = 61 (with the
+full pattern table), q = 127, 251 and 307 (above the table cap) and over
+GF(2^8) and GF(3^5), S = 2 builds at
 r = 3 with s = (1, 2) and (2, 1) that resample and one at q < t, verify and
 count on two r=2 graphs (q = 61 past the table cap, q = 13 with its full
 table) with their status lines, and two builds
@@ -132,6 +134,38 @@ BUILDS = {
         {
             "certificate.json": "1f7b5da1499572b64758ffe89b25cb46a1f3c7645580dacb9865ac0d833503f5",
             "graph.zng": "b68f802a0a852a4dc7477d731b3de0c51d92663c4c8cbcccc37110f4bbd8dc31",
+        },
+    ),
+    "r3-q8-char2": (  # 32,768 edges over GF(8): characteristic 2 at S = 4
+        dict(s=(2, 2), t=16, q=(8,), m=(8, 8)),
+        [OVER_CAPACITY],
+        {
+            "certificate.json": "585c98773bf610654dbd39bf9a211bf23ef94e817cb2a618f290481e6422cc80",
+            "graph.zng": "89fd6176278a1b683a34abd1018758d3b8b7b8d7abc68e588465f46709fcd0c3",
+        },
+    ),
+    "r3-q17": (  # 1,419,857 edges on 289 prefixes, 4,913 domain points
+        dict(s=(2, 2), t=16, q=(17,), m=(17, 17)),
+        [OVER_CAPACITY],
+        {
+            "certificate.json": "65e37d74f85b9abfb78ea5834cc2ae561417d9d948c3782e2e3d7a0702356993",
+            "graph.zng": "e29ae276227d50c7aca369ea8635db83e2cc411617f02a5070ddcce24515be65",
+        },
+    ),
+    "r2-q256": (  # GF(2^8): eight base-2 digits
+        dict(s=(2,), t=4, q=(256,), m=(256,)),
+        [BALANCED_SPLIT],
+        {
+            "certificate.json": "c67c258a086259e1104a9f5a5575627e313ae7cebe4df111eaf1e6c69c4c1bfc",
+            "graph.zng": "a8b35e5721b1f0bc29d83a4d25317e28e88da631cc6ebcd63163c944071f5106",
+        },
+    ),
+    "r2-q243": (  # GF(3^5): five base-3 digits
+        dict(s=(2,), t=4, q=(243,), m=(243,)),
+        [BALANCED_SPLIT],
+        {
+            "certificate.json": "97c53d93ee9fd5fe1dafcce30a80b4f2a4310eb4df5e8540ded038b21f986af7",
+            "graph.zng": "77715a3141ec5a77b6e3d5ccf54caed25d5c9fd0272c4b5bb7350be40b4139ff",
         },
     ),
     "restarts": (  # 33 resamples over 6 restarts
