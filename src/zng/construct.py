@@ -43,6 +43,7 @@ from zng.hypergraph import (
     RPartiteHypergraph,
     closing_patterns,
     common_mask,
+    mask_table_budget,
     pattern_count,
 )
 from zng.mpoly import (
@@ -377,8 +378,9 @@ def build(
 
     Raises:
         ValueError: position_retry_cap or restart_cap below 1.
-        BudgetError: the evaluation domain or the certification pattern
-            count exceeds its budget.
+        BudgetError: the evaluation domain, the certification pattern
+            count or the mask table (prod(m_list) masks of n bits) exceeds
+            its budget.
         ConstructionError: every restart exhausted its retries; the error
             carries the best attempt (most positions filled first).
     """
@@ -392,6 +394,7 @@ def build(
             f"evaluation domain has {int_text(points)} points, above the budget {point_budget}",
         )
     pattern_count(params.m_list, params.s_list, pattern_budget)
+    mask_table_budget(math.prod(params.m_list) * params.n)
     rows = monomial_rows(monomial_basis(params.s_total - 1, params.degree), params.field)
     attempts: list[tuple] = []
     family: PolyFamily | None = None

@@ -9,10 +9,10 @@ irreducible polynomial of degree k, found by an exhaustive trial-division
 scan; the scan is feasible because make_field refuses orders above
 DEFAULT_ORDER_CAP = 2^16.
 
-Field.int_arith is the arithmetic: a log/antilog pair for the first
-primitive element, and an integer field sum that is (a + b) mod p in a prime
-field, XOR when p = 2, and goes through a Zech-log table otherwise.  Every
-table has O(q) entries.  A Field is a plain value and keeps no tables:
+Field.int_arith is the multiplication: a log/antilog pair for the first
+primitive element, with O(q) entries each.  A sum of elements is the sum of
+their base-p digits mod p, which mpoly.graph_mask forms for every domain
+point at once.  A Field is a plain value and keeps no tables:
 mpoly.monomial_rows builds them once per build, so code that never evaluates
 a polynomial family never pays for them.  Certificates write each
 coefficient as its residue tuple.
@@ -20,10 +20,8 @@ coefficient as its residue tuple.
 
 from __future__ import annotations
 
-import functools
 import itertools
-import operator
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from zng.errors import BudgetError, int_text
 
@@ -91,12 +89,10 @@ class IntArith(NamedTuple):
     With g the primitive element, log[a] is the e in 0..q-2 with g^e = a,
     and log[0] is 2(q-1); exp[log[a] + log[b]] is then the index of a*b for
     every a and b, zero included, because exp reads 0 from 2(q-1) on.
-    total(terms) is the index of the field sum of an iterable of indices.
     """
 
     log: list[int]
     exp: list[int]
-    total: Callable[[Iterable[int]], int]
 
 
 class Field(NamedTuple):
@@ -169,27 +165,7 @@ class Field(NamedTuple):
         log = [2 * n] * q
         for e, a in enumerate(powers):
             log[a] = e
-        if k == 1:
-            def total(terms: Iterable[int]) -> int:
-                return sum(terms) % p
-        elif p == 2:
-            def total(terms: Iterable[int]) -> int:
-                return functools.reduce(operator.xor, terms, 0)
-        else:
-            # zech[e] = log(1 + g^e); adding 1 adds one to the leading digit
-            zech = [log[(a + one) % q] for a in powers]
-
-            def total(terms: Iterable[int]) -> int:
-                acc = 0
-                for b in terms:
-                    if not acc:
-                        acc = b
-                    elif b:
-                        # a + b = a (1 + b/a)
-                        la = log[acc]
-                        acc = exp[la + zech[log[b] - la]]
-                return acc
-        return IntArith(log, exp, total)
+        return IntArith(log, exp)
 
 
 def make_field(q: int) -> Field:

@@ -213,6 +213,14 @@ def codegree_blocks(links: Iterable[list[int]], s: int) -> list[tuple[Pattern, l
     return [((pattern,), [size]) for pattern, size in sorted(sizes.items())]
 
 
+def mask_table_budget(bits: int) -> None:
+    """BudgetError if a mask table's widths sum to over DEFAULT_MASK_BIT_CAP bits."""
+    if bits > DEFAULT_MASK_BIT_CAP:
+        raise BudgetError(
+            f"the mask table needs {int_text(bits)} bits, above the cap {DEFAULT_MASK_BIT_CAP}"
+        )
+
+
 def index_masks(indices: Sequence[int], m_last: int) -> dict[int, int]:
     """The mask table of sorted, distinct edge indices, prefix rank * m_r + v.
 
@@ -226,11 +234,7 @@ def index_masks(indices: Sequence[int], m_last: int) -> dict[int, int]:
         hi = bisect.bisect_left(indices, base + m_last, lo)
         runs.append((base, lo, hi))
         lo = hi
-    bits = sum(indices[hi - 1] - base + 1 for base, _, hi in runs)
-    if bits > DEFAULT_MASK_BIT_CAP:
-        raise BudgetError(
-            f"the mask table needs {int_text(bits)} bits, above the cap {DEFAULT_MASK_BIT_CAP}"
-        )
+    mask_table_budget(sum(indices[hi - 1] - base + 1 for base, _, hi in runs))
     masks = {}
     for base, lo, hi in runs:
         buf = bytearray((indices[hi - 1] - base >> 3) + 1)

@@ -11,24 +11,30 @@ where coefficients are checked; several polynomials agree on as many
 points as the AND of their masks has bits.
 
 graph_mask reads the monomial values of the domain F_q^num_vars, whose
-points are numbered lexicographically in element order, from MonomialRows:
-discrete logs and the field's tables (gf.Field.int_arith), built once per
-build by monomial_rows.  A candidate's value at point i is then
-sum_j c_j * row_i[j]: one antilog lookup per term and one integer field sum
-per point.  The per-point references (evaluate, agreement_set) live in
+points are numbered lexicographically in element order, from MonomialRows,
+built once per build by monomial_rows: each monomial's values at every
+point, one int per base-p digit with one fixed-width slot per point.
+Multiplying by a coefficient is GF(p)-linear on the digits, so a candidate's
+values at all points are sum_j c_j * V_j in B*k big-int multiply-adds by
+per-coefficient constants (XORs when p = 2, where digits never carry), and
+one pass over the unpacked slots reduces them mod p and sets the bits.  The
+per-point references (evaluate, agreement_set, reference_graph_mask) live in
 tests/helpers.py and run on residue tuples.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
+import sys
+from array import array
 from random import Random
 from typing import Iterator, NamedTuple
 
 from zng.errors import BudgetError
-from zng.gf import Field, IntArith
+from zng.gf import Field
 
 DEFAULT_BASIS_CAP = 100_000
 DEFAULT_POINT_BUDGET = 1 << 20
@@ -97,40 +103,80 @@ def random_poly(basis: MonomialBasis, field: Field, rng: Random) -> tuple[int, .
 
 
 class MonomialRows(NamedTuple):
-    """Every basis monomial at every domain point, as discrete logs.
+    """Every basis monomial at every domain point, packed into integers.
 
-    arith is field.int_arith(), and logs[i][j] is the log (in arith) of
-    monomial j of basis at the i-th point of F_q^num_vars in lexicographic
-    order; a zero value has the zero log.  graph_mask reads coefficient
-    tuples on this basis and field.
+    planes[j] holds k ints, one per base-p digit u of the element indices:
+    slot i of plane u holds digit u of monomial j's value at the i-th point
+    of F_q^num_vars in lexicographic order.  scales[c] holds k ints too,
+    the product of c with each digit's unit spread over one slot per digit,
+    so sum_u digit_u * scales[c][u] is c times the value.  A slot is one
+    item of an array.array of typecode.  When p > 2 a point owns k slots,
+    one per digit of its value, wide enough for the worst-case sum of
+    B * k * (p-1)^2 with B basis monomials.  When p = 2 a point owns one
+    slot of at least k bits, the XOR of the products, which never carries.
+    graph_mask reads coefficient tuples on this basis and field.
     """
 
     field: Field
     basis: MonomialBasis
-    arith: IntArith
-    logs: list[list[int]]
+    planes: list[tuple[int, ...]]
+    scales: list[tuple[int, ...]]
+    typecode: str
+
+
+def slot_typecode(largest: int) -> str:
+    """The narrowest unsigned array typecode whose items hold 0..largest."""
+    return next(code for code in "BHIQ" if largest < 1 << 8 * array(code).itemsize)
+
+
+def _to_int(slots: array) -> int:
+    """The slots as one int, slot i at bits i*w.. with w bits a slot."""
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return int.from_bytes(slots.tobytes(), "little")
+
+
+def _to_slots(packed: int, typecode: str, count: int) -> array:
+    """The inverse of _to_int for count slots."""
+    slots = array(typecode)
+    slots.frombytes(packed.to_bytes(count * slots.itemsize, "little"))
+    if sys.byteorder == "big":
+        slots.byteswap()
+    return slots
 
 
 def monomial_rows(basis: MonomialBasis, field: Field) -> MonomialRows:
     """The monomial values of the whole domain; callers bound the domain.
 
-    A monomial's log is sum_v e_v * log(x_v) mod q-1, or the zero log when a
+    A monomial's log is sum_v e_v * log(x_v) mod q-1, or zero's when a
     coordinate with e_v > 0 is zero.  Zero coordinates get a stand-in log
     larger than any sum of nonzero ones, so one sum decides both cases.
     """
-    arith = field.int_arith()
-    log = arith.log
-    zero, n = log[0], field.q - 1
-    big = basis.max_degree * n + 1
-    coords = [big if e == zero else e for e in log]
-    logs = []
-    for point in itertools.product(coords, repeat=basis.num_vars):
-        row = []
-        for exps in basis.exponents:
-            e = sum(map(operator.mul, exps, point))
-            row.append(e % n if e < big else zero)
-        logs.append(row)
-    return MonomialRows(field, basis, arith, logs)
+    p, k, q = field.p, field.k, field.q
+    log, exp = field.int_arith()
+    n, big = q - 1, basis.max_degree * (q - 1) + 1
+    coords = [big if e == log[0] else e for e in log]
+    units = [p**u for u in range(k)]  # the index of each digit's unit
+    if p == 2:
+        typecode, width = slot_typecode(n), 1  # a point's slots
+        spread = range(q)
+    else:
+        typecode, width = slot_typecode(len(basis.exponents) * k * (p - 1) ** 2), k
+        shift = 8 * array(typecode).itemsize
+        spread = [sum(a // unit % p << shift * d for d, unit in enumerate(units)) for a in range(q)]
+    scales = [tuple(spread[exp[log[c] + log[unit]]] for unit in units) for c in range(q)]
+    points = q**basis.num_vars
+    planes = []
+    for exps in basis.exponents:
+        terms = ([e * c for c in coords] for e in exps)
+        values = [exp[e % n] if e < big else 0 for e in map(sum, itertools.product(*terms))]
+        plane = []
+        for unit in units:
+            slots = array(typecode, bytes(width * points * array(typecode).itemsize))
+            slots[::width] = array(typecode, [a // unit % p for a in values])
+            plane.append(_to_int(slots))
+        planes.append(tuple(plane))
+    return MonomialRows(field, basis, planes, scales, typecode)
 
 
 def graph_mask(coeffs: tuple[int, ...], rows: MonomialRows) -> int:
@@ -139,23 +185,30 @@ def graph_mask(coeffs: tuple[int, ...], rows: MonomialRows) -> int:
     f is the polynomial with coefficient indices coeffs on rows.basis over
     rows.field.  Bit i*q + f(x_i) is set for the i-th point x_i of
     F_q^num_vars in lexicographic order: the numbering of the last part of
-    the built graph, whose mask table these masks are.
+    the built graph, whose mask table these masks are.  The values of all
+    points come from B*k products of a scale and a plane, summed (XORed when
+    p = 2) and unpacked once.
 
     Raises:
         ValueError: not one coefficient per monomial, or one outside 0..q-1.
     """
-    q, size = rows.field.q, len(rows.basis.exponents)
+    p, k, q = rows.field.p, rows.field.k, rows.field.q
+    size = len(rows.basis.exponents)
     if len(coeffs) != size:
         raise ValueError(f"{len(coeffs)} coefficients for a {size}-monomial basis")
     if not 0 <= min(coeffs) <= max(coeffs) < q:  # a basis has at least one monomial
         raise ValueError(f"coefficients {coeffs} outside 0..{q - 1}")
-    log, exp, total = rows.arith
-    term = exp.__getitem__
-    coeff_logs = [log[c] for c in coeffs]
-    bits = bytearray((q * len(rows.logs) + 7) // 8)
-    offset = 0  # i*q for the i-th point
-    for row in rows.logs:
-        vertex = offset + total(map(term, map(operator.add, coeff_logs, row)))
+    scales = itertools.chain.from_iterable(map(rows.scales.__getitem__, coeffs))
+    products = map(operator.mul, scales, itertools.chain.from_iterable(rows.planes))
+    points = q**rows.basis.num_vars
+    if p == 2:
+        values = _to_slots(functools.reduce(operator.xor, products, 0), rows.typecode, points)
+    else:
+        digits = list(map(p.__rmod__, _to_slots(sum(products), rows.typecode, points * k)))
+        values = digits[k - 1::k]
+        for u in range(k - 2, -1, -1):
+            values = list(map(operator.add, map(p.__mul__, values), digits[u::k]))
+    bits = bytearray((q * points + 7) // 8)
+    for vertex in map(operator.add, range(0, q * points, q), values):
         bits[vertex >> 3] |= 1 << (vertex & 7)
-        offset += q
     return int.from_bytes(bits, "little")

@@ -10,9 +10,20 @@ streams of the others.  The rule is frozen:
 
 Labels are ints or strings rendered with str().  Streams themselves are
 random.Random(sub_seed), the stdlib Mersenne Twister.
+
+sha256 comes from CPython's builtin module (_sha2 from 3.12, _sha256
+before), as random takes its sha512, because hashlib loads OpenSSL: a few
+milliseconds of every construct and sweep start.  Other interpreters fall
+back to hashlib; the digest is the same.
 """
 
-import hashlib
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 _PREFIX = "zng-seed-v1"
 
@@ -20,5 +31,5 @@ _PREFIX = "zng-seed-v1"
 def derive_seed(master: int, *labels: int | str) -> int:
     """Derive a 64-bit sub-seed from a master seed and a role label path."""
     parts = [_PREFIX, str(master), *[str(x) for x in labels]]
-    digest = hashlib.sha256("\x1f".join(parts).encode("ascii")).digest()
+    digest = sha256("\x1f".join(parts).encode("ascii")).digest()
     return int.from_bytes(digest[:8], "big")

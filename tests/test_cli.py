@@ -375,6 +375,21 @@ def test_a_graph_too_wide_to_allocate_is_a_budget_error(tmp_path, capsys):
         assert code == 3 and status == {"error": "budget", "reason": reason}
 
 
+def test_a_mask_table_too_wide_is_refused_before_any_rows(tmp_path, capsys, monkeypatch):
+    """4,099 points and 999,000 pattern lookups pass, but 1,000 masks of 4099^2 bits do not."""
+    def no_rows(*args):
+        raise AssertionError("a refused build made its monomial rows")
+
+    monkeypatch.setattr("zng.construct.monomial_rows", no_rows)
+    code, status = run_cli(
+        ["construct", "--s", "2", "--t", "4", "--q", "4099", "--m", "1000",
+         "--out", str(tmp_path)],
+        capsys,
+    )
+    reason = f"the mask table needs {1000 * 4099**2} bits, above the cap {1 << 32}"
+    assert code == 3 and status == {"error": "budget", "reason": reason}
+
+
 def test_budget_violation_exit_code(tmp_path, capsys):
     code, status = run_cli(
         ["oracle", "--m", "3", "--m", "3", "--s", "2", "--s", "2",
@@ -831,9 +846,13 @@ STARTUP_MODULES = {
 # locale: a fresh `zng oracle` start took 61.0 ms with it and 55.2 ms with
 # zng.config parsing the flags, 5.6 ms less in the median of 61 pairs of
 # fresh interpreters on one CPU), and only count, whose bound is an exact
-# rational, loads fractions (with decimal and numbers: about 3 ms).
+# rational, loads fractions (with decimal and numbers: about 3 ms).  No mode
+# loads _hashlib either: it is OpenSSL, 2.0 ms of self time in -X importtime
+# on one CPU (hashlib 2.4-2.5 ms cumulative) against 0.19 ms for the builtin
+# _sha256 that zng.seeds takes instead.
 NEVER_LOADED = (
     "dataclasses", "inspect", "logging", "linecache", "tokenize", "argparse", "gettext", "locale",
+    "_hashlib",
 )
 
 

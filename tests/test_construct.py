@@ -1,5 +1,6 @@
 """Parameter derivation, greedy selection, freeness certificates, seeds."""
 
+import hashlib
 import json
 import math
 
@@ -21,7 +22,7 @@ from helpers import (
     reference_neighborhoods,
     reference_select,
 )
-from zng import construct, gf
+from zng import construct, gf, hypergraph
 from zng.certify import TABLE_CAP, format_certificate, verify_freeness
 from zng.construct import (
     _range_ok,
@@ -151,6 +152,18 @@ def test_derive_seed_is_deterministic_and_label_sensitive():
     assert a != derive_seed(43, "restart", 0)
     assert a != derive_seed(42, "sweep", 0)
     assert 0 <= a < 1 << 64
+
+
+@settings(max_examples=200)
+@given(
+    st.integers(-(10**30), 10**30),
+    st.lists(st.one_of(st.integers(-(10**9), 10**9), st.text("abcqrz_-0123456789")), max_size=4),
+)
+def test_derive_seed_is_the_frozen_sha256_rule(master, labels):
+    """The builtin sha256 gives hashlib's digest: the first 8 bytes, big endian."""
+    text = "\x1f".join(["zng-seed-v1", str(master), *map(str, labels)])
+    digest = hashlib.sha256(text.encode("ascii")).digest()
+    assert derive_seed(master, *labels) == int.from_bytes(digest[:8], "big")
 
 
 # ----------------------------------------------------------------------
@@ -321,6 +334,8 @@ def test_build_budget_checks(monkeypatch):
         raise AssertionError("a refused build made its monomial rows")
 
     monkeypatch.setattr(construct, "monomial_rows", no_rows)
+    # ten masks of 25 bits, one bit over the cap
+    monkeypatch.setattr(hypergraph, "DEFAULT_MASK_BIT_CAP", 249)
     params = _params((2,), 4, 5, (10,))
     # each case breaks its own check and every later one, so the first check
     # to run decides; the domain has 5 points and C(10,2) = 45 patterns
@@ -330,6 +345,7 @@ def test_build_budget_checks(monkeypatch):
          "position_retry_cap"),
         (dict(point_budget=4, pattern_budget=10), BudgetError, "evaluation domain"),
         (dict(pattern_budget=10), BudgetError, "mask lookups"),
+        (dict(), BudgetError, "^the mask table needs 250 bits, above the cap 249$"),
     ):
         with pytest.raises(error, match=match):
             build(params, seed=0, **kwargs)

@@ -6,6 +6,7 @@ tests/helpers.py; graph_mask is checked against them.
 
 import math
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -16,7 +17,7 @@ from helpers import agreement_set, domain, evaluate, reference_graph_mask, resid
 import zng.mpoly
 from zng.errors import BudgetError
 from zng.gf import make_field
-from zng.mpoly import graph_mask, monomial_basis, monomial_rows, random_poly
+from zng.mpoly import graph_mask, monomial_basis, monomial_rows, random_poly, slot_typecode
 
 
 @pytest.mark.parametrize("v", range(0, 7))
@@ -304,20 +305,71 @@ def test_graph_mask_matches_per_point_evaluation(q, num_vars, degree):
         assert graph_mask(coeffs, rows) == reference_graph_mask(field, basis, coeffs)
 
 
-def test_monomial_rows_hold_the_monomial_logs():
-    field = make_field(9)
+@pytest.mark.parametrize("q", [9, 8, 7])
+def test_monomial_rows_hold_the_monomial_digits(q):
+    field = make_field(q)
+    p, k = field.p, field.k
     basis = monomial_basis(2, 2)
     rows = monomial_rows(basis, field)
-    log, exp, _ = field.int_arith()
-    index = residue_field(field).index
-    one = field.q // field.p
-    # monomial j alone, with coefficient 1
+    ref = residue_field(field)
+    bits = 8 * array(rows.typecode).itemsize
+    group = bits * (1 if p == 2 else k)  # the bits a point owns
     size = len(basis.exponents)
-    monomials = [tuple(one if i == j else 0 for i in range(size)) for j in range(size)]
     points = list(domain(field, 2))
-    assert len(rows.logs) == len(points) == 81
-    for point, row in zip(points, rows.logs):
-        for monomial, entry in zip(monomials, row):
-            value = index[evaluate(field, basis, monomial, point)]
-            assert exp[entry] == value
-            assert entry == log[value]
+    assert len(rows.planes) == size and len(rows.scales) == q
+    for j, planes in enumerate(rows.planes):
+        monomial = tuple(q // p if i == j else 0 for i in range(size))
+        values = [ref.index[evaluate(field, basis, monomial, x)] for x in points]
+        assert planes == tuple(
+            sum(a // p**u % p << group * i for i, a in enumerate(values)) for u in range(k)
+        )
+    for c, scales in enumerate(rows.scales):
+        products = [ref.index[ref.mul(ref.elements[c], ref.elements[p**u])] for u in range(k)]
+        if p > 2:  # digit d of each product in slot d
+            products = [sum(a // p**d % p << bits * d for d in range(k)) for a in products]
+        assert scales == tuple(products)
+
+
+# every prime power up to 32 and a few past it: k up to 8 with p = 2, 5 with p = 3
+KERNEL_ORDERS = [
+    2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 49, 64, 81, 125, 243, 256,
+]
+
+
+@pytest.mark.parametrize("q", KERNEL_ORDERS)
+def test_graph_mask_matches_the_reference_on_every_small_field(q):
+    field = make_field(q)
+    rng = random.Random(q)
+    for num_vars in range(4):
+        if q**num_vars > 5000:
+            break
+        basis = monomial_basis(num_vars, 3 if num_vars < 3 else 2)
+        rows = monomial_rows(basis, field)
+        size = len(basis.exponents)
+        for coeffs in (
+            (0,) * size,
+            (q - 1,) * size,
+            *(random_poly(basis, field, rng) for _ in range(1 if q**num_vars > 1000 else 3)),
+        ):
+            assert graph_mask(coeffs, rows) == reference_graph_mask(field, basis, coeffs)
+
+
+def test_slot_width_changes_at_the_worst_case_sum():
+    """A point's slot holds B * k * (p-1)^2: one below and one above each width change."""
+    largest = [(1 << bits) - 1 for bits in (8, 16, 32)]
+    assert [slot_typecode(n) for n in largest] == ["B", "H", "I"]
+    assert [slot_typecode(n + 1) for n in largest] == ["H", "I", "Q"]
+    # GF(81): 4 digits mod 3, so B monomials sum to 16 B at most: 240 at
+    # degree 14, 256 at degree 15.  GF(251) and GF(257) at B = 1: 62,500
+    # and 65,536.
+    for q, num_vars, degree, typecode in (
+        (81, 1, 14, "B"), (81, 1, 15, "H"), (251, 0, 0, "H"), (257, 0, 0, "I"),
+    ):
+        field = make_field(q)
+        basis = monomial_basis(num_vars, degree)
+        rows = monomial_rows(basis, field)
+        assert rows.typecode == typecode
+        rng = random.Random(degree)
+        size = len(basis.exponents)
+        for coeffs in ((q - 1,) * size, *(random_poly(basis, field, rng) for _ in range(3))):
+            assert graph_mask(coeffs, rows) == reference_graph_mask(field, basis, coeffs)
