@@ -146,11 +146,12 @@ def _to_slots(packed: int, typecode: str, count: int) -> array:
 
 
 def monomial_rows(basis: MonomialBasis, field: Field) -> MonomialRows:
-    """The monomial values of the whole domain; callers bound the domain.
+    """The monomial values of the whole domain, packed; callers bound the domain.
 
-    A monomial's log is sum_v e_v * log(x_v) mod q-1, or zero's when a
-    coordinate with e_v > 0 is zero.  Zero coordinates get a stand-in log
-    larger than any sum of nonzero ones, so one sum decides both cases.
+    A monomial's value is the antilog of sum_v e_v * log(x_v) mod q-1, or
+    zero when a coordinate with e_v > 0 is zero.  Zero coordinates get a
+    stand-in log larger than any sum of nonzero ones, so one sum decides
+    both cases.
     """
     p, k, q = field.p, field.k, field.q
     log, exp = field.int_arith()
@@ -204,10 +205,10 @@ def graph_mask(coeffs: tuple[int, ...], rows: MonomialRows) -> int:
     if p == 2:
         values = _to_slots(functools.reduce(operator.xor, products, 0), rows.typecode, points)
     else:
-        digits = list(map(p.__rmod__, _to_slots(sum(products), rows.typecode, points * k)))
-        values = digits[k - 1::k]
+        slots = _to_slots(sum(products), rows.typecode, points * k)
+        values = map(p.__rmod__, slots[k - 1::k])
         for u in range(k - 2, -1, -1):
-            values = list(map(operator.add, map(p.__mul__, values), digits[u::k]))
+            values = map(operator.add, map(p.__mul__, values), map(p.__rmod__, slots[u::k]))
     bits = bytearray((q * points + 7) // 8)
     for vertex in map(operator.add, range(0, q * points, q), values):
         bits[vertex >> 3] |= 1 << (vertex & 7)

@@ -330,9 +330,11 @@ def test_monomial_rows_hold_the_monomial_digits(q):
         assert scales == tuple(products)
 
 
-# every prime power up to 32 and a few past it: k up to 8 with p = 2, 5 with p = 3
+# every prime power up to 32 and a few past it: k up to 9 with p = 2, 5 with p = 3;
+# GF(2^9) is the first field of characteristic 2 whose slots take 16 bits
 KERNEL_ORDERS = [
     2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32, 49, 64, 81, 125, 243, 256,
+    512,
 ]
 
 
@@ -361,9 +363,10 @@ def test_slot_width_changes_at_the_worst_case_sum():
     assert [slot_typecode(n + 1) for n in largest] == ["H", "I", "Q"]
     # GF(81): 4 digits mod 3, so B monomials sum to 16 B at most: 240 at
     # degree 14, 256 at degree 15.  GF(251) and GF(257) at B = 1: 62,500
-    # and 65,536.
+    # and 65,536.  GF(65521) at B = 1: 65520^2, just below 2^32.
     for q, num_vars, degree, typecode in (
         (81, 1, 14, "B"), (81, 1, 15, "H"), (251, 0, 0, "H"), (257, 0, 0, "I"),
+        (65521, 0, 0, "I"),
     ):
         field = make_field(q)
         basis = monomial_basis(num_vars, degree)
@@ -373,3 +376,5 @@ def test_slot_width_changes_at_the_worst_case_sum():
         size = len(basis.exponents)
         for coeffs in ((q - 1,) * size, *(random_poly(basis, field, rng) for _ in range(3))):
             assert graph_mask(coeffs, rows) == reference_graph_mask(field, basis, coeffs)
+    # and twice that at B = 2, whose masks of q^2 bits are too wide to compare
+    assert monomial_rows(monomial_basis(1, 1), make_field(65521)).typecode == "Q"
