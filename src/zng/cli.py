@@ -20,8 +20,8 @@ import time
 from pathlib import Path
 
 from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_args
-from zng.errors import BudgetError, ConstructionError, int_text
-from zng.hypergraph import GraphFormatError, read_graph, write_atomic, write_graph
+from zng.errors import BudgetError, ConstructionError, GraphFormatError, int_text
+from zng.hypergraph import read_graph, write_atomic, write_graph
 
 EXIT_PASS = 0
 EXIT_VERDICT = 1

@@ -5,8 +5,9 @@ how many items (domain points, patterns, potential edges) they are willing to
 touch, and the kernel refuses with BudgetError instead of starting a run that
 cannot finish at desk scale.  A BudgetError carries only its message, which
 names the count and the budget it exceeds.  The command line maps BudgetError to its own
-exit code so scripted callers can tell "too big" apart from "failed", and
-ConstructionError to the verdict code without loading the construction.
+exit code so scripted callers can tell "too big" apart from "failed",
+ConstructionError to the verdict code without loading the construction, and
+GraphFormatError to the usage code without loading the graph reader.
 """
 
 import sys
@@ -44,6 +45,10 @@ class ZngError(Exception):
 
 class BudgetError(ZngError):
     """An enumeration or search would exceed the configured budget."""
+
+
+class GraphFormatError(ZngError):
+    """A graph's text violates the format contract."""
 
 
 class ConstructionError(ZngError):

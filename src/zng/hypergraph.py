@@ -31,9 +31,9 @@ Graphs serialize to a small line format:
     <v_1> ... <v_r>          one edge per line
 
 '#' starts a comment, blank lines are skipped, edges are written in
-lexicographic order so equal graphs produce byte-identical files.  Text in
-exactly the shape format_graph writes is read in bulk; any other text is
-read line by line, and every complaint comes from that reader.
+lexicographic order so equal graphs produce byte-identical files.  The
+reader, zng.reader, loads only when read_graph is first called, so modes
+that read no graph do not compile it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from zng.errors import BudgetError, ZngError, int_text, parse_int
+from zng.errors import BudgetError, int_text
 
 DEFAULT_PATTERN_BUDGET = 1_000_000
 DEFAULT_MASK_BIT_CAP = 1 << 32  # bits over all of a mask table's masks
@@ -61,14 +61,9 @@ POPCOUNT_BASE = 256
 CODEGREE_WEIGHT = 512
 
 _ONE = re.compile("1")
-_CANONICAL_BODY = str.maketrans("", "", "0123456789 \n")  # deletes what format_graph writes
 
 Edge = tuple[int, ...]
 Pattern = tuple[tuple[int, ...], ...]  # one vertex subset per part
-
-
-class GraphFormatError(ZngError):
-    """A graph's text violates the format contract."""
 
 
 class RPartiteHypergraph(NamedTuple):
@@ -192,13 +187,6 @@ class RPartiteHypergraph(NamedTuple):
 
     def __repr__(self) -> str:  # no mask table: it may hold 600k edges
         return f"RPartiteHypergraph(parts={self.part_sizes}, edges={self.num_edges})"
-
-
-def complete_graph(part_sizes: tuple[int, ...]) -> RPartiteHypergraph:
-    """The complete r-partite r-graph: every transversal tuple is an edge."""
-    full = (1 << part_sizes[-1]) - 1  # 0 for an empty last part, which has no edge
-    prefixes = math.prod(part_sizes[:-1]) if full else 0
-    return RPartiteHypergraph(part_sizes, dict.fromkeys(range(prefixes), full))
 
 
 def codegree_blocks(links: Iterable[list[int]], s: int) -> list[tuple[Pattern, list[int]]]:
@@ -347,111 +335,6 @@ def format_graph(graph: RPartiteHypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_graph(text: str) -> RPartiteHypergraph:
-    """Parse the line format; every complaint carries its 1-based line number.
-
-    Valid text in format_graph's shape is read in bulk (_parse_canonical).
-    Any other text, with comments, other whitespace or an error, is read by
-    _parse_lines, so every complaint comes from there.
-    """
-    graph = _parse_canonical(text)
-    return _parse_lines(text) if graph is None else graph
-
-
-def _parse_lines(text: str) -> RPartiteHypergraph:
-    """parse_graph one line at a time, with comments and any whitespace.
-
-    The one place that checks an edge (arity, range, duplicates), each with
-    its line number; an integer too long for int() is a BudgetError.
-    """
-    part_sizes: tuple[int, ...] | None = None
-    seen: dict[int, int] = {}  # edge index -> its line
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.partition("#")[0].split()
-        if not tokens:
-            continue
-        if part_sizes is None:
-            if tokens[0] != "zng":
-                raise GraphFormatError(f"line {lineno}: expected 'zng' header, got {tokens[0]!r}")
-            try:
-                numbers = [parse_int(t, f"line {lineno}: header field") for t in tokens[1:]]
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: header fields must be integers") from None
-            if not numbers or len(numbers) != numbers[0] + 1:
-                raise GraphFormatError(
-                    f"line {lineno}: header must read 'zng r m_1 ... m_r'"
-                )
-            r, sizes = numbers[0], numbers[1:]
-            if r < 1 or any(m < 0 for m in sizes):
-                raise GraphFormatError(f"line {lineno}: bad part count or part sizes")
-            part_sizes = tuple(sizes)
-            continue
-        try:
-            edge = tuple(parse_int(t, f"line {lineno}: edge field") for t in tokens)
-        except ValueError:
-            raise GraphFormatError(f"line {lineno}: edge fields must be integers") from None
-        if len(edge) != r:
-            raise GraphFormatError(f"line {lineno}: edge has {len(edge)} indices, expected {r}")
-        index = 0
-        for i, v in enumerate(edge):
-            m = part_sizes[i]
-            if not 0 <= v < m:
-                raise GraphFormatError(
-                    f"line {lineno}: index {v} out of range for part {i + 1} (size {m})"
-                )
-            index = index * m + v
-        first = seen.setdefault(index, lineno)
-        if first != lineno:
-            raise GraphFormatError(
-                f"line {lineno}: duplicate edge {' '.join(map(str, edge))} "
-                f"(first seen on line {first})"
-            )
-    if part_sizes is None:
-        raise GraphFormatError("line 1: missing 'zng' header")
-    return RPartiteHypergraph(part_sizes, index_masks(sorted(seen), part_sizes[-1]))
-
-
-def _parse_canonical(text: str) -> RPartiteHypergraph | None:
-    """The graph of text if it is valid and in format_graph's shape, else None.
-
-    The shape: the exact header `zng r m_1 ... m_r`, then lines of r tokens
-    split by single spaces, each ending in a newline.  One str.translate
-    checks that the body holds only digits, spaces and newlines (anything
-    else, even a form feed that splitlines would break a line at, sends the
-    text to the line-wise parser), and each line must hold r - 1 spaces, so a
-    line with r + 1 tokens cannot make up for one with r - 1.  Then one int()
-    per token, a column per part by slicing, one range check per column and
-    one duplicate check per graph.
-    """
-    head, _, body = text.partition("\n")
-    try:
-        r, *sizes = map(int, head.split(" ")[1:])
-    except ValueError:  # no field, not an integer, or too many digits
-        return None
-    if head != f"zng {r} " + " ".join(map(str, sizes)) or len(sizes) != r or r < 1:
-        return None
-    if body.translate(_CANONICAL_BODY) or min(sizes) < 0:
-        return None  # a character format_graph does not write, or m_i < 0
-    if not set(map(str.count, body.split("\n")[:-1], itertools.repeat(" "))) <= {r - 1}:
-        return None
-    try:
-        values = list(map(int, body.split()))
-    except ValueError:  # over int()'s digit limit
-        return None
-    if len(values) != r * body.count("\n"):  # an empty token, or one after the last newline
-        return None
-    indices = values[::r]
-    for i, m in enumerate(sizes):
-        column = values[i::r]
-        if column and max(column) >= m:
-            return None
-        if i:
-            indices = [index * m + v for index, v in zip(indices, column)]
-    if len(set(indices)) != len(indices):
-        return None
-    return RPartiteHypergraph(tuple(sizes), index_masks(sorted(indices), sizes[-1]))
-
-
 def write_atomic(path: str | Path, text: str) -> None:
     """Write ASCII text to path through a temp file in the same directory.
 
@@ -477,4 +360,7 @@ def write_graph(graph: RPartiteHypergraph, path: str | Path) -> None:
 
 
 def read_graph(path: str | Path) -> RPartiteHypergraph:
+    """The graph in the file at path, parsed by zng.reader, imported on the first call."""
+    from zng.reader import parse_graph
+
     return parse_graph(Path(path).read_text(encoding="ascii"))

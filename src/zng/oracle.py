@@ -1,14 +1,14 @@
 """Exact extremal edge counts for tiny forbidden-pattern queries.
 
-Two independent routes to the same number.  exhaustive_z enumerates every
-subset of potential edges and re-checks pattern-freeness from scratch with a
-direct all-subsets test; it exists to be unarguable.  exact_z is the usable
-search: depth-first over potential edges in lexicographic order, include
-branch first, with an upper-bound cutoff, incremental freeness checking on
-prefix-neighborhood bitmasks, and a canonical-form restriction (first-part
-blocks non-increasing) that quotients out first-part relabelings.  Both
-return a witness; exact_z's is the lexicographically least optimum, which
-the include-first search order finds first by construction.
+exact_z searches depth-first over potential edges in lexicographic order,
+include branch first, with an upper-bound cutoff, incremental freeness
+checking on prefix-neighborhood bitmasks, and a canonical-form restriction
+(first-part blocks non-increasing) that quotients out first-part
+relabelings.  Its witness is the lexicographically least optimum, which the
+include-first search order finds first by construction.  The tests hold it
+to a second, independent route: exhaustive_z in tests/helpers.py, which
+enumerates every subset of potential edges and re-checks pattern-freeness
+from scratch with a direct all-subsets test.
 
 When exact_z adds an edge, it checks only the patterns that close at the
 edge's prefix (hypergraph.closing_patterns: those whose per-part maxima are
@@ -35,17 +35,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 from zng.errors import BudgetError, int_text
-from zng.hypergraph import (
-    DEFAULT_PATTERN_BUDGET,
-    RPartiteHypergraph,
-    closing_patterns,
-    index_masks,
-    pattern_count,
-    set_bits,
-    write_atomic,
-)
+from zng.hypergraph import RPartiteHypergraph, closing_patterns, index_masks, write_atomic
 
-DEFAULT_EXHAUSTIVE_EDGE_CAP = 30
 DEFAULT_SEARCH_EDGE_CAP = 36
 
 
@@ -87,48 +78,6 @@ class ZResult(NamedTuple):
     z: int
     witness: RPartiteHypergraph
     nodes: int
-
-
-def exhaustive_z(query: ZQuery) -> ZResult:
-    """Raw exhaustion over all 2^N edge subsets; the reference oracle.
-
-    Bit i of a subset is potential edge i in lexicographic order.  Each
-    ordered pattern becomes the bitmask of all its transversal tuples, once,
-    and a subset contains the pattern iff it contains that whole bitmask: a
-    direct all-subsets containment test with no neighborhood shortcuts.
-    Subsets that cannot beat the running best are skipped by popcount, which
-    never changes the maximum.  The witness is the first optimum in subset
-    order.
-
-    Raises:
-        BudgetError: more than DEFAULT_EXHAUSTIVE_EDGE_CAP potential edges,
-            or pattern bitmasks that take more than DEFAULT_PATTERN_BUDGET
-            edge lookups to build (hypergraph.pattern_count).
-    """
-    n, cap = query.potential_edges, DEFAULT_EXHAUSTIVE_EDGE_CAP
-    if n > cap:
-        raise BudgetError(f"{int_text(n)} potential edges exceed the exhaustion cap {cap}")
-    pattern_count(query.m_list, query.s_list, DEFAULT_PATTERN_BUDGET)
-    pot = list(itertools.product(*(range(m) for m in query.m_list)))
-    bit = {edge: 1 << i for i, edge in enumerate(pot)}
-    patterns = [
-        sum(bit[edge] for edge in itertools.product(*subsets))
-        for subsets in itertools.product(
-            *(itertools.combinations(range(m), s) for m, s in zip(query.m_list, query.s_list))
-        )
-    ]
-    best = -1
-    best_mask = 0
-    nodes = 0
-    for mask in range(1 << n):
-        nodes += 1
-        if mask.bit_count() <= best:
-            continue
-        if not any(mask & pattern == pattern for pattern in patterns):
-            best = mask.bit_count()
-            best_mask = mask
-    witness = RPartiteHypergraph(query.m_list, index_masks(set_bits(best_mask), query.m_list[-1]))
-    return ZResult(query=query, z=best, witness=witness, nodes=nodes)
 
 
 def _search(query: ZQuery) -> tuple[int, list[int], int]:

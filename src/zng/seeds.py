@@ -13,17 +13,20 @@ random.Random(sub_seed), the stdlib Mersenne Twister.
 
 sha256 comes from CPython's builtin module (_sha2 from 3.12, _sha256
 before), as random takes its sha512, because hashlib loads OpenSSL: a few
-milliseconds of every construct and sweep start.  Other interpreters fall
+milliseconds of every construct and sweep start.  The version picks the
+module, so no start pays a failed import first.  Other interpreters fall
 back to hashlib; the digest is the same.
 """
 
+import sys
+
 try:
-    from _sha2 import sha256
-except ImportError:
-    try:
+    if sys.version_info >= (3, 12):
+        from _sha2 import sha256
+    else:
         from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
+except ImportError:
+    from hashlib import sha256
 
 _PREFIX = "zng-seed-v1"
 

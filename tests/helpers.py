@@ -20,17 +20,20 @@ from hypothesis import strategies as st
 from zng.certify import FreenessCertificate
 from zng.construct import DEFAULT_POSITION_RETRY_CAP
 from zng.count import gen_binom
-from zng.errors import BudgetError, ConstructionError
+from zng.errors import BudgetError, ConstructionError, int_text
 from zng.hypergraph import (
+    DEFAULT_PATTERN_BUDGET,
     RPartiteHypergraph,
     block_patterns,
     closing_patterns,
     common_mask,
-    complete_graph,
+    index_masks,
     pattern_count,
     prefix_ranks,
+    set_bits,
 )
 from zng.mpoly import DEFAULT_POINT_BUDGET, monomial_basis, random_poly
+from zng.oracle import ZQuery, ZResult
 
 
 # the two kinds of ConstructionParams.advice, each by a phrase of its text
@@ -175,6 +178,13 @@ def edge_graph(part_sizes, edges) -> RPartiteHypergraph:
     return RPartiteHypergraph(part_sizes, dict(sorted(masks.items())))
 
 
+def complete_graph(part_sizes: tuple[int, ...]) -> RPartiteHypergraph:
+    """The complete r-partite r-graph: every transversal tuple is an edge."""
+    full = (1 << part_sizes[-1]) - 1  # 0 for an empty last part, which has no edge
+    prefixes = math.prod(part_sizes[:-1]) if full else 0
+    return RPartiteHypergraph(part_sizes, dict.fromkeys(range(prefixes), full))
+
+
 def check_trusted_table(graph: RPartiteHypergraph) -> None:
     """Assert that graph's mask table keeps the contract the constructor trusts.
 
@@ -306,6 +316,52 @@ def reference_search(query) -> tuple[int, list[int], int]:
 
     dfs(0, 0, False)
     return best, best_bits, nodes
+
+
+DEFAULT_EXHAUSTIVE_EDGE_CAP = 30
+
+
+def exhaustive_z(query: ZQuery) -> ZResult:
+    """Raw exhaustion over all 2^N edge subsets; the reference oracle.
+
+    Bit i of a subset is potential edge i in lexicographic order.  Each
+    ordered pattern becomes the bitmask of all its transversal tuples, once,
+    and a subset contains the pattern iff it contains that whole bitmask: a
+    direct all-subsets containment test with no neighborhood shortcuts.
+    Subsets that cannot beat the running best are skipped by popcount, which
+    never changes the maximum.  The witness is the first optimum in subset
+    order.
+
+    Raises:
+        BudgetError: more than DEFAULT_EXHAUSTIVE_EDGE_CAP potential edges,
+            or pattern bitmasks that take more than DEFAULT_PATTERN_BUDGET
+            edge lookups to build (hypergraph.pattern_count).
+    """
+    n, cap = query.potential_edges, DEFAULT_EXHAUSTIVE_EDGE_CAP
+    if n > cap:
+        raise BudgetError(f"{int_text(n)} potential edges exceed the exhaustion cap {cap}")
+    pattern_count(query.m_list, query.s_list, DEFAULT_PATTERN_BUDGET)
+    pot = list(itertools.product(*(range(m) for m in query.m_list)))
+    bit = {edge: 1 << i for i, edge in enumerate(pot)}
+    patterns = [
+        sum(bit[edge] for edge in itertools.product(*subsets))
+        for subsets in itertools.product(
+            *(itertools.combinations(range(m), s) for m, s in zip(query.m_list, query.s_list))
+        )
+    ]
+    best = -1
+    best_mask = 0
+    nodes = 0
+    for mask in range(1 << n):
+        nodes += 1
+        if mask.bit_count() <= best:
+            continue
+        if not any(mask & pattern == pattern for pattern in patterns):
+            best = mask.bit_count()
+            best_mask = mask
+    witness = RPartiteHypergraph(query.m_list, index_masks(set_bits(best_mask), query.m_list[-1]))
+    return ZResult(query=query, z=best, witness=witness, nodes=nodes)
+
 
 
 @st.composite
@@ -463,12 +519,17 @@ def reference_select(
 
 
 def reference_graph_mask(field, basis, coeffs) -> int:
-    """mpoly.graph_mask by per-point evaluation: one evaluate per domain point."""
+    """mpoly.graph_mask by per-point evaluation: one evaluate per domain point.
+
+    Each point's bit is set in a bytearray, read once, so the cost is linear
+    in the mask width (ORing bits into one int would copy it at every point).
+    """
     ref = residue_field(field)
-    mask = 0
+    buf = bytearray((ref.q ** (basis.num_vars + 1) + 7) >> 3)
     for i, x in enumerate(domain(field, basis.num_vars)):
-        mask |= 1 << (i * ref.q + ref.index[evaluate(field, basis, coeffs, x)])
-    return mask
+        bit = i * ref.q + ref.index[evaluate(field, basis, coeffs, x)]
+        buf[bit >> 3] |= 1 << (bit & 7)
+    return int.from_bytes(buf, "little")
 
 
 def reference_graph(params, polys) -> RPartiteHypergraph:

@@ -20,6 +20,8 @@ from helpers import (
     agreement_set,
     check_field_axioms,
     check_trusted_table,
+    complete_graph,
+    exhaustive_z,
     logged_advice,
     naive_count,
     random_graph,
@@ -30,9 +32,10 @@ from zng.config import ExperimentConfig
 from zng.construct import build, derive_params
 from zng.count import count_ordered, jensen_lower_bound
 from zng.gf import make_field
-from zng.hypergraph import complete_graph, parse_graph, read_graph
+from zng.hypergraph import read_graph
 from zng.mpoly import monomial_basis, random_poly
-from zng.oracle import ZQuery, exact_z, exhaustive_z
+from zng.oracle import ZQuery, exact_z
+from zng.reader import parse_graph
 from zng.seeds import derive_seed
 
 SWEEP_Q = (5, 7, 9, 11, 13)

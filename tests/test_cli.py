@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import zng
+import zng.hypergraph
+import zng.oracle
 from helpers import BALANCED_SPLIT, OVER_CAPACITY, advice_kind, logged_advice
 from zng.certify import FreenessCertificate
 from zng.cli import _HELP, _ratio_text, main
@@ -827,14 +829,15 @@ def loaded_modules(argv):
     return set(done.stdout.strip().splitlines()[-1].split())
 
 
-# mode: (zng modules it must load, zng modules it must not load)
+# mode: (zng modules it must load, zng modules it must not load); only the
+# modes that read a graph load the reader
 STARTUP_MODULES = {
-    "import": ((), ("construct", "certify", "count", "oracle", "gf", "mpoly")),
-    "oracle": (("oracle",), ("construct", "gf", "mpoly")),
-    "count": (("count",), ("construct", "gf", "mpoly")),
-    "verify": (("certify",), ("construct", "gf", "mpoly")),
-    "construct": (("construct", "certify", "gf", "mpoly"), ("count", "oracle")),
-    "sweep": (("construct", "certify", "gf", "mpoly", "seeds"), ("count", "oracle")),
+    "import": ((), ("construct", "certify", "count", "oracle", "gf", "mpoly", "reader")),
+    "oracle": (("oracle",), ("construct", "gf", "mpoly", "reader")),
+    "count": (("count", "reader"), ("construct", "gf", "mpoly")),
+    "verify": (("certify", "reader"), ("construct", "gf", "mpoly")),
+    "construct": (("construct", "certify", "gf", "mpoly"), ("count", "oracle", "reader")),
+    "sweep": (("construct", "certify", "gf", "mpoly", "seeds"), ("count", "oracle", "reader")),
 }
 
 # No mode loads dataclasses (with inspect, ast and dis: about 11 ms per start
@@ -875,3 +878,6 @@ def test_each_mode_loads_only_what_it_runs(tmp_path, mode):
     assert loaded.isdisjoint(f"zng.{name}" for name in skips)
     assert loaded.isdisjoint(NEVER_LOADED)
     assert ("fractions" in loaded) == (mode == "count")
+    if mode == "oracle":  # it compiles neither the reader nor the tests' references
+        assert not {"parse_graph", "complete_graph"} & set(vars(zng.hypergraph))
+        assert not {"exhaustive_z", "DEFAULT_EXHAUSTIVE_EDGE_CAP"} & set(vars(zng.oracle))

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from helpers import (
     advice_kind,
     certificates,
     check_trusted_table,
+    complete_graph,
     edge_graph,
     flat_blocks,
     graphs_with_sides,
@@ -22,7 +24,7 @@ from helpers import (
     reference_neighborhoods,
     reference_select,
 )
-from zng import construct, gf, hypergraph
+from zng import construct, gf, hypergraph, seeds
 from zng.certify import TABLE_CAP, format_certificate, verify_freeness
 from zng.construct import (
     _range_ok,
@@ -32,7 +34,6 @@ from zng.construct import (
     sequential_select,
 )
 from zng.errors import BudgetError, ConstructionError
-from zng.hypergraph import complete_graph
 from zng.mpoly import monomial_basis, monomial_rows
 from zng.seeds import derive_seed
 
@@ -164,6 +165,12 @@ def test_derive_seed_is_the_frozen_sha256_rule(master, labels):
     text = "\x1f".join(["zng-seed-v1", str(master), *map(str, labels)])
     digest = hashlib.sha256(text.encode("ascii")).digest()
     assert derive_seed(master, *labels) == int.from_bytes(digest[:8], "big")
+
+
+def test_derive_seed_takes_the_builtin_sha256_of_the_running_version():
+    # _sha2 from 3.12 on, _sha256 before: neither start tries the other first
+    builtin = "_sha2" if sys.version_info >= (3, 12) else "_sha256"
+    assert seeds.sha256.__module__ == builtin
 
 
 # ----------------------------------------------------------------------

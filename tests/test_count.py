@@ -16,6 +16,7 @@ from helpers import (
     apply_examples,
     bipartite_graphs,
     check_trusted_table,
+    complete_graph,
     edge_graph,
     graphs_with_sides,
     naive_count,
@@ -34,7 +35,7 @@ from zng.count import (
     jensen_lower_bound,
 )
 from zng.errors import BudgetError
-from zng.hypergraph import RPartiteHypergraph, codegree_blocks, complete_graph
+from zng.hypergraph import RPartiteHypergraph, codegree_blocks
 
 C6 = edge_graph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
 

@@ -16,6 +16,7 @@ from helpers import (
     apply_examples,
     bipartite_graphs,
     check_trusted_table,
+    complete_graph,
     edge_graph,
     flat_blocks,
     graphs_with_sides,
@@ -27,24 +28,20 @@ from helpers import (
 )
 from zng import hypergraph
 from zng.construct import build, derive_params
-from zng.errors import BudgetError
+from zng.errors import BudgetError, GraphFormatError
 from zng.hypergraph import (
-    GraphFormatError,
     RPartiteHypergraph,
-    _parse_canonical,
-    _parse_lines,
     closing_patterns,
     codegree_blocks,
     common_mask,
-    complete_graph,
     format_graph,
     index_masks,
-    parse_graph,
     prefix_ranks,
     read_graph,
     write_atomic,
     write_graph,
 )
+from zng.reader import _parse_canonical, _parse_lines, parse_graph
 
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
@@ -281,6 +278,82 @@ def test_bulk_reading_matches_the_line_wise_parser(case, data):
     assert parse_outcome(parse_graph, text) == parse_outcome(_parse_lines, text)
 
 
+def _perturb(text: str, kind: str, rng: random.Random) -> str:
+    """format_graph text with one edit of the given kind, at places rng picks."""
+    lines = text.split("\n")[:-1]  # the header and the edge lines
+    body = lines[1:]
+    at = rng.randrange(len(lines))
+    if kind == "shuffled lines":
+        rng.shuffle(body)
+    elif kind == "repeated line" and body:
+        body.insert(rng.randrange(len(body) + 1), rng.choice(body))
+    elif kind == "run split in two":
+        # a run's last line moves past the first line of a later run
+        prefix = [line.rpartition(" ")[0] for line in body]
+        ends = [i for i in range(len(body) - 1) if prefix[i] != prefix[i + 1]]
+        ends = [i for i in ends if i and prefix[i - 1] == prefix[i]]
+        if ends:
+            i = rng.choice(ends)
+            body.insert(i + 1, body.pop(i))
+    elif kind == "trailing space":
+        lines[at] += " "
+    elif kind == "no final newline":
+        return text[:-1]
+    elif kind == "leading zero":
+        fields = lines[at].split(" ")
+        if fields[0] == "zng":
+            fields = fields[1:]
+        j = rng.randrange(len(fields))
+        fields[j] = "0" + fields[j]
+        lines[at] = " ".join(["zng", *fields] if at == 0 else fields)
+    elif kind == "r + 1 fields beside r - 1" and len(body) > 1:
+        i = rng.randrange(len(body) - 1)  # a field moves across the line break
+        if rng.random() < 0.5:
+            first, _, rest = body[i + 1].partition(" ")
+            body[i : i + 2] = [f"{body[i]} {first}", rest]
+        else:
+            rest, _, last = body[i].rpartition(" ")
+            body[i : i + 2] = [rest, f"{last} {body[i + 1]}"]
+    if kind in ("shuffled lines", "repeated line", "run split in two", "r + 1 fields beside r - 1"):
+        lines[1:] = body
+    return "\n".join(lines) + "\n"
+
+
+PERTURBATIONS = [
+    "shuffled lines", "repeated line", "run split in two", "trailing space", "no final newline",
+    "leading zero", "r + 1 fields beside r - 1",
+]
+
+
+@settings(max_examples=400)
+@given(graphs_with_sides(), st.sampled_from(PERTURBATIONS), st.randoms(use_true_random=False))
+@example((edge_graph((3, 0, 2), []), (1, 1, 1)), "trailing space", random.Random(0))
+@example((edge_graph((0,), []), (1,)), "no final newline", random.Random(0))
+@example((edge_graph((2, 3), [(0, 1), (0, 2), (1, 0)]), (1, 1)), "run split in two", random.Random(0))
+@example((edge_graph((2, 2, 2), [(0, 0, 1), (1, 1, 0)]), (1, 1, 1)), "r + 1 fields beside r - 1",
+         random.Random(0))
+def test_the_run_reader_gives_the_line_wise_graph_or_none(case, kind, rng):
+    # r = 1..4, parts of 0..4 vertices, edgeless graphs among them
+    g, _ = case
+    text = _perturb(format_graph(g), kind, rng)
+    expected = parse_outcome(_parse_lines, text)
+    bulk = _parse_canonical(text)
+    assert bulk is None or (bulk.part_sizes, bulk.masks) == expected, text
+    assert parse_outcome(parse_graph, text) == expected, text
+
+
+def test_perturbations_reach_both_outcomes():
+    # each kind of edit sends some text to the line-wise parser, and leading
+    # zeros, which change no edge, can still be read by prefix runs
+    g = edge_graph((2, 3, 4), [(0, 0, 1), (0, 0, 3), (0, 2, 0), (1, 0, 2), (1, 0, 3)])
+    text = format_graph(g)
+    for kind in PERTURBATIONS:
+        outcomes = {_parse_canonical(_perturb(text, kind, random.Random(seed))) is None
+                    for seed in range(40)}
+        assert True in outcomes, kind
+    assert _parse_canonical("zng 2 2 3\n0 01\n01 02\n").edges == ((0, 1), (1, 2))
+
+
 def test_mask_widths_are_refused_before_any_allocation(monkeypatch):
     def no_buffer(size):
         raise AssertionError(f"a {size}-byte mask buffer was allocated")
@@ -295,6 +368,13 @@ def test_mask_widths_are_refused_before_any_allocation(monkeypatch):
         assert str(err.value) == (
             f"the mask table needs {3 * half} bits, above the cap {hypergraph.DEFAULT_MASK_BIT_CAP}"
         )
+    # one edge whose prefix's mask would span 10^30 bits, read by prefix runs
+    huge = 10**30
+    with pytest.raises(BudgetError) as err:
+        _parse_canonical(f"zng 2 1 {huge}\n0 {huge - 1}\n")
+    assert str(err.value) == (
+        f"the mask table needs {huge} bits, above the cap {hypergraph.DEFAULT_MASK_BIT_CAP}"
+    )
 
 
 def test_mask_width_cap_sums_each_mask_to_its_highest_bit(monkeypatch):

@@ -7,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_trusted_table, edge_graph, naive_count, reference_search, small_shapes
+from helpers import (
+    check_trusted_table,
+    edge_graph,
+    exhaustive_z,
+    naive_count,
+    reference_search,
+    small_shapes,
+)
 from zng import hypergraph
 from zng.count import count_ordered
 from zng.errors import BudgetError
-from zng.oracle import ZQuery, _search, append_ledger, exact_z, exhaustive_z
+from zng.oracle import ZQuery, _search, append_ledger, exact_z
 
 
 def test_query_validation():
