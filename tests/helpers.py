@@ -363,7 +363,6 @@ def exhaustive_z(query: ZQuery) -> ZResult:
     return ZResult(query=query, z=best, witness=witness, nodes=nodes)
 
 
-
 @st.composite
 def graphs_with_sides(draw, min_r: int = 1, max_r: int = 4):
     """(graph, s_list): r parts of 0..4 vertices, any edge set, s_i in 1..m_i + 1.

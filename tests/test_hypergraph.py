@@ -280,32 +280,22 @@ def test_bulk_reading_matches_the_line_wise_parser(case, data):
 
 def _perturb(text: str, kind: str, rng: random.Random) -> str:
     """format_graph text with one edit of the given kind, at places rng picks."""
-    lines = text.split("\n")[:-1]  # the header and the edge lines
-    body = lines[1:]
-    at = rng.randrange(len(lines))
+    head, *body = text.split("\n")[:-1]
     if kind == "shuffled lines":
         rng.shuffle(body)
     elif kind == "repeated line" and body:
         body.insert(rng.randrange(len(body) + 1), rng.choice(body))
     elif kind == "run split in two":
-        # a run's last line moves past the first line of a later run
+        # a run's last line moves past the first line of the next run
         prefix = [line.rpartition(" ")[0] for line in body]
-        ends = [i for i in range(len(body) - 1) if prefix[i] != prefix[i + 1]]
-        ends = [i for i in ends if i and prefix[i - 1] == prefix[i]]
+        ends = [
+            i for i in range(1, len(body) - 1) if prefix[i - 1] == prefix[i] != prefix[i + 1]
+        ]
         if ends:
             i = rng.choice(ends)
             body.insert(i + 1, body.pop(i))
-    elif kind == "trailing space":
-        lines[at] += " "
     elif kind == "no final newline":
         return text[:-1]
-    elif kind == "leading zero":
-        fields = lines[at].split(" ")
-        if fields[0] == "zng":
-            fields = fields[1:]
-        j = rng.randrange(len(fields))
-        fields[j] = "0" + fields[j]
-        lines[at] = " ".join(["zng", *fields] if at == 0 else fields)
     elif kind == "r + 1 fields beside r - 1" and len(body) > 1:
         i = rng.randrange(len(body) - 1)  # a field moves across the line break
         if rng.random() < 0.5:
@@ -314,9 +304,18 @@ def _perturb(text: str, kind: str, rng: random.Random) -> str:
         else:
             rest, _, last = body[i].rpartition(" ")
             body[i : i + 2] = [rest, f"{last} {body[i + 1]}"]
-    if kind in ("shuffled lines", "repeated line", "run split in two", "r + 1 fields beside r - 1"):
-        lines[1:] = body
-    return "\n".join(lines) + "\n"
+    elif kind in ("trailing space", "leading zero"):
+        lines = [head, *body]
+        at = rng.randrange(len(lines))
+        if kind == "trailing space":
+            lines[at] += " "
+        else:
+            fields = lines[at].split(" ")
+            j = rng.randrange(at == 0, len(fields))  # not the header's "zng"
+            fields[j] = "0" + fields[j]
+            lines[at] = " ".join(fields)
+        head, *body = lines
+    return "\n".join([head, *body]) + "\n"
 
 
 PERTURBATIONS = [
