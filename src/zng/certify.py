@@ -1,10 +1,10 @@
 """Freeness certificates: exhaustive verification and their JSON form.
 
 verify_freeness works on any graph with a matching part structure,
-independently of how it was built, so `zng verify` loads only this module
-and the graph model; a table of every pattern, kept up to TABLE_CAP, is
-the block kernel's.  `construct.build` adds its inputs (seed, parameters,
-family) to the certificate it gets from here.
+independently of how it was built, so `zng verify` (run_verify) loads only
+this module and the graph model; a table of every pattern, kept up to
+TABLE_CAP, is the block kernel's.  `construct.build` adds its inputs (seed,
+parameters, family) to the certificate it gets from here.
 """
 
 from __future__ import annotations
@@ -14,12 +14,14 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
+from zng.config import ExperimentConfig, set_kwargs
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     Pattern,
     RPartiteHypergraph,
     block_patterns,
     pattern_count,
+    read_graph,
     write_atomic,
 )
 
@@ -166,3 +168,17 @@ def verify_freeness(
         table=tuple(table) if table is not None else None,
         passed=max_size <= t - 1,
     )
+
+
+def run_verify(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
+    """zng verify: out/certificate.json, and (passed, the status line's fields)."""
+    graph = read_graph(config.graph)
+    cert = verify_freeness(graph, config.s, config.t, **set_kwargs(pattern_budget=config.budget))
+    write_certificate(cert, out / "certificate.json")
+    return cert.passed, {
+        "graph": config.graph,
+        "max_size": cert.max_size,
+        "argmax_pattern": cert.argmax_pattern,
+        "t": cert.t,
+        "passed": cert.passed,
+    }

@@ -5,10 +5,15 @@ fields (s, m, q) in order, and any other key is set once.  On the command
 line each key is a ``--key value`` flag after the mode, typed by the same
 rule.  The format is deliberately minimal so configs stay hand-editable and
 diff cleanly; everything a run needs is a scalar or a short integer list.
+Each mode's runner takes the config parsed here, writes its stderr lines
+with log, and hands the library only the settings a run set (set_kwargs).
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
+import time
 from pathlib import Path
 from typing import NamedTuple
 
@@ -153,3 +158,16 @@ def _set_key(values: dict[str, object], first: dict, key: str, item: str, where:
 
 def read_config(path: str | Path) -> ExperimentConfig:
     return parse_config(Path(path).read_text(encoding="ascii"))
+
+
+def set_kwargs(**values) -> dict:
+    """The keyword arguments that are set; None leaves the library default."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
+def log(message: str) -> None:
+    """Write `YYYY-mm-dd HH:MM:SS,mmm zng message` to stderr; drop what it cannot take."""
+    now = time.time()
+    stamp = time.strftime("%Y-%m-%d %H:%M:%S", time.localtime(now))
+    with contextlib.suppress(AttributeError, OSError, ValueError):  # None, broken or closed
+        sys.stderr.write(f"{stamp},{int((now - int(now)) * 1000):03d} zng {message}\n")

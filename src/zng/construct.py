@@ -23,6 +23,9 @@ term first (gf.Field.residues).
 Derived quantities (polynomial degree, tuple capacity) use exact integer
 root-and-floor arithmetic throughout; no floating point touches anything
 that decides acceptance.
+
+run_construct and run_sweep are `zng construct` and `zng sweep`: each point
+is derive_params -> build -> graph.zng and certificate.json.
 """
 
 from __future__ import annotations
@@ -30,12 +33,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import time
+from pathlib import Path
 from typing import NamedTuple
 
-# write_certificate is not called here: perfbench/tracing.py times the
-# certificate writes under the name zng.construct.write_certificate.
-from zng.certify import FreenessCertificate, verify_freeness, write_certificate  # noqa: F401
-from zng.errors import BudgetError, ConstructionError, int_text
+from zng.certify import FreenessCertificate, verify_freeness, write_certificate
+from zng.config import ExperimentConfig, log, set_kwargs
+from zng.errors import BudgetError, ConstructionError, int_text, ratio_text
 from zng.gf import Field, make_field
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
@@ -45,6 +49,8 @@ from zng.hypergraph import (
     common_mask,
     mask_table_budget,
     pattern_count,
+    write_atomic,
+    write_graph,
 )
 from zng.mpoly import (
     DEFAULT_POINT_BUDGET,
@@ -427,3 +433,69 @@ def build(
         range_ok=_range_ok(params),
     )
     return BuildResult(graph=graph, family=family, certificate=cert)
+
+
+# ----------------------------------------------------------------------
+# zng construct and zng sweep
+# ----------------------------------------------------------------------
+
+def _build_point(
+    config: ExperimentConfig, q: int, m_list: tuple[int, ...], seed: int, out: Path
+) -> BuildResult:
+    """derive_params -> build -> out/graph.zng and out/certificate.json."""
+    params = derive_params(config.s, config.t, q, m_list)
+    if params.advice:
+        log(params.advice)
+    budgets = set_kwargs(
+        point_budget=config.budget,
+        pattern_budget=config.budget,
+        position_retry_cap=config.retries,
+        restart_cap=config.restarts,
+    )
+    result = build(params, seed, **budgets)
+    write_graph(result.graph, out / "graph.zng")
+    write_certificate(result.certificate, out / "certificate.json")
+    return result
+
+
+def run_construct(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
+    """zng construct: one point, and (passed, the status line's fields)."""
+    result = _build_point(config, config.q[0], config.m, config.seed, out)
+    cert = result.certificate
+    return cert.passed, {
+        "edges": result.graph.num_edges,
+        "part_sizes": result.graph.part_sizes,
+        "max_size": cert.max_size,
+        "t": cert.t,
+        "passed": cert.passed,
+    }
+
+
+def run_sweep(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
+    """zng sweep: one point per field order and out/sweep.tsv; a failed point is a failed row."""
+    s_total = math.prod(config.s)
+    lines = ["q\tm\tedges\tbound\tratio\tverdict"]
+    failures = 0
+    for q in config.q:
+        m_list = config.m if config.m else (q,) * len(config.s)
+        sub_seed = derive_seed(config.seed, "sweep", "q", q)
+        bound = math.prod(m_list) * q ** (s_total - 1)
+        row = f"{q}\t{','.join(map(str, m_list))}\t"
+        started = time.perf_counter()
+        try:
+            result = _build_point(config, q, m_list, sub_seed, out / f"q{q}")
+        except (ValueError, ConstructionError, BudgetError) as err:
+            failures += 1
+            log(f"sweep q={q} failed in {time.perf_counter() - started:.3f}s: {err}")
+            lines.append(f"{row}-\t{int_text(bound, '-')}\t-\tfailed")
+            continue
+        edges = result.graph.num_edges
+        verdict = "pass" if result.certificate.passed else "failed"
+        failures += verdict == "failed"
+        log(f"sweep q={q} done in {time.perf_counter() - started:.3f}s")
+        lines.append(f"{row}{edges}\t{bound}\t{ratio_text(edges, bound)}\t{verdict}")
+    write_atomic(out / "sweep.tsv", "\n".join(lines) + "\n")
+    return failures == 0, {
+        "points": len(config.q),
+        "failed": failures,
+    }

@@ -8,45 +8,39 @@ an exact integer.  count_report takes the exact and the intermediate count
 jensen_lower_bound replaces each averaging step of that count with the
 generalized binomial of the mean, which can only go down by convexity, so
 the bound is a certified floor for the exact count on every graph, not just
-asymptotically; a two-part step depends only on the edge count, so it is
-evaluated once per distinct link size.  All rational arithmetic uses
-fractions.Fraction; nothing here touches floats.
+asymptotically.
+
+The chain is computed in integers.  With the generalized binomial
+g(x, s) = x(x-1)...(x-s+1)/s! for x >= s-1 and 0 below, one averaging step
+takes a total p/d over C choices to C * g(p / q, s), q = d * C: the
+numerator C * p(p-q)...(p-(s-1)q), which is 0 when p < (s-1)q, over the
+denominator q^s * s!.  The denominator depends on the shape alone, so the
+links of one graph share it and sum as numerators, and one gcd at the end
+gives the text str(Fraction) writes.  Only jensen_lower_bound, whose
+callers take a Fraction, loads fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
-from collections import Counter
-from fractions import Fraction
-from typing import NamedTuple
+from pathlib import Path
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from zng.config import ExperimentConfig, set_kwargs
+from zng.errors import ratio_text
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     RPartiteHypergraph,
     index_masks,
     pattern_count,
-    set_bits,
+    read_graph,
+    write_atomic,
 )
 
-Rational = int | Fraction
-
-
-def gen_binom(x: Rational, s: int) -> Fraction:
-    """Generalized binomial: 0 below s-1, else x(x-1)...(x-s+1)/s!.
-
-    Defined for exact rational x and integer s >= 1; nondecreasing and convex
-    in x on x >= 0, which is what makes the averaging bound sound.
-    """
-    if s < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
-    x = Fraction(x)
-    if x < s - 1:
-        return Fraction(0)
-    prod = Fraction(1)
-    for i in range(s):
-        prod *= x - i
-    return prod / math.factorial(s)
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 def _check_sides(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> None:
@@ -100,66 +94,117 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
     """Constant-free lower bound for count_ordered via convexity.
 
     For two parts the bound is the closed chain
-        C(m_1,s_1) * gen_binom(m_2 * gen_binom(e/m_2, s_1) / C(m_1,s_1), s_2),
+        C(m_1,s_1) * g(m_2 * g(e/m_2, s_1) / C(m_1,s_1), s_2),
     and for more parts the intermediate count is bounded per link, exactly,
     before one final averaging step over the last part:
         t_a >= sum over last-part vertices v of LB(link(v), s_list[:-1]).
     The link of v is the (r-1)-partite graph of the prefixes whose mask has
     bit v; an empty link bounds 0, so only vertices with edges are visited.
     A two-part bound depends only on its edge count, so with three parts the
-    vertices are grouped by link size, counted from the mask bits, and each
-    size is evaluated once; with more, each vertex's prefix ranks, grouped
-    in one pass over the mask bits, recurse as the mask table of its link.
+    vertices are grouped by link size (degree_histogram) and each size is
+    evaluated once; with more, each vertex's prefix ranks, grouped in one
+    pass over the mask bits, recurse as the mask table of its link.
 
     Always <= count_ordered(H, s_list), with equality on complete graphs.
     """
+    from fractions import Fraction
+
     _check_sides(H, s_list)
-    part_sizes = H.part_sizes
-    if H.r == 1:
-        # every edge is a vertex of the single part; the count is a binomial
-        return gen_binom(H.num_edges, s_list[0])
+    return Fraction(*_chain(H, s_list))
+
+
+def _chain(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> tuple[int, int]:
+    """jensen_lower_bound as (numerator, denominator), not reduced."""
+    if H.r == 1:  # every edge is a vertex of the single part; the count is a binomial
+        return _step(1, H.num_edges, 1, s_list[0])
     if H.r == 2:
-        return _jensen_two(part_sizes, H.num_edges, s_list)
-    sizes, sides = part_sizes[:-1], s_list[:-1]
+        return _two(H.part_sizes, H.num_edges, s_list)
+    sizes, sides = H.part_sizes[:-1], s_list[:-1]
     choices = pattern_count(sizes, sides)
     if choices == 0:
-        return Fraction(0)
+        return 0, 1
     if H.r == 3:
-        degrees = Counter(itertools.chain.from_iterable(map(set_bits, H.masks.values())))
-        link_sizes = Counter(degrees.values())
-        t_a = sum(n * _jensen_two(sizes, size, sides) for size, n in link_sizes.items())
+        degrees = degree_histogram(H.masks.values()).items()
+        links = [(n, _two(sizes, size, sides)) for size, n in degrees]
     else:
-        t_a = Fraction(0)
-        for ranks in H.links().values():
-            link = RPartiteHypergraph(sizes, index_masks(ranks, sizes[-1]))
-            t_a += jensen_lower_bound(link, sides)
-    return choices * gen_binom(Fraction(t_a, choices), s_list[-1])
+        links = [
+            (1, _chain(RPartiteHypergraph(sizes, index_masks(ranks, sizes[-1])), sides))
+            for ranks in H.links().values()
+        ]
+    num, den = 0, 1  # every link has the same denominator
+    for n, (link_num, den) in links:
+        num += n * link_num
+    return _step(choices, num, den, s_list[-1])
 
 
-def _jensen_two(part_sizes: tuple[int, ...], num_edges: int, s_list: tuple[int, ...]) -> Fraction:
+def _two(part_sizes: tuple[int, ...], num_edges: int, s_list: tuple[int, ...]) -> tuple[int, int]:
     """The closed two-part chain, a function of the edge count alone."""
-    choices = math.comb(part_sizes[0], s_list[0])
-    m2 = part_sizes[1]
-    if choices == 0 or m2 == 0:
-        return Fraction(0)
-    t_a = m2 * gen_binom(Fraction(num_edges, m2), s_list[0])
-    return choices * gen_binom(t_a / choices, s_list[1])
+    (m_1, m_2), (s_1, s_2) = part_sizes, s_list
+    return _step(math.comb(m_1, s_1), *_step(m_2, num_edges, 1, s_1), s_2)
+
+
+def _step(choices: int, num: int, den: int, s: int) -> tuple[int, int]:
+    """choices * g(num / (den * choices), s) as (numerator, denominator).
+
+    (0, 1) when choices is 0.  Only the graph a chain starts on can have no
+    choice: _chain builds links only once the first r-1 parts have room for
+    a pattern.
+    """
+    if choices == 0:
+        return 0, 1
+    q = den * choices
+    top = choices if num >= (s - 1) * q else 0
+    for i in range(s):
+        top *= num - i * q
+    return top, q**s * math.factorial(s)
+
+
+def degree_histogram(masks: Iterable[int]) -> dict[int, int]:
+    """Each degree d >= 1 in the last part -> the number of vertices of degree d.
+
+    A vertex's degree is the number of masks with its bit.  Plane k holds
+    bit k of every vertex's degree, so a mask is one ripple-carry add into
+    the planes.  The vertices with an edge then split into classes of equal
+    degree one plane at a time, and only non-empty classes are kept.
+    """
+    planes: list[int] = []
+    for carry in masks:
+        k = 0
+        while carry:
+            if k == len(planes):
+                planes.append(carry)
+                break
+            planes[k], carry = planes[k] ^ carry, planes[k] & carry
+            k += 1
+    seen = 0
+    for plane in planes:
+        seen |= plane
+    classes = {0: seen} if seen else {}
+    for k, plane in enumerate(planes):
+        split = {}
+        for degree, members in classes.items():
+            high = members & plane
+            if high:
+                split[degree | 1 << k] = high
+            if high != members:
+                split[degree] = members ^ high
+        classes = split
+    return {degree: members.bit_count() for degree, members in classes.items()}
 
 
 class CountReport(NamedTuple):
-    """Exact count, the intermediate single-vertex count, and the bound."""
+    """Exact count, the intermediate single-vertex count, and the bound.
+
+    lower_bound and density are exact fractions as str(Fraction) writes
+    them, so the record is count.json as it stands.
+    """
 
     s_list: tuple[int, ...]
     exact: int
     intermediate: int
-    lower_bound: Fraction
-    density: Fraction
+    lower_bound: str
+    density: str
     bound_holds: bool
-
-    def to_dict(self) -> dict:
-        """The fields, with the fractions as their str (json has no rationals)."""
-        fractions = {"lower_bound": str(self.lower_bound), "density": str(self.density)}
-        return {**self._asdict(), **fractions}
 
 
 def count_report(
@@ -174,14 +219,21 @@ def count_report(
     """
     _check_sides(H, s_list)
     exact, intermediate = _count_pass(H, s_list, pattern_budget)
-    lower = jensen_lower_bound(H, s_list)
+    num, den = _chain(H, s_list)
     cells = math.prod(H.part_sizes)
-    density = Fraction(H.num_edges, cells) if cells else Fraction(0)
     return CountReport(
         s_list=tuple(s_list),
         exact=exact,
         intermediate=intermediate,
-        lower_bound=lower,
-        density=density,
-        bound_holds=lower <= exact,
+        lower_bound=ratio_text(num, den),
+        density=ratio_text(H.num_edges, cells) if cells else "0",
+        bound_holds=num <= exact * den,
     )
+
+
+def run_count(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
+    """zng count: out/count.json, and (bound_holds, the status line's fields)."""
+    graph = read_graph(config.graph)
+    fields = count_report(graph, config.s, **set_kwargs(pattern_budget=config.budget))._asdict()
+    write_atomic(out / "count.json", json.dumps(fields, indent=2, sort_keys=True) + "\n")
+    return fields["bound_holds"], {"graph": config.graph, **fields}

@@ -8,8 +8,11 @@ names the count and the budget it exceeds.  The command line maps BudgetError to
 exit code so scripted callers can tell "too big" apart from "failed",
 ConstructionError to the verdict code without loading the construction, and
 GraphFormatError to the usage code without loading the graph reader.
+The number texts of messages and artifacts (int_text, ratio_text) are here
+too, as every mode loads this module.
 """
 
+import math
 import sys
 
 
@@ -19,6 +22,13 @@ def int_text(n: int, unprintable: str | None = None) -> str:
         return str(n)
     except ValueError:  # over sys.get_int_max_str_digits() digits, 4300 by default
         return f"at least 2^{n.bit_length() - 1}" if unprintable is None else unprintable
+
+
+def ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without loading fractions."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def parse_int(text: str, name: str) -> int:

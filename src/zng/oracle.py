@@ -25,17 +25,27 @@ besides the prefix's own, which are all earlier.  The include step checks
 them inline, with no call per pattern, and skips them while the prefix has
 fewer than s_r neighbours; the exclude branch is the next turn of a loop,
 and leaf children are counted in their parent (see _search).
+
+run_oracle is `zng oracle`: one exact_z, its witness graph and a ledger row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import time
 from pathlib import Path
 from typing import NamedTuple
 
+from zng.config import ExperimentConfig, log, set_kwargs
 from zng.errors import BudgetError, int_text
-from zng.hypergraph import RPartiteHypergraph, closing_patterns, index_masks, write_atomic
+from zng.hypergraph import (
+    RPartiteHypergraph,
+    closing_patterns,
+    index_masks,
+    write_atomic,
+    write_graph,
+)
 
 DEFAULT_SEARCH_EDGE_CAP = 36
 
@@ -239,3 +249,27 @@ def append_ledger(path: str | Path, result: ZResult, witness_path: str) -> None:
     except FileNotFoundError:
         old = ""
     write_atomic(path, (old or LEDGER_HEADER) + line)
+
+
+def run_oracle(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
+    """zng oracle: the witness graph and a ledger row, and (True, the status line's fields)."""
+    query = ZQuery(config.m, config.s)
+    started = time.perf_counter()
+    result = exact_z(query, **set_kwargs(edge_cap=config.budget))
+    seconds = time.perf_counter() - started
+    rate = result.nodes / seconds if seconds else 0.0
+    log(
+        f"oracle {query.label()}: z={result.z}, {result.nodes} nodes in {seconds:.3f}s"
+        f" ({rate:.0f} nodes/s)"
+    )
+    name = "witness_{}_{}.zng".format(
+        "x".join(map(str, config.m)), "x".join(map(str, config.s))
+    )
+    write_graph(result.witness, out / name)
+    append_ledger(out / "oracle.tsv", result, name)
+    return True, {
+        "query": query.label(),
+        "z": result.z,
+        "nodes": result.nodes,
+        "witness": name,
+    }

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 
 from zng.certify import FreenessCertificate
 from zng.construct import DEFAULT_POSITION_RETRY_CAP
-from zng.count import gen_binom
 from zng.errors import BudgetError, ConstructionError, int_text
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
@@ -545,10 +544,29 @@ def reference_graph(params, polys) -> RPartiteHypergraph:
     return edge_graph((*params.m_list, params.n), edges)
 
 
-def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction:
-    """The convexity bound with one link graph per last-part vertex.
+def gen_binom(x: int | Fraction, s: int) -> Fraction:
+    """Generalized binomial: 0 below s-1, else x(x-1)...(x-s+1)/s!, in Fractions.
 
-    The link of v is built by filtering H.edges for edges ending at v.
+    Defined for exact rational x and integer s >= 1; nondecreasing and convex
+    in x on x >= 0, which is what makes the averaging bound sound.
+    """
+    if s < 1:
+        raise ValueError(f"s must be a positive integer, got {s}")
+    x = Fraction(x)
+    if x < s - 1:
+        return Fraction(0)
+    prod = Fraction(1)
+    for i in range(s):
+        prod *= x - i
+    return prod / math.factorial(s)
+
+
+def reference_jensen(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fraction:
+    """The convexity bound with one link graph per last-part vertex, in Fractions.
+
+    The link of v is built by filtering H.edges for edges ending at v, and
+    each averaging step is gen_binom of a Fraction, so nothing is shared with
+    count's integer chain.
     """
     if H.r == 1:
         return gen_binom(H.num_edges, s_list[0])

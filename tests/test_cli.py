@@ -18,10 +18,12 @@ import zng.hypergraph
 import zng.oracle
 from helpers import BALANCED_SPLIT, OVER_CAPACITY, advice_kind, logged_advice
 from zng.certify import FreenessCertificate
-from zng.cli import _HELP, _ratio_text, main
+import zng.cli
+from zng.cli import _HELP, main
 from zng.config import COMMON_KEYS, MODE_KEYS, ExperimentConfig, parse_args, parse_config
 from zng.construct import ConstructionParams, derive_params
 from zng.count import CountReport
+from zng.errors import ratio_text
 from zng.hypergraph import read_graph
 
 
@@ -239,7 +241,7 @@ def test_sweep_ratio_text_is_the_fraction_text():
     cases = [(edges, bound) for bound in range(1, 40) for edges in range(bound + 1)]
     cases += [(3721, 3721), (0, 3721), (6 * 2**64, 4 * 2**64), (10**30 + 1, 10**30)]
     for edges, bound in cases:
-        assert _ratio_text(edges, bound) == str(Fraction(edges, bound))
+        assert ratio_text(edges, bound) == str(Fraction(edges, bound))
 
 
 def test_sweep_empty_range(tmp_path, capsys):
@@ -848,15 +850,28 @@ STARTUP_MODULES = {
 # warning's source line) or argparse (whose help strings make gettext import
 # locale: a fresh `zng oracle` start took 61.0 ms with it and 55.2 ms with
 # zng.config parsing the flags, 5.6 ms less in the median of 61 pairs of
-# fresh interpreters on one CPU), and only count, whose bound is an exact
-# rational, loads fractions (with decimal and numbers: about 3 ms).  No mode
-# loads _hashlib either: it is OpenSSL, 2.0 ms of self time in -X importtime
-# on one CPU (hashlib 2.4-2.5 ms cumulative) against 0.19 ms for the builtin
-# _sha256 that zng.seeds takes instead.
+# fresh interpreters on one CPU).  No mode loads fractions, with decimal and
+# numbers (2.4 ms cumulative in -X importtime): count's bound is an integer
+# numerator and denominator, and only a library call of
+# count.jensen_lower_bound makes it a Fraction.  No mode loads _hashlib
+# either: it is OpenSSL, 2.0 ms of self time in -X importtime on one CPU
+# (hashlib 2.4-2.5 ms cumulative) against 0.19 ms for the builtin _sha256
+# that zng.seeds takes instead.
 NEVER_LOADED = (
     "dataclasses", "inspect", "logging", "linecache", "tokenize", "argparse", "gettext", "locale",
-    "_hashlib",
+    "fractions", "decimal", "numbers", "_hashlib",
 )
+
+
+def started_imports(args):
+    """The modules a fresh `python -X importtime <args>` imports, as its stderr lists them."""
+    done = subprocess.run(
+        [sys.executable, "-X", "importtime", *args],
+        capture_output=True, text=True, env=CHILD_ENV, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = [line for line in done.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rpartition("|")[2].strip() for line in lines[1:]}  # the first is the header
 
 
 @pytest.mark.parametrize("mode", list(STARTUP_MODULES))
@@ -877,7 +892,20 @@ def test_each_mode_loads_only_what_it_runs(tmp_path, mode):
     assert {f"zng.{name}" for name in loads} <= loaded
     assert loaded.isdisjoint(f"zng.{name}" for name in skips)
     assert loaded.isdisjoint(NEVER_LOADED)
-    assert ("fractions" in loaded) == (mode == "count")
+    # the runners live in the mode modules, so every child compiles only its own
+    assert not [
+        name for name in vars(zng.cli)
+        if name.startswith("_run") or name in ("_build_point", "_ratio_text")
+    ]
     if mode == "oracle":  # it compiles neither the reader nor the tests' references
         assert not {"parse_graph", "complete_graph"} & set(vars(zng.hypergraph))
         assert not {"exhaustive_z", "DEFAULT_EXHAUSTIVE_EDGE_CAP"} & set(vars(zng.oracle))
+    # started as the benchmark starts a child: `-c "import zng.cli"` to warm
+    # up, and a mode as `python -m zng.cli`, where the front end is __main__
+    # and nothing may import it again as zng.cli
+    args = ["-c", "import zng.cli"] if mode == "import" else ["-m", "zng.cli", *argv]
+    started = started_imports(args)
+    assert {f"zng.{name}" for name in loads} <= started
+    assert started.isdisjoint(f"zng.{name}" for name in skips)
+    assert started.isdisjoint(NEVER_LOADED)
+    assert ("zng.cli" in started) == (mode == "import")

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -18,6 +19,7 @@ from helpers import (
     check_trusted_table,
     complete_graph,
     edge_graph,
+    gen_binom,
     graphs_with_sides,
     naive_count,
     random_graph,
@@ -31,17 +33,17 @@ from zng.certify import TABLE_CAP, verify_freeness
 from zng.count import (
     count_ordered,
     count_report,
-    gen_binom,
+    degree_histogram,
     jensen_lower_bound,
 )
 from zng.errors import BudgetError
-from zng.hypergraph import RPartiteHypergraph, codegree_blocks
+from zng.hypergraph import RPartiteHypergraph, codegree_blocks, set_bits
 
 C6 = edge_graph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
 
 
 # ----------------------------------------------------------------------
-# generalized binomial
+# generalized binomial: reference_jensen's own step, in Fractions
 # ----------------------------------------------------------------------
 
 def test_gen_binom_frozen_values():
@@ -118,7 +120,7 @@ def test_declared_last_part_size_allocates_nothing():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert report.exact == report.lower_bound == len(edges)
+        assert report.exact == len(edges) and report.lower_bound == str(len(edges))
         assert peak < 1 << 20
 
 
@@ -233,6 +235,57 @@ def test_jensen_never_exceeds_exact_on_random_instances():
         assert jensen_lower_bound(g, s_list) <= count_ordered(g, s_list)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    parts=st.lists(st.integers(0, 4), min_size=1, max_size=5),
+    sides=st.lists(st.integers(1, 4), min_size=5, max_size=5),
+    density=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(parts=[3, 0], sides=[2, 1, 1, 1, 1], density=1.0, seed=0)  # an empty last part
+@example(parts=[0, 3, 3], sides=[1, 1, 2, 1, 1], density=1.0, seed=0)  # an empty first part
+@example(parts=[2, 4, 3], sides=[3, 1, 1, 1, 1], density=1.0, seed=0)  # s_1 > m_1
+@example(parts=[4, 4, 4], sides=[2, 2, 2, 1, 1], density=0.0, seed=0)  # no edge
+@example(parts=[4, 4, 4, 4], sides=[2, 2, 1, 2, 1], density=0.0, seed=0)
+@example(parts=[3, 2, 2, 2, 4], sides=[2, 1, 1, 2, 2], density=0.9, seed=0)
+@example(parts=[4], sides=[3, 1, 1, 1, 1], density=0.6, seed=1)
+def test_the_integer_chain_is_the_fraction_reference(parts, sides, density, seed):
+    g = random_graph(random.Random(seed), tuple(parts), density)
+    s_list = tuple(sides[: len(parts)])
+    reference = reference_jensen(g, s_list)
+    num, den = zng.count._chain(g, s_list)
+    common = math.gcd(num, den)
+    assert den > 0 and (num // common, den // common) == (
+        reference.numerator, reference.denominator
+    )
+    report = count_report(g, s_list)
+    assert report.lower_bound == str(reference) and reference <= report.exact
+    assert report.bound_holds
+
+
+@st.composite
+def mask_tables(draw):
+    """Masks of one width, 1..200 bits, each nonzero."""
+    width = draw(st.integers(1, 200))
+    return draw(st.lists(st.integers(1, (1 << width) - 1), max_size=40))
+
+
+FULL = (1 << 130) - 1  # a width that is not a multiple of 64
+
+
+@settings(max_examples=300)
+@given(mask_tables())
+@example([])
+@example([FULL])
+@example([1] * 5)  # m_r = 1
+@apply_examples([([FULL] * (2**k - 1),) for k in range(1, 7)])
+@apply_examples([([FULL] * 2**k,) for k in range(1, 7)])  # the count carries into a new plane
+@example([(1 << 67) - 1] * 63 + [1, 1 << 66])  # 2^6 - 1 and 2^6 beside each other
+def test_the_bit_plane_histogram_is_the_set_bits_degree_count(masks):
+    degrees = Counter(itertools.chain.from_iterable(map(set_bits, masks)))
+    assert degree_histogram(masks) == dict(Counter(degrees.values()))
+
+
 def test_jensen_handles_degenerate_parts():
     empty = edge_graph((3, 0), [])
     assert jensen_lower_bound(empty, (2, 2)) == 0
@@ -248,12 +301,10 @@ def test_count_report_fields():
     report = count_report(complete_graph((3, 3)), (2, 2))
     assert report.exact == 9
     assert report.intermediate == count_ordered(complete_graph((3, 3)), (2, 1))
-    assert report.lower_bound == 9
-    assert report.density == 1
+    assert report.lower_bound == "9"
+    assert report.density == "1"
     assert report.bound_holds
-    data = report.to_dict()
-    assert data["lower_bound"] == "9"
-    assert data["density"] == "1"
+    assert count_report(edge_graph((3, 4), [(0, 0), (2, 3)]), (1, 1)).density == "1/6"
 
 
 def test_count_on_complete_graphs_is_the_product_of_binomials():
