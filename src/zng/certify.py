@@ -22,6 +22,7 @@ from zng.hypergraph import (
     block_patterns,
     pattern_count,
     read_graph,
+    shape,
     write_atomic,
 )
 
@@ -139,14 +140,12 @@ def verify_freeness(
     independent of how they were built.
 
     Raises:
-        BudgetError: more than pattern_budget patterns to enumerate.
+        ValueError: not one side per part besides the last, or a side or t
+            below 1 (shape).
+        BudgetError: more than pattern_budget mask lookups, patterns times
+            prod(s_list) (pattern_count).
     """
-    if len(s_list) != H.r - 1:
-        raise ValueError(f"{len(s_list)} side sizes for a {H.r}-part graph, which takes {H.r - 1}")
-    if any(s < 1 for s in s_list):
-        raise ValueError(f"side sizes must be >= 1, got {s_list}")
-    if t < 1:
-        raise ValueError(f"t must be >= 1, got {t}")
+    shape(H.part_sizes, s_list, t)
     patterns = pattern_count(H.part_sizes[:-1], s_list, pattern_budget)
     max_size = 0
     argmax = tuple(tuple(range(s)) for s in s_list) if patterns else None

@@ -49,6 +49,7 @@ from zng.hypergraph import (
     common_mask,
     mask_table_budget,
     pattern_count,
+    shape,
     write_atomic,
     write_graph,
 )
@@ -176,16 +177,16 @@ def derive_params(
             the capacity is the returned record's advice, not an error.
 
     Raises:
-        ValueError: empty or sub-unit s_list, s_total < 2, t below the
-            hypothesis threshold, q not a prime power (gf.make_field), or
-            m_list of another length than s_list or with a part below 1.
+        ValueError: not one part per side, a side or t below 1 (shape), a
+            part below 1, s_total < 2, t below the hypothesis threshold, or
+            q not a prime power (gf.make_field).
         BudgetError: q above 2^16, prime power or not (gf.make_field), a
             basis above the cap (mpoly.basis_size), or a capacity of more
             than 4300 digits.
     """
-    s_list = tuple(int(s) for s in s_list)
-    if not s_list or any(s < 1 for s in s_list):
-        raise ValueError(f"side sizes must be >= 1, got {s_list}")
+    shape((*m_list, 0), s_list, t)  # 0 stands for n, the last part, until q is checked
+    if any(m < 1 for m in m_list):
+        raise ValueError(f"part sizes must be >= 1, got {m_list}")
     s_total = math.prod(s_list)
     if s_total < 2:
         raise ValueError(f"prod(s_list) = {s_total} < 2; nothing to randomize")
@@ -198,22 +199,16 @@ def derive_params(
     capacity = integer_root(q ** (degree + 1), s_total - 1) // (2 * degree)
     if capacity >= PRINTABLE_LIMIT:
         raise BudgetError(f"the capacity at q={q}, degree {degree} has over 4300 digits")
-    n = q**s_total
-    m_list = tuple(int(m) for m in m_list)
-    if len(m_list) != len(s_list):
-        raise ValueError(f"m_list has {len(m_list)} parts, expected {len(s_list)}")
-    if any(m < 1 for m in m_list):
-        raise ValueError(f"part sizes must be >= 1, got {m_list}")
     return ConstructionParams(
         r=len(s_list) + 1,
         s_list=s_list,
-        t=int(t),
-        q=int(q),
+        t=t,
+        q=q,
         m_list=m_list,
         s_total=s_total,
         degree=degree,
         capacity=capacity,
-        n=n,
+        n=q**s_total,
         field=fld,
     )
 

@@ -36,18 +36,12 @@ from zng.hypergraph import (
     index_masks,
     pattern_count,
     read_graph,
+    shape,
     write_atomic,
 )
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-def _check_sides(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> None:
-    if len(s_list) != H.r:
-        raise ValueError(f"{len(s_list)} side sizes for a {H.r}-part graph, which takes {H.r}")
-    if any(s < 1 for s in s_list):
-        raise ValueError(f"pattern sizes must be >= 1, got {s_list}")
 
 
 def _count_pass(
@@ -84,9 +78,10 @@ def count_ordered(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> int:
         The exact count, 0 when some s_i exceeds its part.
 
     Raises:
+        ValueError: not one side per part, or a side below 1 (shape).
         BudgetError: more than DEFAULT_PATTERN_BUDGET mask lookups.
     """
-    _check_sides(H, s_list)
+    shape(H.part_sizes, s_list)
     return _count_pass(H, s_list, DEFAULT_PATTERN_BUDGET)[0]
 
 
@@ -109,7 +104,7 @@ def jensen_lower_bound(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> Fracti
     """
     from fractions import Fraction
 
-    _check_sides(H, s_list)
+    shape(H.part_sizes, s_list)
     return Fraction(*_chain(H, s_list))
 
 
@@ -215,14 +210,14 @@ def count_report(
     """Assemble the exact count, the intermediate count, and the bound.
 
     The exact and the intermediate count share their patterns on the first
-    r-1 parts, so one pass of pattern_blocks sums both.
+    r-1 parts, so one pass of H.pattern_sizes sums both.
     """
-    _check_sides(H, s_list)
+    s_list = shape(H.part_sizes, s_list).s_list
     exact, intermediate = _count_pass(H, s_list, pattern_budget)
     num, den = _chain(H, s_list)
     cells = math.prod(H.part_sizes)
     return CountReport(
-        s_list=tuple(s_list),
+        s_list=s_list,
         exact=exact,
         intermediate=intermediate,
         lower_bound=ratio_text(num, den),

@@ -11,8 +11,10 @@ declared parts.  The edges are derived from the masks: ranks in ascending
 order, then bits in ascending order, which is lexicographic order.  The
 container is immutable by convention.
 
-The pattern kernel lives here too.  A pattern picks s_i vertices in each of
-the first r-1 parts; prefix_ranks numbers its transversal prefixes (for
+The pattern kernel lives here too.  A Shape is the paper's
+z(m_1, ..., m_r; s_1, ..., s_r), and shape(), which makes every one, checks
+the sides for every mode.  A pattern picks s_i vertices in each of the
+first r-1 parts; prefix_ranks numbers its transversal prefixes (for
 r = 2 they are just its one side), common_mask ANDs the masks at those
 ranks, pattern_count checks an enumeration's lookups against a budget, and
 closing_patterns lists the patterns whose lex-max prefix is a given one,
@@ -241,6 +243,40 @@ def set_bits(mask: int) -> list[int]:
 # ----------------------------------------------------------------------
 # the pattern kernel
 # ----------------------------------------------------------------------
+
+class Shape(NamedTuple):
+    """z(m_1, ..., m_r; s_1, ..., s_r): one part size and one side size per part."""
+
+    m_list: tuple[int, ...]
+    s_list: tuple[int, ...]
+
+    @property
+    def potential_edges(self) -> int:
+        return math.prod(self.m_list)
+
+    def label(self) -> str:
+        ms = ",".join(map(str, self.m_list))
+        ss = ",".join(map(str, self.s_list))
+        return f"z({ms};{ss})"
+
+
+def shape(m_list: Sequence[int], s_list: Sequence[int], t: int | None = None) -> Shape:
+    """The Shape of parts m_list with sides s_list, or (*s_list, t) when t is given.
+
+    Only the sides are checked: a graph may have a part of size 0.
+
+    Raises:
+        ValueError: not one side per part, or a side below 1.
+    """
+    sides = tuple(s_list) if t is None else (*s_list, t)
+    r = len(m_list)
+    if len(sides) != r:
+        takes = r - (t is not None)
+        raise ValueError(f"{len(s_list)} side sizes for a {r}-part graph, which takes {takes}")
+    if any(s < 1 for s in sides):
+        raise ValueError("side sizes must be >= 1")
+    return Shape(tuple(m_list), sides)
+
 
 def prefix_ranks(pattern: Pattern, part_sizes: Sequence[int]) -> list[int]:
     """Lexicographic ranks of pattern's transversal prefixes, in product order.

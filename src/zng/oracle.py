@@ -32,7 +32,6 @@ run_oracle is `zng oracle`: one exact_z, its witness graph and a ledger row.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -41,8 +40,10 @@ from zng.config import ExperimentConfig, log, set_kwargs
 from zng.errors import BudgetError, int_text
 from zng.hypergraph import (
     RPartiteHypergraph,
+    Shape,
     closing_patterns,
     index_masks,
+    shape,
     write_atomic,
     write_graph,
 )
@@ -50,47 +51,16 @@ from zng.hypergraph import (
 DEFAULT_SEARCH_EDGE_CAP = 36
 
 
-class _ZQuery(NamedTuple):
-    m_list: tuple[int, ...]
-    s_list: tuple[int, ...]
-
-
-class ZQuery(_ZQuery):
-    """Part sizes and forbidden ordered-pattern side sizes, one per part.
-
-    The constructor checks the sizes; _make and _replace would skip that
-    check, so nothing calls them.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, m_list: tuple[int, ...], s_list: tuple[int, ...]) -> ZQuery:
-        if len(m_list) != len(s_list) or not m_list:
-            raise ValueError("m_list and s_list must be equal-length and nonempty")
-        if any(m < 1 for m in m_list) or any(s < 1 for s in s_list):
-            raise ValueError("all sizes must be >= 1")
-        return super().__new__(cls, m_list, s_list)
-
-    @property
-    def potential_edges(self) -> int:
-        return math.prod(self.m_list)
-
-    def label(self) -> str:
-        ms = ",".join(map(str, self.m_list))
-        ss = ",".join(map(str, self.s_list))
-        return f"z({ms};{ss})"
-
-
 class ZResult(NamedTuple):
     """The exact maximum, one witness attaining it, and the search size."""
 
-    query: ZQuery
+    query: Shape
     z: int
     witness: RPartiteHypergraph
     nodes: int
 
 
-def _search(query: ZQuery) -> tuple[int, list[int], int]:
+def _search(query: Shape) -> tuple[int, list[int], int]:
     """Depth-first branch and bound; returns (best, its edge bits, nodes).
 
     A node is one visit of a search state (pos, count, tight): the root and
@@ -208,18 +178,22 @@ def _search(query: ZQuery) -> tuple[int, list[int], int]:
     return best, best_bits, nodes
 
 
-def exact_z(query: ZQuery, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
+def exact_z(query: Shape, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
     """Branch-and-bound exact maximum with a canonical, deterministic witness.
 
     The search assigns potential edges in lexicographic order, include
     branch first, so complete assignments are visited in decreasing
     edge-list order preference; the first optimum found is therefore the
     lexicographically least one, and first-part relabelings are cut by
-    requiring per-vertex edge blocks to be non-increasing.
+    requiring per-vertex edge blocks to be non-increasing.  shape() has
+    checked query's sides; its parts are checked here.
 
     Raises:
+        ValueError: no part, or a part below 1.
         BudgetError: more than edge_cap potential edges.
     """
+    if min(query.m_list, default=0) < 1:
+        raise ValueError("all sizes must be >= 1")
     n = query.potential_edges
     if n > edge_cap:
         raise BudgetError(f"{int_text(n)} potential edges exceed the search cap {edge_cap}")
@@ -253,7 +227,7 @@ def append_ledger(path: str | Path, result: ZResult, witness_path: str) -> None:
 
 def run_oracle(config: ExperimentConfig, out: Path) -> tuple[bool, dict]:
     """zng oracle: the witness graph and a ledger row, and (True, the status line's fields)."""
-    query = ZQuery(config.m, config.s)
+    query = shape(config.m, config.s)
     started = time.perf_counter()
     result = exact_z(query, **set_kwargs(edge_cap=config.budget))
     seconds = time.perf_counter() - started

@@ -23,6 +23,7 @@ from zng.errors import BudgetError, ConstructionError, int_text
 from zng.hypergraph import (
     DEFAULT_PATTERN_BUDGET,
     RPartiteHypergraph,
+    Shape,
     block_patterns,
     closing_patterns,
     common_mask,
@@ -32,7 +33,7 @@ from zng.hypergraph import (
     set_bits,
 )
 from zng.mpoly import DEFAULT_POINT_BUDGET, monomial_basis, random_poly
-from zng.oracle import ZQuery, ZResult
+from zng.oracle import ZResult
 
 
 # the two kinds of ConstructionParams.advice, each by a phrase of its text
@@ -261,7 +262,7 @@ def reference_neighborhoods(H: RPartiteHypergraph, s_list) -> list:
     ]
 
 
-def reference_search(query) -> tuple[int, list[int], int]:
+def reference_search(query: Shape) -> tuple[int, list[int], int]:
     """oracle._search as a plain recursion: one dfs call per node.
 
     Returns (best, its edge bits, nodes).  Potential edge pos joins prefix
@@ -320,7 +321,7 @@ def reference_search(query) -> tuple[int, list[int], int]:
 DEFAULT_EXHAUSTIVE_EDGE_CAP = 30
 
 
-def exhaustive_z(query: ZQuery) -> ZResult:
+def exhaustive_z(query: Shape) -> ZResult:
     """Raw exhaustion over all 2^N edge subsets; the reference oracle.
 
     Bit i of a subset is potential edge i in lexicographic order.  Each

@@ -32,9 +32,9 @@ from zng.config import ExperimentConfig
 from zng.construct import build, derive_params
 from zng.count import count_ordered, jensen_lower_bound
 from zng.gf import make_field
-from zng.hypergraph import read_graph
+from zng.hypergraph import read_graph, shape
 from zng.mpoly import monomial_basis, random_poly
-from zng.oracle import ZQuery, exact_z
+from zng.oracle import exact_z
 from zng.reader import parse_graph
 from zng.seeds import derive_seed
 
@@ -157,7 +157,7 @@ def test_acceptance_5_oracle_ground_truth():
     try:
         started = time.perf_counter()
         for m_list, expected in [((2, 2), 3), ((3, 3), 6), ((4, 4), 9)]:
-            query = ZQuery(m_list, (2, 2))
+            query = shape(m_list, (2, 2))
             raw = exhaustive_z(query)  # independent route first
             assert raw.z == expected, m_list
             searched = exact_z(query)

@@ -27,7 +27,8 @@ import pytest
 from helpers import BALANCED_SPLIT, OVER_CAPACITY, logged_advice, small_shapes
 from zng.cli import run
 from zng.config import ExperimentConfig
-from zng.oracle import ZQuery, exact_z
+from zng.hypergraph import shape
+from zng.oracle import exact_z
 
 MASTER_SEED = 20260819
 
@@ -306,7 +307,7 @@ def test_search_tree_digest_on_every_shape_up_to_10_edges():
     digest = hashlib.sha256()
     shapes = 0
     for m_list, s_list in small_shapes(10):
-        result = exact_z(ZQuery(m_list, s_list))
+        result = exact_z(shape(m_list, s_list))
         edges = ";".join(",".join(map(str, edge)) for edge in result.witness.edges)
         line = f"{result.query.label()}\t{result.z}\t{result.nodes}\t{edges}\n"
         digest.update(line.encode("ascii"))
