@@ -2,9 +2,10 @@
 
 verify_freeness works on any graph with a matching part structure,
 independently of how it was built, so `zng verify` (run_verify) loads only
-this module and the graph model; a table of every pattern, kept up to
-TABLE_CAP, is the block kernel's.  `construct.build` adds its inputs (seed,
-parameters, family) to the certificate it gets from here.
+this module, the block kernel (zng.blocks) and the graph model; a table of
+every pattern, kept up to TABLE_CAP, is the block kernel's.
+`construct.build` adds its inputs (seed, parameters, family) to the
+certificate it gets from here.
 """
 
 from __future__ import annotations
@@ -14,17 +15,15 @@ import json
 from pathlib import Path
 from typing import Any, Callable, Hashable, NamedTuple, Sequence
 
-from zng.config import ExperimentConfig, set_kwargs
-from zng.hypergraph import (
+from zng.blocks import (
     DEFAULT_PATTERN_BUDGET,
-    Pattern,
-    RPartiteHypergraph,
     block_patterns,
+    pattern_blocks,
     pattern_count,
-    read_graph,
-    shape,
-    write_atomic,
+    pattern_sizes,
 )
+from zng.config import ExperimentConfig, set_kwargs
+from zng.hypergraph import Pattern, RPartiteHypergraph, read_graph, shape, write_atomic
 
 TABLE_CAP = 2048
 
@@ -133,8 +132,8 @@ def verify_freeness(
     its s_i-subsets of parts i < r) one block at a time, and records the
     maximum and the first pattern in pattern order that reaches it: the
     argmax starts at the first pattern, with maximum 0, and moves only to a
-    size above the maximum so far.  The blocks come from H.pattern_sizes,
-    which may leave out patterns of size 0, or from H.pattern_blocks, which
+    size above the maximum so far.  The blocks come from pattern_sizes,
+    which may leave out patterns of size 0, or from pattern_blocks, which
     gives every pattern, where the table of at most TABLE_CAP patterns is
     kept.  Works on arbitrary graphs with matching part structure,
     independent of how they were built.
@@ -150,7 +149,7 @@ def verify_freeness(
     max_size = 0
     argmax = tuple(tuple(range(s)) for s in s_list) if patterns else None
     table: list[tuple[Pattern, int]] | None = [] if patterns <= TABLE_CAP else None
-    for first, sizes in (H.pattern_sizes if table is None else H.pattern_blocks)(s_list):
+    for first, sizes in (pattern_sizes if table is None else pattern_blocks)(H, s_list):
         best = max(sizes)
         if best > max_size:
             max_size = best

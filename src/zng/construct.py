@@ -37,18 +37,17 @@ import time
 from pathlib import Path
 from typing import NamedTuple
 
+from zng.blocks import DEFAULT_PATTERN_BUDGET, pattern_count
 from zng.certify import FreenessCertificate, verify_freeness, write_certificate
 from zng.config import ExperimentConfig, log, set_kwargs
 from zng.errors import BudgetError, ConstructionError, int_text, ratio_text
 from zng.gf import Field, make_field
 from zng.hypergraph import (
-    DEFAULT_PATTERN_BUDGET,
     Pattern,
     RPartiteHypergraph,
     closing_patterns,
     common_mask,
     mask_table_budget,
-    pattern_count,
     shape,
     write_atomic,
     write_graph,

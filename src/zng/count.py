@@ -1,9 +1,9 @@
 """Exact ordered-pattern counting and the convexity lower-bound chain.
 
 count_ordered enumerates subset choices on the first r-1 parts through
-RPartiteHypergraph.pattern_sizes, which intersects prefix neighborhoods in
-the last part, and sums binomials of the intersection sizes; every number is
-an exact integer.  count_report takes the exact and the intermediate count
+blocks.pattern_sizes, which intersects prefix neighborhoods in the last
+part, and sums binomials of the intersection sizes; every number is an
+exact integer.  count_report takes the exact and the intermediate count
 (s_r = 1) from one such pass, as both enumerate the same patterns.
 jensen_lower_bound replaces each averaging step of that count with the
 generalized binomial of the mean, which can only go down by convexity, so
@@ -28,17 +28,11 @@ import math
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
+from zng.blocks import DEFAULT_PATTERN_BUDGET, links, pattern_count, pattern_sizes
 from zng.config import ExperimentConfig, set_kwargs
 from zng.errors import ratio_text
-from zng.hypergraph import (
-    DEFAULT_PATTERN_BUDGET,
-    RPartiteHypergraph,
-    index_masks,
-    pattern_count,
-    read_graph,
-    shape,
-    write_atomic,
-)
+from zng.hypergraph import RPartiteHypergraph, read_graph, shape, write_atomic
+from zng.reader import index_masks
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -47,7 +41,7 @@ if TYPE_CHECKING:
 def _count_pass(
     H: RPartiteHypergraph, s_list: tuple[int, ...], pattern_budget: int
 ) -> tuple[int, int]:
-    """(sum of C(size, s_r), sum of size) over one pass of H.pattern_sizes.
+    """(sum of C(size, s_r), sum of size) over one pass of pattern_sizes.
 
     The sizes are those of the patterns on the first r-1 parts, so the two
     sums are the counts at s_list and at s_list[:-1] + (1,).  A pattern that
@@ -56,7 +50,7 @@ def _count_pass(
     pattern_count(H.part_sizes[:-1], s_list[:-1], pattern_budget)
     s_r = itertools.repeat(s_list[-1])
     exact = intermediate = 0
-    for _, sizes in H.pattern_sizes(s_list[:-1]):
+    for _, sizes in pattern_sizes(H, s_list[:-1]):
         exact += sum(map(math.comb, sizes, s_r))
         intermediate += sum(sizes)
     return exact, intermediate
@@ -120,14 +114,14 @@ def _chain(H: RPartiteHypergraph, s_list: tuple[int, ...]) -> tuple[int, int]:
         return 0, 1
     if H.r == 3:
         degrees = degree_histogram(H.masks.values()).items()
-        links = [(n, _two(sizes, size, sides)) for size, n in degrees]
+        chains = [(n, _two(sizes, size, sides)) for size, n in degrees]
     else:
-        links = [
+        chains = [
             (1, _chain(RPartiteHypergraph(sizes, index_masks(ranks, sizes[-1])), sides))
-            for ranks in H.links().values()
+            for ranks in links(H).values()
         ]
     num, den = 0, 1  # every link has the same denominator
-    for n, (link_num, den) in links:
+    for n, (link_num, den) in chains:
         num += n * link_num
     return _step(choices, num, den, s_list[-1])
 
@@ -210,7 +204,7 @@ def count_report(
     """Assemble the exact count, the intermediate count, and the bound.
 
     The exact and the intermediate count share their patterns on the first
-    r-1 parts, so one pass of H.pattern_sizes sums both.
+    r-1 parts, so one pass of pattern_sizes sums both.
     """
     s_list = shape(H.part_sizes, s_list).s_list
     exact, intermediate = _count_pass(H, s_list, pattern_budget)

@@ -32,6 +32,7 @@ run_oracle is `zng oracle`: one exact_z, its witness graph and a ledger row.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -42,7 +43,6 @@ from zng.hypergraph import (
     RPartiteHypergraph,
     Shape,
     closing_patterns,
-    index_masks,
     shape,
     write_atomic,
     write_graph,
@@ -89,19 +89,32 @@ def _search(query: Shape) -> tuple[int, list[int], int]:
     prefixes, whose masks stay fixed while the rank's edges are assigned.
     So the first include on the current path whose cur has s_r bits ANDs
     each group's masks and keeps in fixed[rank] those with s_r bits or
-    more, for this and the rank's later includes.  An include that gives
-    the rank its first edge sets fixed[rank] to None, because the earlier
-    ranks may have changed since it was built.
+    more, for this and the rank's later includes.  groups[rank] files the
+    groups under their near ranks, those in the rank's own first-part
+    block, each with the list of its far ranks, those in earlier blocks.
+    Each near AND is taken once and starts its far ANDs; one with fewer
+    than s_r bits skips them all, as each is a subset of it.  So fixed[rank]
+    holds the same ANDs as group by group, in another order, and every
+    include decides the same.  An include that gives the rank its first
+    edge sets fixed[rank] to None, because the earlier ranks may have
+    changed since it was built.
     """
     sizes, s_list = query.m_list[:-1], query.s_list[:-1]
     n = query.potential_edges
     block = n // query.m_list[0]
     m_last, s_last = query.m_list[-1], query.s_list[-1]
+    # a pattern's ranks ascend with its first side outermost, so its far
+    # ranks, those of its s_1 - 1 earlier first-part vertices, come first
+    split = math.prod(s_list) - math.prod(s_list[1:])
     singles, groups = [], []
     for prefix in itertools.product(*(range(m) for m in sizes)):
         others = [ranks for _, ranks in closing_patterns(prefix, sizes, s_list)]
         singles.append(sorted((ranks[0] for ranks in others if len(ranks) == 1), reverse=True))
-        groups.append([ranks for ranks in others if len(ranks) != 1])
+        by_near = {}
+        for ranks in others:
+            if len(ranks) != 1:
+                by_near.setdefault(tuple(ranks[split:]), []).append(ranks[:split])
+        groups.append(list(by_near.items()))
     # per position: rank, last-part bit, the rank's checks, index in bits
     at = [
         (rank, 1 << v, singles[rank], groups[rank], block + pos)
@@ -143,14 +156,20 @@ def _search(query: Shape) -> tuple[int, list[int], int]:
                     ands = fixed[rank]
                     if ands is None:
                         ands = fixed[rank] = []
-                        for others in group:
-                            common = everyone
-                            for o in others:
-                                common &= masks[o]
-                                if not common:
-                                    break
-                            if common.bit_count() >= s_last:
-                                ands.append(common)
+                        for near, fars in group:
+                            base = everyone
+                            for o in near:
+                                base &= masks[o]
+                            if base.bit_count() < s_last:
+                                continue  # every far AND is a subset of base
+                            for far in fars:
+                                common = base
+                                for o in far:
+                                    common &= masks[o]
+                                    if not common:
+                                        break
+                                if common.bit_count() >= s_last:
+                                    ands.append(common)
                     for common in ands:
                         if (cur & common).bit_count() >= s_last:
                             break
@@ -193,13 +212,16 @@ def exact_z(query: Shape, edge_cap: int = DEFAULT_SEARCH_EDGE_CAP) -> ZResult:
         BudgetError: more than edge_cap potential edges.
     """
     if min(query.m_list, default=0) < 1:
-        raise ValueError("all sizes must be >= 1")
+        raise ValueError(f"part sizes must be >= 1, got {query.m_list}")
     n = query.potential_edges
     if n > edge_cap:
         raise BudgetError(f"{int_text(n)} potential edges exceed the search cap {edge_cap}")
     best, best_bits, nodes = _search(query)
-    edges = [pos for pos, bit in enumerate(best_bits) if bit]  # sorted edge indices
-    witness = RPartiteHypergraph(query.m_list, index_masks(edges, query.m_list[-1]))
+    m_last, masks = query.m_list[-1], {}
+    for pos in itertools.compress(range(n), best_bits):  # ascending, so ranks are too
+        rank, v = divmod(pos, m_last)
+        masks[rank] = masks.get(rank, 0) | 1 << v
+    witness = RPartiteHypergraph(query.m_list, masks)
     return ZResult(query=query, z=best, witness=witness, nodes=nodes)
 
 

@@ -3,17 +3,45 @@
 Only verify and count read a graph, so only they load this module.  Text in
 exactly the shape format_graph writes is read by prefix runs
 (_parse_canonical); any other text is read line by line (_parse_lines), and
-every complaint comes from that reader.
+every complaint comes from that reader.  Both build the mask table from the
+sorted edge indices with index_masks, which count also uses for its link
+graphs at r >= 4.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+from typing import Sequence
 
 from zng.errors import GraphFormatError, parse_int
-from zng.hypergraph import RPartiteHypergraph, index_masks
+from zng.hypergraph import RPartiteHypergraph, mask_table_budget
 
 _CANONICAL_BODY = str.maketrans("", "", "0123456789 \n")  # deletes what format_graph writes
+
+
+def index_masks(indices: Sequence[int], m_last: int) -> dict[int, int]:
+    """The mask table of sorted, distinct edge indices, prefix rank * m_r + v.
+
+    Each mask is set bit by bit in a bytearray and read once, as ORing a bit
+    into an int would copy the whole int.  A BudgetError comes first, before
+    any allocation, if the masks' widths sum to over
+    hypergraph.DEFAULT_MASK_BIT_CAP bits (mask_table_budget).
+    """
+    runs, lo = [], 0  # (the rank's first index, its slice of indices)
+    while lo < len(indices):
+        base = indices[lo] - indices[lo] % m_last
+        hi = bisect.bisect_left(indices, base + m_last, lo)
+        runs.append((base, lo, hi))
+        lo = hi
+    mask_table_budget(sum(indices[hi - 1] - base + 1 for base, _, hi in runs))
+    masks = {}
+    for base, lo, hi in runs:
+        buf = bytearray((indices[hi - 1] - base >> 3) + 1)
+        for v in map(base.__rsub__, indices[lo:hi]):
+            buf[v >> 3] |= 1 << (v & 7)
+        masks[base // m_last] = int.from_bytes(buf, "little")
+    return masks
 
 
 def parse_graph(text: str) -> RPartiteHypergraph:

@@ -17,23 +17,21 @@ from fractions import Fraction
 from hypothesis import example
 from hypothesis import strategies as st
 
+from zng.blocks import DEFAULT_PATTERN_BUDGET, block_patterns, pattern_blocks, pattern_count
 from zng.certify import FreenessCertificate
 from zng.construct import DEFAULT_POSITION_RETRY_CAP
 from zng.errors import BudgetError, ConstructionError, int_text
 from zng.hypergraph import (
-    DEFAULT_PATTERN_BUDGET,
     RPartiteHypergraph,
     Shape,
-    block_patterns,
     closing_patterns,
     common_mask,
-    index_masks,
-    pattern_count,
     prefix_ranks,
     set_bits,
 )
 from zng.mpoly import DEFAULT_POINT_BUDGET, monomial_basis, random_poly
 from zng.oracle import ZResult
+from zng.reader import index_masks
 
 
 # the two kinds of ConstructionParams.advice, each by a phrase of its text
@@ -161,7 +159,7 @@ def edge_graph(part_sizes, edges) -> RPartiteHypergraph:
     """The graph of an edge list, each edge's bit ORed into its prefix's mask.
 
     Every edge must have one index per part, each in range, and be new.
-    This uses neither hypergraph.index_masks nor the parser, so a test that
+    This uses neither reader.index_masks nor the parser, so a test that
     compares either with it has two independent sides.
     """
     part_sizes = tuple(part_sizes)
@@ -241,10 +239,10 @@ def reference_common_mask(masks, pattern) -> int:
 
 
 def flat_blocks(H: RPartiteHypergraph, s_list) -> list:
-    """H.pattern_blocks(s_list) flattened to one (pattern, size) per pattern."""
+    """pattern_blocks(H, s_list) flattened to one (pattern, size) per pattern."""
     return [
         (pattern, size)
-        for first, sizes in H.pattern_blocks(s_list)
+        for first, sizes in pattern_blocks(H, s_list)
         for pattern, size in zip(block_patterns(first, len(sizes)), sizes)
     ]
 
@@ -335,7 +333,7 @@ def exhaustive_z(query: Shape) -> ZResult:
     Raises:
         BudgetError: more than DEFAULT_EXHAUSTIVE_EDGE_CAP potential edges,
             or pattern bitmasks that take more than DEFAULT_PATTERN_BUDGET
-            edge lookups to build (hypergraph.pattern_count).
+            edge lookups to build (blocks.pattern_count).
     """
     n, cap = query.potential_edges, DEFAULT_EXHAUSTIVE_EDGE_CAP
     if n > cap:

@@ -659,7 +659,7 @@ def test_oracle_size_errors_leave_no_out_dir(tmp_path, capsys):
         code, status = run_cli(["oracle", *sizes, "--out", str(out)], capsys)
         assert code == 2 and status["error"] == "usage"
         assert not out.exists()
-    assert status["reason"] == "all sizes must be >= 1"
+    assert status["reason"] == "part sizes must be >= 1, got (0,)"
 
 
 def test_budget_errors_leave_no_out_dir(tmp_path, capsys):
@@ -842,15 +842,25 @@ def loaded_modules(program, *argv):
 
 
 # mode: (zng modules it must load, zng modules it must not load); only the
-# modes that read a graph load the reader
+# modes that read a graph load the reader, and only those that size every
+# pattern (verify, count and construct's certificate) the block kernel
 STARTUP_MODULES = {
-    "import": ((), ("construct", "certify", "count", "oracle", "gf", "mpoly", "reader")),
-    "oracle": (("oracle",), ("construct", "gf", "mpoly", "reader")),
-    "count": (("count", "reader"), ("construct", "gf", "mpoly")),
-    "verify": (("certify", "reader"), ("construct", "gf", "mpoly")),
-    "construct": (("construct", "certify", "gf", "mpoly"), ("count", "oracle", "reader")),
-    "sweep": (("construct", "certify", "gf", "mpoly", "seeds"), ("count", "oracle", "reader")),
+    "import": ((), ("construct", "certify", "count", "oracle", "gf", "mpoly", "reader", "blocks")),
+    "oracle": (("oracle",), ("construct", "gf", "mpoly", "reader", "blocks")),
+    "count": (("count", "reader", "blocks"), ("construct", "gf", "mpoly")),
+    "verify": (("certify", "reader", "blocks"), ("construct", "gf", "mpoly")),
+    "construct": (("construct", "certify", "gf", "mpoly", "blocks"), ("count", "oracle", "reader")),
+    "sweep": (
+        ("construct", "certify", "gf", "mpoly", "seeds", "blocks"),
+        ("count", "oracle", "reader"),
+    ),
 }
+
+# what zng.blocks holds: an oracle child, which runs none of it, compiles none
+KERNEL_NAMES = (
+    "pattern_blocks", "pattern_sizes", "links", "codegree_blocks", "block_patterns",
+    "pattern_count", "DEFAULT_PATTERN_BUDGET", "POPCOUNT_BASE", "CODEGREE_WEIGHT", "Counter",
+)
 
 # No mode loads dataclasses (with inspect, ast and dis: about 11 ms per start
 # without a bytecode cache), logging (with traceback, linecache, tokenize
@@ -917,8 +927,10 @@ def test_each_mode_loads_only_what_it_runs(tmp_path, mode, never_loaded):
         name for name in vars(zng.cli)
         if name.startswith("_run_") or name in ("_build_point", "_ratio_text")
     ]
-    if mode == "oracle":  # it compiles neither the reader nor the tests' references
-        assert not {"parse_graph", "complete_graph"} & set(vars(zng.hypergraph))
+    if mode == "oracle":  # it compiles neither the reader, the block kernel nor the references
+        assert not {"parse_graph", "index_masks", "complete_graph"} & set(vars(zng.hypergraph))
+        graph_names = {*vars(zng.hypergraph), *dir(zng.hypergraph.RPartiteHypergraph)}
+        assert not set(KERNEL_NAMES) & graph_names
         assert not {"exhaustive_z", "DEFAULT_EXHAUSTIVE_EDGE_CAP"} & set(vars(zng.oracle))
     # started as the benchmark starts a child: `-c "import zng.cli"` to warm
     # up, and a mode as `python -m zng.cli`, where the front end is __main__

@@ -26,9 +26,10 @@ from helpers import (
     reference_jensen,
     reference_neighborhoods,
 )
+import zng.blocks
 import zng.certify
 import zng.count
-import zng.hypergraph
+from zng.blocks import codegree_blocks, links, pattern_blocks, pattern_sizes
 from zng.certify import TABLE_CAP, verify_freeness
 from zng.count import (
     count_ordered,
@@ -37,7 +38,7 @@ from zng.count import (
     jensen_lower_bound,
 )
 from zng.errors import BudgetError
-from zng.hypergraph import RPartiteHypergraph, codegree_blocks, set_bits
+from zng.hypergraph import RPartiteHypergraph, set_bits
 
 C6 = edge_graph((3, 3), [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
 
@@ -160,10 +161,10 @@ def test_count_agrees_with_freeness_verdict():
         assert zero == verify_freeness(g, (s,), t).passed
 
 
-# each r = 2 route for RPartiteHypergraph.pattern_sizes, taken whatever its cost
+# each r = 2 route for blocks.pattern_sizes, taken whatever its cost
 R2_ROUTES = {
-    "blocks": lambda H, s_list: H.pattern_blocks(s_list),
-    "codegree": lambda H, s_list: codegree_blocks(H.links().values(), *s_list),
+    "blocks": pattern_blocks,
+    "codegree": lambda H, s_list: codegree_blocks(links(H).values(), *s_list),
 }
 
 
@@ -176,7 +177,8 @@ def test_both_r2_routes_give_the_same_certificate_and_counts(case, t, s_2):
     for name, route in R2_ROUTES.items():
         # with no table kept, verify reads pattern_sizes, and so the route
         with (
-            mock.patch.object(RPartiteHypergraph, "pattern_sizes", route),
+            mock.patch.object(zng.certify, "pattern_sizes", route),
+            mock.patch.object(zng.count, "pattern_sizes", route),
             mock.patch.object(zng.certify, "TABLE_CAP", -1),
         ):
             report = count_report(g, (s, s_2))
@@ -191,8 +193,8 @@ def test_both_r2_routes_give_the_same_certificate_and_counts(case, t, s_2):
 def test_a_kept_table_comes_from_the_block_kernel():
     # a sparse r = 2 graph whose pattern_sizes takes the co-degree route
     g, s_list = edge_graph((13, 13), [(v, v) for v in range(13)]), (3,)
-    with mock.patch.object(zng.hypergraph, "codegree_blocks", wraps=codegree_blocks) as spy:
-        assert len(list(g.pattern_sizes(s_list))) == 0 and spy.call_count == 1
+    with mock.patch.object(zng.blocks, "codegree_blocks", wraps=codegree_blocks) as spy:
+        assert len(list(pattern_sizes(g, s_list))) == 0 and spy.call_count == 1
         spy.reset_mock()
         cert = verify_freeness(g, s_list, 2)
     assert cert.pattern_count == 286 <= TABLE_CAP and spy.call_count == 0
@@ -317,11 +319,11 @@ def test_jensen_matches_link_based_reference(parts, sides, density, seed):
     # the integer chain, reduced, against the Fraction chain of tests/helpers.py
     g = random_graph(random.Random(seed), tuple(parts), density)
     s_list = tuple(sides[: len(parts)])
-    with mock.patch.object(zng.count, "RPartiteHypergraph", wraps=RPartiteHypergraph) as links:
+    with mock.patch.object(zng.count, "RPartiteHypergraph", wraps=RPartiteHypergraph) as built:
         bound = jensen_lower_bound(g, s_list)
     reference = reference_jensen(g, s_list)
     assert bound == reference  # Fractions: the same reduced numerator and denominator
-    for call in links.call_args_list:  # the link graphs built at r >= 4
+    for call in built.call_args_list:  # the link graphs built at r >= 4
         check_trusted_table(RPartiteHypergraph(*call.args))
     report = count_report(g, s_list)
     assert report.lower_bound == str(reference) and reference <= report.exact

@@ -26,22 +26,21 @@ from helpers import (
     reference_format_graph,
     reference_neighborhoods,
 )
-from zng import hypergraph
+from zng import blocks, hypergraph
+from zng.blocks import codegree_blocks, links, pattern_blocks, pattern_sizes
 from zng.construct import build, derive_params
 from zng.errors import BudgetError, GraphFormatError
 from zng.hypergraph import (
     RPartiteHypergraph,
     closing_patterns,
-    codegree_blocks,
     common_mask,
     format_graph,
-    index_masks,
     prefix_ranks,
     read_graph,
     write_atomic,
     write_graph,
 )
-from zng.reader import _parse_canonical, _parse_lines, parse_graph
+from zng.reader import _parse_canonical, _parse_lines, index_masks, parse_graph
 
 C6_EDGES = [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)]
 
@@ -110,7 +109,7 @@ def test_no_patterns_build_no_mask_table():
         tracemalloc.start()
         try:
             g = make()
-            assert list(g.pattern_blocks(s_list)) == []
+            assert list(pattern_blocks(g, s_list)) == []
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -531,7 +530,7 @@ def test_pattern_blocks_match_the_per_pattern_reference(case):
     g, s_list = case
     s_list = s_list[:-1]
     assert flat_blocks(g, s_list) == reference_neighborhoods(g, s_list)
-    for first, sizes in g.pattern_blocks(s_list):
+    for first, sizes in pattern_blocks(g, s_list):
         # a block is one head: its last element runs on to the end of its part
         assert sizes
         if first:
@@ -541,26 +540,25 @@ def test_pattern_blocks_match_the_per_pattern_reference(case):
 def popcount_weight(g, s):
     """C(m_1, s) * (POPCOUNT_BASE + ceil(m_r / 64)): the block kernel's popcounts, in words."""
     m_1, m_r = g.part_sizes
-    return math.comb(m_1, s) * (hypergraph.POPCOUNT_BASE + math.ceil(m_r / 64))
+    return math.comb(m_1, s) * (blocks.POPCOUNT_BASE + math.ceil(m_r / 64))
 
 
 def codegree_is_cheaper(g, s):
     """The weighted route rule, with the degrees counted from g.edges."""
     degrees = Counter(v for _, v in g.edges)
     cost = g.num_edges + sum(math.comb(d, s) for d in degrees.values())
-    return hypergraph.CODEGREE_WEIGHT * cost < popcount_weight(g, s)
+    return blocks.CODEGREE_WEIGHT * cost < popcount_weight(g, s)
 
 
 def routes(g, s):
     """(whether pattern_sizes transposed the masks, whether it ran codegree_blocks)."""
-    links = RPartiteHypergraph.links
     with (
-        mock.patch.object(hypergraph, "codegree_blocks", wraps=codegree_blocks) as spy,
-        mock.patch.object(RPartiteHypergraph, "links", autospec=True, side_effect=links) as moved,
+        mock.patch.object(blocks, "codegree_blocks", wraps=codegree_blocks) as spy,
+        mock.patch.object(blocks, "links", wraps=links) as moved,
     ):
-        routed = list(g.pattern_sizes((s,)))
+        routed = list(pattern_sizes(g, (s,)))
     codegree = spy.call_count == 1
-    expected = codegree_blocks(g.links().values(), s) if codegree else g.pattern_blocks((s,))
+    expected = codegree_blocks(links(g).values(), s) if codegree else pattern_blocks(g, (s,))
     assert routed == list(expected)
     return moved.call_count == 1, codegree
 
@@ -590,16 +588,16 @@ WIDE_R2_ROUTES = [
 @apply_examples([(case,) for case in R2_EXAMPLES] + [((g, s),) for g, s, *_ in WIDE_R2_ROUTES])
 def test_codegree_sizes_are_the_block_kernels(case):
     g, s = case
-    blocks = {pattern: size for pattern, size in flat_blocks(g, (s,)) if size}
-    codegree = codegree_blocks(g.links().values(), s)
-    assert {first: size for first, (size,) in codegree} == blocks
-    assert [first for first, _ in codegree] == sorted(blocks)  # pattern order
+    sized = {pattern: size for pattern, size in flat_blocks(g, (s,)) if size}
+    codegree = codegree_blocks(links(g).values(), s)
+    assert {first: size for first, (size,) in codegree} == sized
+    assert [first for first, _ in codegree] == sorted(sized)  # pattern order
     # pattern_sizes takes the co-degree route exactly when the weighted rule
     # says so, and transposes the masks only when CODEGREE_WEIGHT * edges is
     # below the popcounts' weight
     transposed, routed_codegree = routes(g, s)
     assert routed_codegree == codegree_is_cheaper(g, s)
-    assert transposed == (hypergraph.CODEGREE_WEIGHT * g.num_edges < popcount_weight(g, s))
+    assert transposed == (blocks.CODEGREE_WEIGHT * g.num_edges < popcount_weight(g, s))
 
 
 @pytest.mark.parametrize(
@@ -620,8 +618,8 @@ def test_the_analyze_r2_graph_is_sized_by_codegree():
 
 def test_links_are_the_transposed_masks():
     g = edge_graph((3, 2, 4), [(0, 1, 3), (1, 0, 3), (2, 1, 0), (2, 1, 3)])
-    assert g.links() == {0: [5], 3: [1, 2, 5]}
-    assert edge_graph((3, 5), []).links() == {}
+    assert links(g) == {0: [5], 3: [1, 2, 5]}
+    assert links(edge_graph((3, 5), [])) == {}
 
 
 @settings(max_examples=200)

@@ -30,8 +30,9 @@ def test_query_validation():
         shape((2, 2), (2, 0))
     assert shape([2, 0], [2, 2]) == ((2, 0), (2, 2))  # a graph may have an empty part
     for m_list in ((), (2, 0), (0, 2)):
-        with pytest.raises(ValueError, match="^all sizes must be >= 1$"):
+        with pytest.raises(ValueError) as refused:
             exact_z(shape(m_list, (2,) * len(m_list)))
+        assert str(refused.value) == f"part sizes must be >= 1, got {m_list}"
     assert shape((2, 2), (2, 2)).label() == "z(2,2;2,2)"
 
 
@@ -223,6 +224,22 @@ def test_search_equals_reference_search_on_four_parts():
         assert _search(query) == reference_search(query), query.label()
 
 
+# r = 3 shapes whose checks split into a near part (ranks in the prefix's own
+# first-part block) of two or more ranks (s_2 = 3) or a far part over two or
+# more earlier blocks (s_1 = 3); the shapes up to 12 edges have neither
+NEAR_FAR_SHAPES = [
+    ((4, 3, 3), (3, 2, 2)),  # 50,913 nodes
+    ((3, 4, 3), (2, 3, 2)),  # 85,932 nodes
+    ((4, 4, 2), (3, 2, 2)),  # 17,835 nodes
+]
+
+
+@pytest.mark.parametrize("m_list, s_list", NEAR_FAR_SHAPES)
+def test_search_equals_reference_search_on_near_and_far_parts(m_list, s_list):
+    query = shape(m_list, s_list)
+    assert _search(query) == reference_search(query)
+
+
 @pytest.mark.slow
 def test_search_equals_reference_search_up_to_16_edges():
     assert _search_matches_reference(1, 16) == 1765
@@ -236,6 +253,7 @@ def test_search_equals_reference_search_up_to_16_edges():
         ((4, 4, 2), (2, 2, 2), 25, 200_990),
         ((5, 5), (3, 2), 16, 36_925),  # every check a group at r = 2
         ((3, 3, 2, 2), (2, 2, 1, 2), 30, 349_686),  # four parts, a side of one
+        ((4, 3, 3), (2, 2, 2), 28, 689_862),  # near ANDs of one rank, m_r = 3
     ],
 )
 def test_stress_trees_are_pinned(m_list, s_list, z, nodes):

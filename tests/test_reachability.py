@@ -148,7 +148,7 @@ def test_no_module_imports_another_modules_private_name():
     """A `_`-prefixed name is its module's own: no `from zng... import _name`.
 
     The walk reads every `ast.ImportFrom` of the package, relative ones too.
-    A helper two modules share is public, as hypergraph.index_masks is.
+    A helper two modules share is public, as reader.index_masks is.
     """
     imported = [
         f"{path.name}:{node.lineno} {alias.name} from {node.module}"
